@@ -5,8 +5,9 @@ construction, certifies the square and prints a deterministic report.
 ``suite`` runs the verification suites over a bounded corpus.
 
 Exit codes: 0 all verdicts true / suites pass; 1 some verdict or suite
-failed; 2 parse error; 3 precondition violation (with witness); 4 internal
-invariant failure, which would falsify the construction itself.
+failed; 2 parse error, bad argument or unreadable input file; 3 precondition
+violation (with witness); 4 internal invariant failure, which would falsify
+the construction itself.
 """
 
 from __future__ import annotations
@@ -82,11 +83,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """A bad argument or an unreadable input file (exit code 2)."""
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {path}: {reason}") from None
 
 
 def _verdict_lines(name: str, verdict: Verdict, witness_label: str) -> list[str]:
@@ -207,13 +216,16 @@ def _agreement_verdict(
 
 
 def cmd_suite(args: argparse.Namespace, out: IO[str]) -> int:
-    config = SuiteConfig(
-        max_size=args.max_size,
-        samples=args.samples,
-        seed=args.seed,
-        exhaustive=args.exhaustive,
-        mutant=args.mutant,
-    )
+    try:
+        config = SuiteConfig(
+            max_size=args.max_size,
+            samples=args.samples,
+            seed=args.seed,
+            exhaustive=args.exhaustive,
+            mutant=args.mutant,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     report = run_all_suites(config)
     out.write(report.render())
     return 0 if report.passed else 1
@@ -226,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pushout":
             return cmd_pushout(args, sys.stdout)
         return cmd_suite(args, sys.stdout)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -268,9 +268,12 @@ def pushout_epi_leg(
             "1 u R°R of a difunctional relation is not an equivalence",
         )
     h = quotient_by_equivalence(a_set, closure)
+    landings: dict[str, set[str]] = {b: set() for b in b_set}
+    for a, b in zip(s.left.values, s.right.values):
+        landings[b].add(h(a))
     values = []
     for b in b_set:
-        images = sorted({h(s.left(c)) for c in s.apex if s.right(c) == b})
+        images = sorted(landings[b])
         if len(images) != 1:
             raise InternalInvariantError(
                 "epi-leg-pushout",

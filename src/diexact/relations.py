@@ -1,8 +1,9 @@
 """The calculus of relations between finite sets.
 
-Relations are boolean matrices (rows indexed by the source, columns by the
-target), so composites, converses and the difunctionality condition
-``R R° R <= R`` are literal matrix algebra.  Pair-list views are derived.
+A relation keeps one Python ``int`` per source element: bit j of row i says
+that (source[i], target[j]) holds.  Composites, converses, unions and the
+difunctionality witness are word-parallel OR/AND operations on those rows;
+the boolean ``matrix`` and the pair list are views derived from them.
 """
 
 from __future__ import annotations
@@ -24,86 +25,111 @@ from .fsets import (
 Matrix = tuple[tuple[bool, ...], ...]
 
 
-@dataclass(frozen=True)
+def _bits(row: int) -> Iterator[int]:
+    """Indexes of the set bits of a row, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
+@dataclass(frozen=True, init=False)
 class Relation:
-    """A subset of source x target as a boolean matrix."""
+    """A subset of source x target, one bitmask row per source element."""
 
     source: FiniteSet
     target: FiniteSet
-    matrix: Matrix
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(bool(x) for x in row) for row in self.matrix)
-        if len(rows) != len(self.source):
+    def __init__(self, source: FiniteSet, target: FiniteSet, matrix: Matrix) -> None:
+        matrix = tuple(tuple(row) for row in matrix)
+        if len(matrix) != len(source):
             raise ValueError(
-                f"matrix has {len(rows)} rows for a source of size {len(self.source)}"
+                f"matrix has {len(matrix)} rows for a source of size {len(source)}"
             )
-        if any(len(row) != len(self.target) for row in rows):
-            raise ValueError(
-                f"matrix rows must all have length {len(self.target)}"
-            )
-        object.__setattr__(self, "matrix", rows)
+        if any(len(row) != len(target) for row in matrix):
+            raise ValueError(f"matrix rows must all have length {len(target)}")
+        rows = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in matrix)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of_rows(cls, source: FiniteSet, target: FiniteSet, rows: tuple[int, ...]) -> "Relation":
+        r = object.__new__(cls)
+        object.__setattr__(r, "source", source)
+        object.__setattr__(r, "target", target)
+        object.__setattr__(r, "rows", rows)
+        return r
+
+    @property
+    def matrix(self) -> Matrix:
+        width = range(len(self.target))
+        return tuple(tuple(bool(row >> j & 1) for j in width) for row in self.rows)
 
     @classmethod
     def from_pairs(
         cls, source: FiniteSet, target: FiniteSet, pairs: Iterable[tuple[str, str]]
     ) -> "Relation":
-        grid = [[False] * len(target) for _ in source]
+        rows = [0] * len(source)
+        row_of, column_of = source.index, target.index
         for a, b in pairs:
-            grid[source.index(a)][target.index(b)] = True
-        return cls(source, target, tuple(tuple(row) for row in grid))
+            rows[row_of(a)] |= 1 << column_of(b)
+        return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
     def empty(cls, source: FiniteSet, target: FiniteSet) -> "Relation":
-        return cls.from_pairs(source, target, ())
+        return cls._of_rows(source, target, (0,) * len(source))
 
     @classmethod
     def full(cls, source: FiniteSet, target: FiniteSet) -> "Relation":
-        return cls(source, target, tuple(
-            tuple(True for _ in target) for _ in source
-        ))
+        return cls._of_rows(source, target, ((1 << len(target)) - 1,) * len(source))
 
     @classmethod
     def diagonal(cls, a: FiniteSet) -> "Relation":
-        return cls.from_pairs(a, a, ((x, x) for x in a))
+        return cls._of_rows(a, a, tuple(1 << i for i in range(len(a))))
 
     def holds(self, a: str, b: str) -> bool:
-        return self.matrix[self.source.index(a)][self.target.index(b)]
+        return bool(self.rows[self.source.index(a)] >> self.target.index(b) & 1)
 
     def pairs(self) -> Iterator[tuple[str, str]]:
-        for i, a in enumerate(self.source):
-            for j, b in enumerate(self.target):
-                if self.matrix[i][j]:
-                    yield a, b
+        names = self.target.elements
+        for a, row in zip(self.source, self.rows):
+            for j in _bits(row):
+                yield a, names[j]
 
     def __repr__(self) -> str:
         return "{" + ", ".join(pair_name(a, b) for a, b in self.pairs()) + "}"
 
 
 def rel_compose(s: Relation, r: Relation) -> Relation:
-    """Composite s after r: boolean matrix product."""
+    """Composite s after r: each row of r ORs together the rows of s it
+    selects.  Equal rows of r have equal images, computed once."""
     if r.target != s.source:
         raise CompositionError(
             f"cannot compose: target {r.target} != source {s.source}"
         )
-    mid = range(len(r.target))
-    matrix = tuple(
-        tuple(
-            any(r.matrix[i][j] and s.matrix[j][k] for j in mid)
-            for k in range(len(s.target))
-        )
-        for i in range(len(r.source))
-    )
-    return Relation(r.source, s.target, matrix)
+    images = {}
+    for row in set(r.rows):
+        image = 0
+        for j in _bits(row):
+            image |= s.rows[j]
+        images[row] = image
+    return Relation._of_rows(r.source, s.target, tuple(images[row] for row in r.rows))
 
 
 def converse(r: Relation) -> Relation:
-    """Matrix transpose; swaps source and target."""
-    matrix = tuple(
-        tuple(r.matrix[i][j] for i in range(len(r.source)))
-        for j in range(len(r.target))
-    )
-    return Relation(r.target, r.source, matrix)
+    """Transpose; swaps source and target.  The sources sharing each
+    distinct row are gathered into one mask, which is scattered into the
+    columns that row holds."""
+    sharing: dict[int, int] = {}
+    for i, row in enumerate(r.rows):
+        sharing[row] = sharing.get(row, 0) | 1 << i
+    columns = [0] * len(r.target)
+    for row, mask in sharing.items():
+        for j in _bits(row):
+            columns[j] |= mask
+    return Relation._of_rows(r.target, r.source, tuple(columns))
 
 
 def _require_parallel(r: Relation, s: Relation) -> None:
@@ -113,21 +139,15 @@ def _require_parallel(r: Relation, s: Relation) -> None:
 
 def union(r: Relation, s: Relation) -> Relation:
     _require_parallel(r, s)
-    matrix = tuple(
-        tuple(x or y for x, y in zip(row_r, row_s))
-        for row_r, row_s in zip(r.matrix, s.matrix)
+    return Relation._of_rows(
+        r.source, r.target, tuple(x | y for x, y in zip(r.rows, s.rows))
     )
-    return Relation(r.source, r.target, matrix)
 
 
 def leq(r: Relation, s: Relation) -> bool:
     """Pointwise containment r <= s."""
     _require_parallel(r, s)
-    return all(
-        (not x) or y
-        for row_r, row_s in zip(r.matrix, s.matrix)
-        for x, y in zip(row_r, row_s)
-    )
+    return not any(x & ~y for x, y in zip(r.rows, s.rows))
 
 
 def graph_of(f: SetFunction) -> Relation:
@@ -139,9 +159,7 @@ def graph_of(f: SetFunction) -> Relation:
 def span_to_relation(s: Span) -> Relation:
     """The relation a span embodies: (a, b) holds when some apex element maps
     to both.  Equals right-graph composed with the converse of left-graph."""
-    return Relation.from_pairs(
-        *s.feet, ((s.left(c), s.right(c)) for c in s.apex)
-    )
+    return Relation.from_pairs(*s.feet, zip(s.left.values, s.right.values))
 
 
 def tabulate(r: Relation) -> Span:
@@ -164,18 +182,28 @@ def difunctionality_witness(r: Relation) -> tuple[str, str, str, str] | None:
     (a,b), (a,b2), (a2,b) all related but (a2,b2) not; None if difunctional.
 
     This is the elementwise oracle; ``is_difunctional`` is the matrix route.
+    For each row i, the candidates are the rows that meet row i without
+    containing it: j is the first column of row i holding a candidate, i2
+    the least candidate in column j, and j2 the least column of row i
+    missing from row i2.
     """
-    m = r.matrix
-    for i, a in enumerate(r.source):
-        for j, b in enumerate(r.target):
-            if not m[i][j]:
-                continue
-            for i2, a2 in enumerate(r.source):
-                if not m[i2][j]:
-                    continue
-                for j2, b2 in enumerate(r.target):
-                    if m[i][j2] and not m[i2][j2]:
-                        return (a, b, a2, b2)
+    rows = r.rows
+    columns = converse(r).rows
+    for i, row in enumerate(rows):
+        candidates = 0
+        for i2, other in enumerate(rows):
+            if row & other and row & ~other:
+                candidates |= 1 << i2
+        if not candidates:
+            continue
+        for j in _bits(row):
+            hit = columns[j] & candidates
+            if hit:
+                i2 = (hit & -hit).bit_length() - 1
+                missing = row & ~rows[i2]
+                j2 = (missing & -missing).bit_length() - 1
+                a, b = r.source.elements, r.target.elements
+                return (a[i], b[j], a[i2], b[j2])
     return None
 
 
@@ -197,7 +225,7 @@ def difunctional_closure(r: Relation) -> Relation:
 
 def is_reflexive(e: Relation) -> bool:
     _require_endo(e)
-    return all(e.matrix[i][i] for i in range(len(e.source)))
+    return all(row >> i & 1 for i, row in enumerate(e.rows))
 
 
 def is_symmetric(e: Relation) -> bool:
@@ -234,10 +262,11 @@ def equivalence_classes(e: Relation) -> list[tuple[str, ...]]:
         raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
     seen: set[str] = set()
     blocks = []
-    for i, a in enumerate(e.source):
+    names = e.source.elements
+    for a, row in zip(names, e.rows):
         if a in seen:
             continue
-        block = tuple(b for j, b in enumerate(e.source) if e.matrix[i][j])
+        block = tuple(names[j] for j in _bits(row))
         seen.update(block)
         blocks.append(block)
     return blocks
@@ -254,8 +283,7 @@ def quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
 def joint_monicity_witness(s: Span) -> tuple[str, str, tuple[str, str]] | None:
     """Two apex elements with the same image pair, or None if jointly monic."""
     seen: dict[tuple[str, str], str] = {}
-    for c in s.apex:
-        image = (s.left(c), s.right(c))
+    for c, image in zip(s.apex, zip(s.left.values, s.right.values)):
         if image in seen:
             return seen[image], c, image
         seen[image] = c
@@ -324,18 +352,16 @@ class BlockRelation:
 
 def assemble_block(e: BlockRelation) -> Relation:
     """The relation on the tagged coproduct whose restriction to each tag
-    pair is the corresponding block."""
+    pair is the corresponding block.
+
+    The coproduct lists every ``l:`` element, in the order of a, before every
+    ``r:`` element, in the order of b; so summand b starts at bit |a|.
+    """
     a, b = e.left_set, e.right_set
     total, _, _ = coproduct(a, b)
-
-    def untag(name: str) -> tuple[int, str]:
-        return (0, name[2:]) if name.startswith("l:") else (1, name[2:])
-
-    pairs = []
-    for x in total:
-        j, x_raw = untag(x)
-        for y in total:
-            i, y_raw = untag(y)
-            if e.blocks[i][j].holds(x_raw, y_raw):
-                pairs.append((x, y))
-    return Relation.from_pairs(total, total, pairs)
+    offset = len(a)
+    (tl, tr), (bl, br) = e.blocks
+    rows = tuple(x | y << offset for x, y in zip(tl.rows, bl.rows)) + tuple(
+        x | y << offset for x, y in zip(tr.rows, br.rows)
+    )
+    return Relation._of_rows(total, total, rows)

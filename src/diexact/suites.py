@@ -177,11 +177,8 @@ def _certificate_failures(
 
 def _first_violation(r: Relation, s: Relation) -> str:
     """First pair where r holds but s does not, rendered; empty if r <= s."""
-    for (a, b), held in zip(
-        ((x, y) for x in r.source for y in r.target),
-        (v for row in r.matrix for v in row),
-    ):
-        if held and not s.holds(a, b):
+    for a, b in r.pairs():
+        if not s.holds(a, b):
             return f"({a},{b})"
     return ""
 
@@ -193,7 +190,7 @@ def _e_structure_failures(
     recovered as the kernel pair of its quotient."""
     e = result.e
     if not is_reflexive(e):
-        missing = next(x for i, x in enumerate(e.source) if not e.matrix[i][i])
+        missing = next(x for x in e.source if not e.holds(x, x))
         failures.append(SuiteFailure(label, "e:reflexive", f"({missing},{missing}) missing"))
     if not is_symmetric(e):
         failures.append(

@@ -124,6 +124,13 @@ class TestPushoutCommand:
         assert "basepoint = l:*" in out
         assert "corner = {l:*, l:a1, r:b1}" in out
 
+    def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
+        path = str(tmp_path / "no-such-file.txt")
+        assert main(["pushout", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and path in err
+        assert len(err.splitlines()) == 1
+
     def test_mutant_flag_breaks_verdicts(self, tmp_path, capsys):
         code = main(
             [
@@ -163,6 +170,12 @@ class TestSuiteCommand:
         assert code == 1
         assert "RESULT: FAIL" in out
         assert "FAIL" in out and "e:" in out
+
+    def test_negative_bound_is_a_usage_error(self, capsys):
+        assert main(["suite", "--max-size", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_size must be nonnegative\n"
 
     def test_zero_bound_is_vacuously_fine(self, capsys):
         assert main(["suite", "--max-size", "0"]) == 0

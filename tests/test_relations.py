@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import (
@@ -11,6 +12,7 @@ from conftest import (
     functions,
     malcev_spans,
     relations,
+    sized_sets,
 )
 from diexact.errors import CompositionError, NotEquivalenceError, PreconditionError
 from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso
@@ -41,6 +43,28 @@ from diexact.relations import (
 
 def rel(source, target, *pairs):
     return Relation.from_pairs(fset(*source), fset(*target), pairs)
+
+
+def reference_witness(r):
+    """The quartic scan in (a, b, a2, b2) order: the first quadruple that
+    ``difunctionality_witness`` must return."""
+    for a in r.source:
+        for b in r.target:
+            if not r.holds(a, b):
+                continue
+            for a2 in r.source:
+                if not r.holds(a2, b):
+                    continue
+                for b2 in r.target:
+                    if r.holds(a, b2) and not r.holds(a2, b2):
+                        return (a, b, a2, b2)
+    return None
+
+
+def rows_equal_or_disjoint(r):
+    """Riguet's characterisation of difunctionality on the pair set."""
+    rows = [frozenset(b for b in r.target if r.holds(a, b)) for a in r.source]
+    return all(x == y or not (x & y) for x in rows for y in rows)
 
 
 class TestCompose:
@@ -212,6 +236,29 @@ class TestDifunctionality:
             a, b, a2, b2 = witness
             assert r.holds(a, b) and r.holds(a, b2) and r.holds(a2, b)
             assert not r.holds(a2, b2)
+
+    @given(relations(max_size=5), st.data())
+    @settings(max_examples=300)
+    def test_bitset_kernel_against_pair_set_oracles(self, r, data):
+        assert difunctionality_witness(r) == reference_witness(r)
+        assert is_difunctional(r) == rows_equal_or_disjoint(r)
+        related = set(r.pairs())
+        assert set(converse(r).pairs()) == {(b, a) for a, b in related}
+        third = data.draw(sized_sets("c", max_size=5))
+        cells = data.draw(
+            st.lists(st.booleans(), min_size=len(r.target) * len(third),
+                     max_size=len(r.target) * len(third))
+        )
+        s = Relation.from_pairs(
+            r.target,
+            third,
+            (pair for pair, bit in zip(itertools.product(r.target, third), cells) if bit),
+        )
+        related_s = set(s.pairs())
+        assert set(rel_compose(s, r).pairs()) == {
+            (a, c) for a, b in related for b2, c in related_s if b == b2
+        }
+        assert Relation(r.source, r.target, r.matrix) == r
 
 
 class TestClosure:
