@@ -12,8 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from diexact.suites import KNOWN_MUTANTS, SuiteConfig, run_all_suites
+# Run from a checkout without installing the package.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from diexact.suites import KNOWN_MUTANTS, SuiteConfig, run_all_suites  # noqa: E402
 
 
 def main() -> int:

@@ -27,6 +27,7 @@ from .fsets import (
     commuting_composites,
     compose,
     kernel_pair,
+    fiber_pairs,
     pair_name,
     pullback,
 )
@@ -144,9 +145,10 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     images under the cospan."""
     _require_commuting(square)
     pairs, _ = pullback(square.cospan)
+    f, g = square.span.left, square.span.right
+    names = tuple([pair_name(a, b) for a, b in zip(f.values, g.values)])
     seen: dict[str, str] = {}
-    for c in square.span.apex:
-        name = pair_name(square.span.left(c), square.span.right(c))
+    for c, name in zip(square.span.apex, names):
         if name in seen:
             return Verdict(
                 False,
@@ -161,26 +163,21 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
             f"pair {missing[0]} has equal images under the cospan but no apex element",
             missing[0],
         )
-    pairing = SetFunction(
-        square.span.apex,
-        pairs.apex,
-        tuple(
-            pair_name(square.span.left(c), square.span.right(c))
-            for c in square.span.apex
-        ),
-    )
+    pairing = SetFunction(square.span.apex, pairs.apex, names)
     return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
 
 
 def _fiber_square(square: CommutativeSquare, d: str) -> CommutativeSquare:
     h, k = square.cospan.left, square.cospan.right
     f, g = square.span.left, square.span.right
-    a_fiber = FiniteSet(tuple(a for a in h.domain if h(a) == d))
-    b_fiber = FiniteSet(tuple(b for b in k.domain if k(b) == d))
-    c_fiber = FiniteSet(tuple(c for c in f.domain if h(f(c)) == d))
+    at = square.corner.index(d)
+    a_fiber = FiniteSet(tuple(a for a, t in zip(h.domain, h.table) if t == at))
+    b_fiber = FiniteSet(tuple(b for b, t in zip(k.domain, k.table) if t == at))
+    over = [h.table[i] == at for i in f.table]
+    c_fiber = FiniteSet(tuple(c for c, keep in zip(f.domain, over) if keep))
     base = FiniteSet((d,))
-    f_d = SetFunction(c_fiber, a_fiber, tuple(f(c) for c in c_fiber))
-    g_d = SetFunction(c_fiber, b_fiber, tuple(g(c) for c in c_fiber))
+    f_d = SetFunction(c_fiber, a_fiber, tuple(v for v, keep in zip(f.values, over) if keep))
+    g_d = SetFunction(c_fiber, b_fiber, tuple(v for v, keep in zip(g.values, over) if keep))
     h_d = SetFunction(a_fiber, base, tuple(d for _ in a_fiber))
     k_d = SetFunction(b_fiber, base, tuple(d for _ in b_fiber))
     return CommutativeSquare(Span(c_fiber, f_d, g_d), Cospan(h_d, k_d))
@@ -229,8 +226,8 @@ def jointly_epic(cospan: Cospan) -> bool:
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
     cover: dict[str, str] = {}
     for leg, tag in ((cospan.left, "l"), (cospan.right, "r")):
-        for x in leg.domain:
-            cover.setdefault(leg(x), f"{tag}:{x}")
+        for x, image in zip(leg.domain, leg.values):
+            cover.setdefault(image, f"{tag}:{x}")
     missing = [d for d in cospan.corner if d not in cover]
     if missing:
         return Verdict(
@@ -306,9 +303,10 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
             return False
         if len(set(pairing.values)) != len(pairing.values):
             return False
-        for c in square.span.apex:
-            if pairing(c) != pair_name(square.span.left(c), square.span.right(c)):
-                return False
+        f, g = square.span.left, square.span.right
+        expected = tuple(pair_name(a, b) for a, b in zip(f.values, g.values))
+        if pairing.domain != square.span.apex or pairing.values != expected:
+            return False
     if cert.is_stable.ok:
         reports = cert.is_stable.evidence
         if not isinstance(reports, tuple):
@@ -329,16 +327,14 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
 
 
 def _tables(square: CommutativeSquare) -> tuple[tuple[int, ...], ...]:
-    f, g = square.span.left, square.span.right
-    h, k = square.cospan.left, square.cospan.right
-    a_ix = {a: i for i, a in enumerate(h.domain.elements)}
-    b_ix = {b: i for i, b in enumerate(k.domain.elements)}
-    d_ix = {d: i for i, d in enumerate(square.corner.elements)}
+    """The four legs as index tables.  Callers check commutativity first,
+    which composes h after f and k after g, so each span leg's codomain is
+    the domain of the cospan leg it meets and the indexes line up."""
     return (
-        tuple(a_ix[v] for v in f.values),
-        tuple(b_ix[v] for v in g.values),
-        tuple(d_ix[v] for v in h.values),
-        tuple(d_ix[v] for v in k.values),
+        square.span.left.table,
+        square.span.right.table,
+        square.cospan.left.table,
+        square.cospan.right.table,
     )
 
 
@@ -414,19 +410,17 @@ def pullback_by_universal_property(
     """Raw oracle for pullbacks: every commuting test span over the cospan,
     with apex up to the bound, factors uniquely through the square's apex."""
     _require_commuting(square)
-    f, g = square.span.left, square.span.right
-    h, k = square.cospan.left, square.cospan.right
-    c_ix = {c: i for i, c in enumerate(square.span.apex.elements)}
-    a_elems, b_elems = h.domain.elements, k.domain.elements
+    f_t, g_t, h_t, k_t = _tables(square)
+    n_a, n_b, n_c = len(h_t), len(k_t), len(f_t)
     for size in range(max_apex_size + 1):
         test = range(size)
-        for u in itertools.product(a_elems, repeat=size):
-            for v in itertools.product(b_elems, repeat=size):
-                if any(h(u[t]) != k(v[t]) for t in test):
+        for u in itertools.product(range(n_a), repeat=size):
+            for v in itertools.product(range(n_b), repeat=size):
+                if any(h_t[u[t]] != k_t[v[t]] for t in test):
                     continue
                 count = 0
-                for m in itertools.product(square.span.apex.elements, repeat=size):
-                    if all(f(m[t]) == u[t] and g(m[t]) == v[t] for t in test):
+                for m in itertools.product(range(n_c), repeat=size):
+                    if all(f_t[m[t]] == u[t] and g_t[m[t]] == v[t] for t in test):
                         count += 1
                         if count > 1:
                             break
@@ -441,26 +435,14 @@ def pull_square_back(square: CommutativeSquare, x: SetFunction) -> CommutativeSq
         raise PreconditionError("base change must target the square's corner")
     f, g = square.span.left, square.span.right
     h, k = square.cospan.left, square.cospan.right
-    hf = compose(h, f)
-
-    def fiber_product(leg: SetFunction) -> tuple[FiniteSet, dict[str, tuple[str, str]]]:
-        pairs = [
-            (s_el, t) for s_el in leg.domain for t in x.domain if leg(s_el) == x(t)
-        ]
-        carrier = FiniteSet(tuple(pair_name(s_el, t) for s_el, t in pairs))
-        return carrier, {pair_name(s_el, t): (s_el, t) for s_el, t in pairs}
-
-    a2, a2_parts = fiber_product(h)
-    b2, b2_parts = fiber_product(k)
-    c2, c2_parts = fiber_product(hf)
-    f2 = SetFunction(
-        c2, a2, tuple(pair_name(f(c2_parts[p][0]), c2_parts[p][1]) for p in c2)
-    )
-    g2 = SetFunction(
-        c2, b2, tuple(pair_name(g(c2_parts[p][0]), c2_parts[p][1]) for p in c2)
-    )
-    h2 = SetFunction(a2, x.domain, tuple(a2_parts[p][1] for p in a2))
-    k2 = SetFunction(b2, x.domain, tuple(b2_parts[p][1] for p in b2))
+    a2, a2_parts = fiber_pairs(h, x)
+    b2, b2_parts = fiber_pairs(k, x)
+    c2, c2_parts = fiber_pairs(compose(h, f), x)
+    f_at, g_at = f.as_dict, g.as_dict
+    f2 = SetFunction(c2, a2, tuple([pair_name(f_at[c], t) for c, t in c2_parts]))
+    g2 = SetFunction(c2, b2, tuple([pair_name(g_at[c], t) for c, t in c2_parts]))
+    h2 = SetFunction(a2, x.domain, tuple([t for _, t in a2_parts]))
+    k2 = SetFunction(b2, x.domain, tuple([t for _, t in b2_parts]))
     return CommutativeSquare(Span(c2, f2, g2), Cospan(h2, k2))
 
 

@@ -6,6 +6,11 @@ order, and constructed objects (pullbacks, coproducts, quotients) use
 deterministic element names, so equal constructions compare equal and
 reports diff cleanly.
 
+A ``SetFunction`` also carries ``table``, the codomain index of each value,
+built by the same pass that checks the values lie in the codomain.
+Composites, pullbacks and the oracles read values and tables by position;
+``f(x)`` looks a name up and is for callers outside those loops.
+
 Naming conventions for constructed elements:
 
 * pullback / tabulation elements are ``"(a,b)"``;
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -31,20 +35,22 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FiniteSet:
-    """An ordered set of distinct element names (opaque strings)."""
+    """An ordered set of distinct element names (opaque strings).
+
+    ``_index`` maps each name to its position; building it is also the
+    duplicate check.  It is not a field, so equality and hashing ignore it.
+    """
 
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
         canon = tuple(sorted(self.elements))
-        if len(set(canon)) != len(canon):
+        index = dict(zip(canon, range(len(canon))))
+        if len(index) != len(canon):
             dupes = sorted({e for e in canon if canon.count(e) > 1})
             raise ValueError(f"duplicate element names: {dupes}")
         object.__setattr__(self, "elements", canon)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.elements)}
+        object.__setattr__(self, "_index", index)
 
     def index(self, name: str) -> int:
         try:
@@ -75,23 +81,35 @@ def fset(*names: str) -> FiniteSet:
 
 @dataclass(frozen=True)
 class SetFunction:
-    """A total map between finite sets, stored as a value table in domain
-    order.  Equality is table equality; there is no intensional view."""
+    """A total map between finite sets, stored as its values in domain
+    order.  Equality compares domain, codomain and values; there is no
+    intensional view.
+
+    ``table[i]`` is the codomain position of ``values[i]``.  It is derived
+    from the fields, so it takes no part in equality, hashing or ``repr``.
+    """
 
     domain: FiniteSet
     codomain: FiniteSet
     values: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != len(self.domain):
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.domain):
             raise ValueError(
-                f"function table has {len(self.values)} entries for a domain "
+                f"function table has {len(values)} entries for a domain "
                 f"of size {len(self.domain)}"
             )
-        for value in self.values:
-            if value not in self.codomain:
-                raise ValueError(f"value {value!r} is not in the codomain {self.codomain}")
+        index = self.codomain._index
+        try:
+            table = tuple([index[value] for value in values])
+        except KeyError:
+            value = next(v for v in values if v not in index)
+            raise ValueError(
+                f"value {value!r} is not in the codomain {self.codomain}"
+            ) from None
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_mapping(
@@ -127,7 +145,8 @@ def compose(g: SetFunction, f: SetFunction) -> SetFunction:
         raise CompositionError(
             f"cannot compose: codomain {f.codomain} != domain {g.domain}"
         )
-    return SetFunction(f.domain, g.codomain, tuple(g(v) for v in f.values))
+    values = g.values
+    return SetFunction(f.domain, g.codomain, tuple([values[i] for i in f.table]))
 
 
 def is_mono(f: SetFunction) -> bool:
@@ -151,6 +170,27 @@ def inverse(f: SetFunction) -> SetFunction:
 
 def pair_name(a: str, b: str) -> str:
     return f"({a},{b})"
+
+
+def pair_set(
+    pairs: Iterable[tuple[str, str]],
+) -> tuple[FiniteSet, tuple[tuple[str, str], ...]]:
+    """The set of the pairs' names, and the pair behind each of its elements
+    in carrier order.
+
+    ``pair_name`` is not injective (``("x,y", "z")`` and ``("x", "y,z")``
+    are both ``(x,y,z)``), so a clash is refused with both pairs named.
+    """
+    by_name: dict[str, tuple[str, str]] = {}
+    for pair in pairs:
+        name = pair_name(*pair)
+        if name in by_name:
+            raise PreconditionError(
+                f"pairs {by_name[name]!r} and {pair!r} both get the element name {name!r}"
+            )
+        by_name[name] = pair
+    carrier = FiniteSet(tuple(by_name))
+    return carrier, tuple(by_name[name] for name in carrier)
 
 
 @dataclass(frozen=True)
@@ -234,19 +274,28 @@ def commuting_composites(span_: Span, cospan_: Cospan) -> tuple[SetFunction, Set
     return compose(cospan_.left, span_.left), compose(cospan_.right, span_.right)
 
 
+def fiber_pairs(
+    h: SetFunction, k: SetFunction
+) -> tuple[FiniteSet, tuple[tuple[str, str], ...]]:
+    """``pair_set`` of the pairs (a, b) with ``h(a) == k(b)``.
+
+    k's domain is grouped by image once, so each element of h's domain
+    meets only the elements over its own image.
+    """
+    over: dict[int, list[str]] = {}
+    for b, d in zip(k.domain.elements, k.table):
+        over.setdefault(d, []).append(b)
+    return pair_set(
+        (a, b) for a, d in zip(h.domain.elements, h.table) for b in over.get(d, ())
+    )
+
+
 def pullback(cospan_: Cospan) -> tuple[Span, CommutativeSquare]:
     """Canonical pullback: pairs with equal images, named ``"(a,b)"``."""
-    a_set, b_set = cospan_.left.domain, cospan_.right.domain
-    pairs = [
-        (a, b)
-        for a in a_set
-        for b in b_set
-        if cospan_.left(a) == cospan_.right(b)
-    ]
-    apex = FiniteSet(tuple(pair_name(a, b) for a, b in pairs))
-    by_name = {pair_name(a, b): (a, b) for a, b in pairs}
-    proj_a = SetFunction(apex, a_set, tuple(by_name[p][0] for p in apex))
-    proj_b = SetFunction(apex, b_set, tuple(by_name[p][1] for p in apex))
+    h, k = cospan_.left, cospan_.right
+    apex, parts = fiber_pairs(h, k)
+    proj_a = SetFunction(apex, h.domain, tuple([a for a, _ in parts]))
+    proj_b = SetFunction(apex, k.domain, tuple([b for _, b in parts]))
     s = Span(apex, proj_a, proj_b)
     return s, CommutativeSquare(s, cospan_)
 
@@ -260,26 +309,27 @@ def kernel_pair(f: SetFunction) -> Span:
 def is_kernel_pair_trivial(f: SetFunction) -> bool:
     """True when the kernel pair of f is the diagonal (so f is injective)."""
     kp = kernel_pair(f)
-    return all(kp.left(p) == kp.right(p) for p in kp.apex)
+    return kp.left.table == kp.right.table
 
 
 def coproduct(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, SetFunction, SetFunction]:
     """Tagged disjoint union with injections; tags ``l:`` and ``r:``."""
-    total = FiniteSet(tuple(f"l:{x}" for x in a) + tuple(f"r:{x}" for x in b))
-    inl = SetFunction(a, total, tuple(f"l:{x}" for x in a))
-    inr = SetFunction(b, total, tuple(f"r:{x}" for x in b))
-    return total, inl, inr
+    left = tuple([f"l:{x}" for x in a.elements])
+    right = tuple([f"r:{x}" for x in b.elements])
+    total = FiniteSet(left + right)
+    return total, SetFunction(a, total, left), SetFunction(b, total, right)
 
 
 def copair(f: SetFunction, g: SetFunction) -> SetFunction:
-    """The map out of the tagged coproduct restricting to f and g."""
+    """The map out of the tagged coproduct restricting to f and g.
+
+    The coproduct lists every ``l:`` element, in the order of f's domain,
+    before every ``r:`` element, so the table is f's values then g's.
+    """
     if f.codomain != g.codomain:
         raise CompositionError("copair requires a common codomain")
     total, _, _ = coproduct(f.domain, g.domain)
-    values = tuple(
-        f(name[2:]) if name.startswith("l:") else g(name[2:]) for name in total
-    )
-    return SetFunction(total, f.codomain, values)
+    return SetFunction(total, f.codomain, f.values + g.values)
 
 
 def quotient_by_partition(
@@ -370,7 +420,8 @@ def canonical_pushout(span_: Span, symmetric: bool = True) -> CommutativeSquare:
     a_set, b_set = span_.feet
     total, inl, inr = coproduct(a_set, b_set)
     gens = [
-        (f"l:{span_.left(c)}", f"r:{span_.right(c)}") for c in span_.apex
+        (inl.values[i], inr.values[j])
+        for i, j in zip(span_.left.table, span_.right.table)
     ]
     q = quotient_by_generated(total, gens, symmetric=symmetric)
     h = compose(q, inl)
@@ -395,13 +446,12 @@ def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
         (square.cospan.left, candidate.left),
         (square.cospan.right, candidate.right),
     ):
-        for x in leg.domain:
-            target = cleg(x)
-            existing = assigned.setdefault(leg(x), target)
+        for image, target in zip(leg.values, cleg.values):
+            existing = assigned.setdefault(image, target)
             if existing != target:
                 raise InternalInvariantError(
                     "mediating-map",
-                    f"corner element {leg(x)!r} is forced to both "
+                    f"corner element {image!r} is forced to both "
                     f"{existing!r} and {target!r}; the square is not a pushout",
                 )
     unreached = [d for d in corner if d not in assigned]

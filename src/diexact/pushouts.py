@@ -203,8 +203,8 @@ def mono_span_pushout(
         require_mono(s.right, "right leg of a mono-span pushout")
     x_set, y_set = s.feet
     picked: dict[str, str] = {}
-    for c in s.apex:
-        picked.setdefault(s.left(c), s.right(c))
+    for x, y in zip(s.left.values, s.right.values):
+        picked.setdefault(x, y)
     blocks: dict[str, list[str]] = {y: [f"r:{y}"] for y in y_set}
     loose: list[list[str]] = []
     for x in x_set:
@@ -269,8 +269,8 @@ def pushout_epi_leg(
         )
     h = quotient_by_equivalence(a_set, closure)
     landings: dict[str, set[str]] = {b: set() for b in b_set}
-    for a, b in zip(s.left.values, s.right.values):
-        landings[b].add(h(a))
+    for i, b in zip(s.left.table, s.right.values):
+        landings[b].add(h.values[i])
     values = []
     for b in b_set:
         images = sorted(landings[b])

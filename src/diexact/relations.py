@@ -19,6 +19,7 @@ from .fsets import (
     Span,
     coproduct,
     pair_name,
+    pair_set,
     quotient_by_partition,
 )
 
@@ -71,10 +72,19 @@ class Relation:
     def from_pairs(
         cls, source: FiniteSet, target: FiniteSet, pairs: Iterable[tuple[str, str]]
     ) -> "Relation":
-        rows = [0] * len(source)
         row_of, column_of = source.index, target.index
-        for a, b in pairs:
-            rows[row_of(a)] |= 1 << column_of(b)
+        return cls._of_index_pairs(
+            source, target, ((row_of(a), column_of(b)) for a, b in pairs)
+        )
+
+    @classmethod
+    def _of_index_pairs(
+        cls, source: FiniteSet, target: FiniteSet, pairs: Iterable[tuple[int, int]]
+    ) -> "Relation":
+        """The relation holding at each (source position, target position)."""
+        rows = [0] * len(source)
+        for i, j in pairs:
+            rows[i] |= 1 << j
         return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
@@ -151,24 +161,20 @@ def leq(r: Relation, s: Relation) -> bool:
 
 
 def graph_of(f: SetFunction) -> Relation:
-    return Relation.from_pairs(
-        f.domain, f.codomain, zip(f.domain.elements, f.values)
-    )
+    return Relation._of_rows(f.domain, f.codomain, tuple([1 << j for j in f.table]))
 
 
 def span_to_relation(s: Span) -> Relation:
     """The relation a span embodies: (a, b) holds when some apex element maps
     to both.  Equals right-graph composed with the converse of left-graph."""
-    return Relation.from_pairs(*s.feet, zip(s.left.values, s.right.values))
+    return Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
 
 
 def tabulate(r: Relation) -> Span:
     """Jointly monic span of projections from the pair set of r."""
-    pairs = list(r.pairs())
-    apex = FiniteSet(tuple(pair_name(a, b) for a, b in pairs))
-    by_name = {pair_name(a, b): (a, b) for a, b in pairs}
-    left = SetFunction(apex, r.source, tuple(by_name[p][0] for p in apex))
-    right = SetFunction(apex, r.target, tuple(by_name[p][1] for p in apex))
+    apex, parts = pair_set(r.pairs())
+    left = SetFunction(apex, r.source, tuple([a for a, _ in parts]))
+    right = SetFunction(apex, r.target, tuple([b for _, b in parts]))
     return Span(apex, left, right)
 
 

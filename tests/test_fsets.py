@@ -1,9 +1,11 @@
 """Finite sets, functions and the diagram toolkit."""
 
+import dataclasses
 import itertools
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from conftest import arbitrary_spans, functions
 from diexact.errors import CompositionError, PreconditionError
@@ -25,12 +27,17 @@ from diexact.fsets import (
     inverse,
     is_epi,
     is_iso,
+    is_kernel_pair_trivial,
     is_mono,
     kernel_pair,
+    mediating_map,
+    pair_name,
     pullback,
     quotient_by_partition,
+    span,
 )
 from diexact.certificates import pullback_by_universal_property
+from diexact.relations import graph_of, span_to_relation
 
 
 def table(domain, codomain, mapping):
@@ -52,6 +59,41 @@ class TestFiniteSet:
         assert s.index("b") == 1
         with pytest.raises(KeyError):
             s.index("z")
+
+
+class TestSetFunction:
+    def test_value_outside_codomain_names_the_first(self):
+        with pytest.raises(ValueError, match="value 'y' is not in the codomain"):
+            SetFunction(fset("a", "b", "c"), fset("x"), ("x", "y", "z"))
+
+    def test_table_is_codomain_index_of_each_value(self):
+        f = SetFunction(fset("a", "b", "c"), fset("x", "y", "z"), ("z", "x", "z"))
+        assert f.table == (2, 0, 2)
+
+    def test_equal_fields_equal_and_hash_equal(self):
+        a, b = fset("a", "b"), fset("x", "y")
+        f = SetFunction(a, b, ("y", "x"))
+        g = SetFunction(a, b, ["y", "x"])
+        assert f == g and hash(f) == hash(g)
+        assert f != SetFunction(a, fset("x", "y", "z"), ("y", "x"))
+
+    def test_table_is_not_a_field_and_repr_unchanged(self):
+        f = SetFunction(fset("a", "b"), fset("x", "y"), ("y", "x"))
+        assert [field.name for field in dataclasses.fields(f)] == [
+            "domain",
+            "codomain",
+            "values",
+        ]
+        assert repr(f) == "{a |-> y, b |-> x}"
+
+    def test_replace_rebuilds_the_table(self):
+        f = SetFunction(fset("a", "b"), fset("x", "y"), ("y", "x"))
+        wider = dataclasses.replace(f, codomain=fset("w", "x", "y"))
+        assert wider.table == (2, 1)
+        moved = dataclasses.replace(f, values=("x", "x"))
+        assert moved.table == (0, 0)
+        with pytest.raises(ValueError, match="value 'y' is not in the codomain"):
+            dataclasses.replace(f, codomain=fset("x"))
 
 
 class TestCompose:
@@ -153,6 +195,17 @@ class TestPullback:
                         for k in all_functions(b, d):
                             _, sq = pullback(Cospan(h, k))
                             assert pullback_by_universal_property(sq, max_apex_size=3)
+
+    def test_pair_name_collision_is_a_precondition_error(self):
+        # ("x", "y,z") and ("x,y", "z") are both named "(x,y,z)"
+        point = fset("d")
+        h = SetFunction(fset("x", "x,y"), point, ("d", "d"))
+        k = SetFunction(fset("z", "y,z"), point, ("d", "d"))
+        with pytest.raises(PreconditionError) as caught:
+            pullback(Cospan(h, k))
+        message = str(caught.value)
+        assert "('x', 'y,z')" in message and "('x,y', 'z')" in message
+        assert "'(x,y,z)'" in message
 
     def test_universal_property_fails_on_doctored_apex(self):
         h = table("ab", "x", {"a": "x", "b": "x"})
@@ -369,3 +422,109 @@ class TestSquares:
         assert len(total) == 0
         e, m = image_factorization(SetFunction(empty, fset("x"), ()))
         assert len(e.codomain) == 0 and is_mono(m)
+
+
+# ---------------------------------------------------------------------------
+# The table paths against per-element references.  Element names such as
+# a2 and a10 sort differently from their numbers, so a position read where
+# a name was meant, or the other way round, changes the result.
+
+
+@st.composite
+def scrambled_sets(draw, prefix: str, min_size: int = 0, max_size: int = 4) -> FiniteSet:
+    numbers = draw(
+        st.lists(
+            st.sampled_from((1, 2, 3, 10, 12, 21, 30)),
+            min_size=min_size,
+            max_size=max_size,
+            unique=True,
+        )
+    )
+    return FiniteSet(tuple(f"{prefix}{n}" for n in numbers))
+
+
+def draw_map(data, domain: FiniteSet, codomain: FiniteSet) -> SetFunction:
+    values = tuple(data.draw(st.sampled_from(codomain.elements)) for _ in domain)
+    return SetFunction(domain, codomain, values)
+
+
+def reference_pairs(h: SetFunction, k: SetFunction) -> set[tuple[str, str]]:
+    return {(a, b) for a in h.domain for b in k.domain if h(a) == k(b)}
+
+
+def reference_pullback_by_universal_property(square, max_apex_size):
+    """Every commuting test span with apex up to the bound factors through
+    the apex exactly once; elements are quantified by name."""
+    f, g = square.span.left, square.span.right
+    h, k = square.cospan.left, square.cospan.right
+    for size in range(max_apex_size + 1):
+        test = range(size)
+        for u in itertools.product(h.domain, repeat=size):
+            for v in itertools.product(k.domain, repeat=size):
+                if any(h(u[t]) != k(v[t]) for t in test):
+                    continue
+                count = sum(
+                    1
+                    for m in itertools.product(square.span.apex, repeat=size)
+                    if all(f(m[t]) == u[t] and g(m[t]) == v[t] for t in test)
+                )
+                if count != 1:
+                    return False
+    return True
+
+
+def assert_table(fn: SetFunction) -> None:
+    assert fn.table == tuple(fn.codomain.index(v) for v in fn.values)
+
+
+def assert_projections(s: Span, expected: set[tuple[str, str]]) -> None:
+    got = [(s.left(p), s.right(p)) for p in s.apex]
+    assert set(got) == expected and len(got) == len(expected)
+    assert all(p == pair_name(a, b) for p, (a, b) in zip(s.apex, got))
+    assert_table(s.left)
+    assert_table(s.right)
+
+
+class TestTablePaths:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_table_paths_against_per_element_references(self, data):
+        d = data.draw(scrambled_sets("d", min_size=1))
+        a = data.draw(scrambled_sets("a", min_size=1))
+        b = data.draw(scrambled_sets("b", min_size=1))
+        c = data.draw(scrambled_sets("c"))
+        h, k = draw_map(data, a, d), draw_map(data, b, d)
+        f, g = draw_map(data, c, a), draw_map(data, c, b)
+
+        hf = compose(h, f)
+        assert [hf(x) for x in c] == [h(f(x)) for x in c]
+        assert_table(hf)
+
+        pb, sq = pullback(Cospan(h, k))
+        assert_projections(pb, reference_pairs(h, k))
+        assert_projections(kernel_pair(h), reference_pairs(h, h))
+        injective = all(h(x) != h(y) for x, y in itertools.combinations(a, 2))
+        assert is_kernel_pair_trivial(h) == injective
+
+        assert set(span_to_relation(span(f, g)).pairs()) == {(f(x), g(x)) for x in c}
+        assert set(graph_of(h).pairs()) == {(x, h(x)) for x in a}
+
+        q = copair(h, k)
+        assert [q(f"l:{x}") for x in a] == [h(x) for x in a]
+        assert [q(f"r:{y}") for y in b] == [k(y) for y in b]
+        assert_table(q)
+
+        pushout = canonical_pushout(span(f, g))
+        m = draw_map(data, pushout.corner, d)
+        candidate = Cospan(compose(m, pushout.cospan.left), compose(m, pushout.cospan.right))
+        mediating = mediating_map(pushout, candidate)
+        for x in a:
+            assert mediating(pushout.cospan.left(x)) == candidate.left(x)
+        for y in b:
+            assert mediating(pushout.cospan.right(y)) == candidate.right(y)
+        assert mediating == m
+
+        for square in (sq, pushout):
+            assert pullback_by_universal_property(
+                square, max_apex_size=2
+            ) == reference_pullback_by_universal_property(square, 2)

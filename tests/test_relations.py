@@ -203,6 +203,17 @@ class TestSpanRelationDictionary:
         assert len(s.apex) == 3
         assert {(s.left(p), s.right(p)) for p in s.apex} == set(r.pairs())
 
+    def test_tabulate_refuses_pair_name_collision(self):
+        # ("x", "y,z") and ("x,y", "z") are both named "(x,y,z)"
+        r = Relation.from_pairs(
+            fset("x", "x,y"), fset("z", "y,z"), [("x", "y,z"), ("x,y", "z")]
+        )
+        with pytest.raises(PreconditionError) as caught:
+            tabulate(r)
+        message = str(caught.value)
+        assert "('x', 'y,z')" in message and "('x,y', 'z')" in message
+        assert "'(x,y,z)'" in message
+
     @given(arbitrary_spans(max_size=3))
     def test_tabulation_of_jointly_monic_span_is_isomorphic(self, s):
         if not is_jointly_monic(s):
