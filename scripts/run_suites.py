@@ -17,7 +17,8 @@ from pathlib import Path
 # Run from a checkout without installing the package.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from diexact.suites import KNOWN_MUTANTS, SuiteConfig, run_all_suites  # noqa: E402
+from diexact import mutants  # noqa: E402
+from diexact.suites import SuiteConfig, run_all_suites  # noqa: E402
 
 
 def main() -> int:
@@ -44,7 +45,7 @@ def main() -> int:
         all_ok &= report.passed
 
     if args.mutants:
-        for mutant in KNOWN_MUTANTS:
+        for mutant in mutants.KNOWN:
             config = SuiteConfig(
                 max_size=min(args.up_to, 2),
                 samples=args.samples,

@@ -33,11 +33,6 @@ from .fsets import (
 )
 from .relations import Relation, quotient_by_equivalence, span_to_relation
 
-Mutations = frozenset[str]
-NO_MUTATIONS: Mutations = frozenset()
-_NONSYMMETRIC = "nonsymmetric-closure"
-
-
 @dataclass(frozen=True)
 class Verdict:
     """A boolean answer plus the element-level evidence for it: a witness
@@ -110,16 +105,12 @@ def _require_commuting(square: CommutativeSquare) -> None:
         raise PreconditionError(f"square does not commute: {verdict.detail}")
 
 
-def is_pushout_square(
-    square: CommutativeSquare, mutations: Mutations = NO_MUTATIONS
-) -> Verdict:
+def is_pushout_square(square: CommutativeSquare) -> Verdict:
     """Canonical-construction oracle: build the canonical pushout of the
     span and test whether the comparison onto the square's corner is a
     bijection."""
     _require_commuting(square)
-    comparison = canonical_comparison(
-        square, square.cospan, symmetric=_NONSYMMETRIC not in mutations
-    )
+    comparison = canonical_comparison(square, square.cospan)
     seen: dict[str, str] = {}
     for cls, image in zip(comparison.domain.elements, comparison.values):
         if image in seen:
@@ -184,7 +175,7 @@ def _fiber_square(square: CommutativeSquare, d: str) -> CommutativeSquare:
 
 
 def is_stable_pushout(
-    square: CommutativeSquare, mutations: Mutations = NO_MUTATIONS
+    square: CommutativeSquare,
 ) -> tuple[Verdict, tuple[FiberReport, ...]]:
     """Fiberwise stability: restrict the square over each corner element and
     require every restriction to be a pushout.
@@ -195,13 +186,13 @@ def is_stable_pushout(
     for stability under all pullbacks.  That reduction is itself
     cross-validated by ``stable_by_all_pullbacks``.
     """
-    gate = is_pushout_square(square, mutations)
+    gate = is_pushout_square(square)
     if not gate.ok:
         raise PreconditionError(f"stability requires a pushout: {gate.detail}")
     reports = []
     for d in square.corner:
         fiber = _fiber_square(square, d)
-        reports.append(FiberReport(d, fiber, is_pushout_square(fiber, mutations)))
+        reports.append(FiberReport(d, fiber, is_pushout_square(fiber)))
     reports_t = tuple(reports)
     for report in reports_t:
         if not report.fiber_is_pushout.ok:
@@ -243,17 +234,15 @@ def effectiveness_check(e: Relation) -> bool:
     return span_to_relation(kernel_pair(q)) == e
 
 
-def certify(
-    square: CommutativeSquare, mutations: Mutations = NO_MUTATIONS
-) -> PushoutCertificate:
+def certify(square: CommutativeSquare) -> PushoutCertificate:
     """Run all checks on one square, cascading failures: a square that does
     not commute cannot be a pushout, and a non-pushout cannot be stable."""
     commutes = commutes_verdict(square)
     if commutes.ok:
-        po = is_pushout_square(square, mutations)
+        po = is_pushout_square(square)
         pb = is_pullback_square(square)
         if po.ok:
-            stable, _ = is_stable_pushout(square, mutations)
+            stable, _ = is_stable_pushout(square)
         else:
             stable = Verdict(
                 False, f"not a pushout, so not a stable one: {po.detail}", po.evidence

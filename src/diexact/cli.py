@@ -16,6 +16,7 @@ import argparse
 import sys
 from typing import IO
 
+from . import mutants
 from .certificates import PushoutCertificate, Verdict, certify
 from .documents import (
     Document,
@@ -37,9 +38,10 @@ from .pointed import PointedSpan, pointed_malcev_pushout
 from .pushouts import (
     malcev_pushout_decomposed,
     malcev_pushout_direct,
+    require_malcev,
 )
 from .relations import Relation, is_jointly_monic, span_to_relation, tabulate
-from .suites import KNOWN_MUTANTS, SuiteConfig, run_all_suites
+from .suites import SuiteConfig, run_all_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replace a non-jointly-monic span by the tabulation of its relation",
     )
-    push.add_argument("--mutant", choices=KNOWN_MUTANTS, default=None)
+    push.add_argument("--mutant", choices=mutants.KNOWN, default=None)
 
     suite = sub.add_parser("suite", help="run the verification suites")
     suite.add_argument("--max-size", type=int, default=3)
     suite.add_argument("--samples", type=int, default=0)
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--exhaustive", action="store_true")
-    suite.add_argument("--mutant", choices=KNOWN_MUTANTS, default=None)
+    suite.add_argument("--mutant", choices=mutants.KNOWN, default=None)
     return parser
 
 
@@ -162,8 +164,6 @@ def _coerce_span(doc: Document, image_first: bool) -> tuple[Span, list[str], Poi
         )
     if not is_jointly_monic(value):
         if not image_first:
-            from .pushouts import require_malcev
-
             require_malcev(value)  # raises with the violating pair
         header.append("image-first: applied (span was not jointly monic)")
         value = tabulate(span_to_relation(value))
@@ -172,40 +172,32 @@ def _coerce_span(doc: Document, image_first: bool) -> tuple[Span, list[str], Poi
 
 
 def cmd_pushout(args: argparse.Namespace, out: IO[str]) -> int:
-    mutations = frozenset() if args.mutant is None else frozenset((args.mutant,))
     doc = parse_document(_read_input(args.input))
     value, header, pointed = _coerce_span(doc, args.image_first)
 
     agreement: Verdict | None = None
     if pointed is not None:
-        result = pointed_malcev_pushout(pointed, mutations)
+        result = pointed_malcev_pushout(pointed)
         square = result.underlying.square
         header.append(f"basepoint = {result.corner.basepoint}")
     elif args.method == "decomposed":
-        square = malcev_pushout_decomposed(value, mutations).pasted
+        square = malcev_pushout_decomposed(value).pasted
     else:
-        square = malcev_pushout_direct(value, mutations).square
+        square = malcev_pushout_direct(value).square
 
     if args.method == "both":
-        agreement = _agreement_verdict(value, square, mutations)
-    certificate = certify(square, mutations)
+        agreement = _agreement_verdict(value, square)
+    certificate = certify(square)
     out.write(render_certificate(certificate, header, agreement))
     ok = certificate.ok and (agreement is None or agreement.ok)
     return 0 if ok else 1
 
 
-def _agreement_verdict(
-    value: Span, direct_square: CommutativeSquare, mutations: frozenset[str]
-) -> Verdict:
-    symmetric = "nonsymmetric-closure" not in mutations
+def _agreement_verdict(value: Span, direct_square: CommutativeSquare) -> Verdict:
     try:
-        trace = malcev_pushout_decomposed(value, mutations)
-        to_direct = canonical_comparison(
-            direct_square, direct_square.cospan, symmetric=symmetric
-        )
-        to_pasted = canonical_comparison(
-            trace.pasted, trace.pasted.cospan, symmetric=symmetric
-        )
+        trace = malcev_pushout_decomposed(value)
+        to_direct = canonical_comparison(direct_square, direct_square.cospan)
+        to_pasted = canonical_comparison(trace.pasted, trace.pasted.cospan)
     except (PreconditionError, InternalInvariantError) as exc:
         return Verdict(False, f"decomposed construction failed: {exc}")
     if not is_iso(to_direct):
@@ -236,7 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "pushout":
-            return cmd_pushout(args, sys.stdout)
+            with mutants.enabled(args.mutant):
+                return cmd_pushout(args, sys.stdout)
         return cmd_suite(args, sys.stdout)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import mutants
 from .errors import (
     CompositionError,
     InternalInvariantError,
@@ -369,18 +370,15 @@ def generated_partition(
     return [tuple(sorted(block)) for block in classes.values()]
 
 
-def quotient_by_generated(
-    a: FiniteSet,
-    pairs: Iterable[tuple[str, str]],
-    symmetric: bool = True,
-) -> SetFunction:
+def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[str, str]]) -> SetFunction:
     """Quotient by the equivalence the pairs generate.
 
-    Under the non-symmetric mutation the "classes" need not partition the
-    set; each element is then sent to the least name of its forward-closure,
-    which is exactly the deliberately wrong behaviour the suites must catch.
+    Under the nonsymmetric-closure mutant the "classes" need not partition
+    the set; each element is then sent to the least name of its
+    forward-closure, which is exactly the deliberately wrong behaviour the
+    suites must catch.
     """
-    if symmetric:
+    if not mutants.active(mutants.NONSYMMETRIC):
         return quotient_by_partition(a, generated_partition(a.elements, pairs))
     succ: dict[str, set[str]] = {x: {x} for x in a}
     for u, v in pairs:
@@ -410,12 +408,13 @@ def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
     return e, m
 
 
-def canonical_pushout(span_: Span, symmetric: bool = True) -> CommutativeSquare:
+def canonical_pushout(span_: Span) -> CommutativeSquare:
     """Pushout of an arbitrary span: quotient of the tagged coproduct by the
     equivalence generated by ``l:left(c) ~ r:right(c)``.
 
     This is the raw colimit used by the verification oracles; the certified
-    constructions never call it.  The ``symmetric`` flag is a mutation hook.
+    constructions never call it.  The nonsymmetric-closure mutant skips the
+    commutativity check.
     """
     a_set, b_set = span_.feet
     total, inl, inr = coproduct(a_set, b_set)
@@ -423,13 +422,13 @@ def canonical_pushout(span_: Span, symmetric: bool = True) -> CommutativeSquare:
         (inl.values[i], inr.values[j])
         for i, j in zip(span_.left.table, span_.right.table)
     ]
-    q = quotient_by_generated(total, gens, symmetric=symmetric)
+    q = quotient_by_generated(total, gens)
     h = compose(q, inl)
     k = compose(q, inr)
     cospan_ = Cospan(h, k)
-    if symmetric:
-        return CommutativeSquare(span_, cospan_)
-    return CommutativeSquare._unchecked(span_, cospan_)
+    if mutants.active(mutants.NONSYMMETRIC):
+        return CommutativeSquare._unchecked(span_, cospan_)
+    return CommutativeSquare(span_, cospan_)
 
 
 def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
@@ -464,16 +463,14 @@ def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
     return SetFunction(corner, candidate.corner, tuple(assigned[d] for d in corner))
 
 
-def canonical_comparison(
-    square: CommutativeSquare, candidate: Cospan, symmetric: bool = True
-) -> SetFunction:
+def canonical_comparison(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
     """The unique map from the canonical pushout corner of the square's span
     to the candidate corner, commuting with both cospans.
 
     The square is a pushout exactly when this comparison (taking the
     candidate to be the square's own cospan) is a bijection.
     """
-    canon = canonical_pushout(square.span, symmetric=symmetric)
+    canon = canonical_pushout(square.span)
     return mediating_map(canon, candidate)
 
 

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import mutants
 from .enumeration import random_relation
 from .errors import PreconditionError
 from .fsets import (
@@ -32,8 +33,6 @@ from .fsets import (
 )
 from .pushouts import (
     MalcevPushoutResult,
-    Mutations,
-    NO_MUTATIONS,
     malcev_pushout_direct,
     pushout_equivalence,
     require_malcev,
@@ -41,8 +40,6 @@ from .pushouts import (
 from .relations import Relation, difunctional_closure, span_to_relation, tabulate
 
 BASEPOINT = "*"
-
-MUTANT_DROP_BASEPOINT = "drop-basepoint-link"
 
 
 @dataclass(frozen=True)
@@ -117,9 +114,7 @@ class PointedPushoutResult:
     k: PointedMap
 
 
-def pointed_malcev_pushout(
-    ps: PointedSpan, mutations: Mutations = NO_MUTATIONS
-) -> PointedPushoutResult:
+def pointed_malcev_pushout(ps: PointedSpan) -> PointedPushoutResult:
     """Pushout of a pointed Mal'cev span: the underlying pushout with the
     corner pointed at the (shared) image of the basepoints.
 
@@ -129,10 +124,10 @@ def pointed_malcev_pushout(
     exactly that guarantee.
     """
     s = ps.underlying
-    if MUTANT_DROP_BASEPOINT in mutations:
-        result = _pushout_without_basepoint_link(ps, mutations)
+    if mutants.active(mutants.DROP_BASEPOINT):
+        result = _pushout_without_basepoint_link(ps)
     else:
-        result = malcev_pushout_direct(s, mutations)
+        result = malcev_pushout_direct(s)
     a_pointed, b_pointed = ps.left.codomain, ps.right.codomain
     corner = PointedSet(result.corner, result.h(a_pointed.basepoint))
     h = PointedMap(a_pointed, corner, result.h)
@@ -143,9 +138,7 @@ def pointed_malcev_pushout(
     return PointedPushoutResult(underlying=result, corner=corner, h=h, k=k)
 
 
-def _pushout_without_basepoint_link(
-    ps: PointedSpan, mutations: Mutations
-) -> MalcevPushoutResult:
+def _pushout_without_basepoint_link(ps: PointedSpan) -> MalcevPushoutResult:
     s = ps.underlying
     require_malcev(s)
     a_set, b_set = s.feet
@@ -154,7 +147,7 @@ def _pushout_without_basepoint_link(
     mutated = Relation.from_pairs(
         a_set, b_set, (p for p in r.pairs() if p != base_pair)
     )
-    e = pushout_equivalence(mutated, mutations)
+    e = pushout_equivalence(mutated)
     total, inl, inr = coproduct(a_set, b_set)
     quotient = quotient_by_generated(total, list(e.pairs()))
     h = compose(quotient, inl)

@@ -10,15 +10,16 @@ Three independent construction routes live here:
   factorize, epi-leg pushout, mono amalgamation) pasted together.
 
 The routes share no colimit code with the verification oracles, so that
-oracle verdicts about them are meaningful.  The ``mutations`` keyword
-threads deliberate sabotage used by the mutation-sensitivity suites; it is
-never set in normal operation.
+oracle verdicts about them are meaningful.  The sabotage sites of the
+mutation-sensitivity suites ask ``mutants.active``; no mutant is active in
+normal operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import mutants
 from .errors import (
     InternalInvariantError,
     NotEquivalenceError,
@@ -38,7 +39,6 @@ from .fsets import (
     image_factorization,
     is_kernel_pair_trivial,
     is_mono,
-    kernel_pair,
     mediating_map,
     pullback,
     quotient_by_generated,
@@ -52,6 +52,7 @@ from .relations import (
     assemble_block,
     converse,
     difunctionality_witness,
+    graph_of,
     is_equivalence,
     is_malcev_span,
     joint_monicity_witness,
@@ -61,17 +62,6 @@ from .relations import (
     tabulate,
     union,
 )
-
-Mutations = frozenset[str]
-
-NO_MUTATIONS: Mutations = frozenset()
-
-# Sabotage switches recognised by the construction layer; the pointed layer
-# adds "drop-basepoint-link".
-MUTANT_DROP_ROR = "drop-RoR-block"
-MUTANT_SKIP_MONO = "skip-mono-check"
-MUTANT_NONSYMMETRIC = "nonsymmetric-closure"
-
 
 @dataclass(frozen=True)
 class MalcevPushoutResult:
@@ -110,7 +100,7 @@ def require_malcev(s: Span) -> None:
         raise NotMalcevError(witness)
 
 
-def pushout_equivalence(r: Relation, mutations: Mutations = NO_MUTATIONS) -> Relation:
+def pushout_equivalence(r: Relation) -> Relation:
     """The block relation ``(1 u R°R, R°; R, 1 u RR°)`` on the tagged
     coproduct of the relation's source and target.
 
@@ -119,7 +109,7 @@ def pushout_equivalence(r: Relation, mutations: Mutations = NO_MUTATIONS) -> Rel
     """
     r_conv = converse(r)
     top_left = Relation.diagonal(r.source)
-    if MUTANT_DROP_ROR not in mutations:
+    if not mutants.active(mutants.DROP_ROR):
         top_left = union(top_left, rel_compose(r_conv, r))
     bottom_right = union(Relation.diagonal(r.target), rel_compose(r, r_conv))
     return assemble_block(
@@ -127,9 +117,7 @@ def pushout_equivalence(r: Relation, mutations: Mutations = NO_MUTATIONS) -> Rel
     )
 
 
-def malcev_pushout_direct(
-    s: Span, mutations: Mutations = NO_MUTATIONS
-) -> MalcevPushoutResult:
+def malcev_pushout_direct(s: Span) -> MalcevPushoutResult:
     """Pushout of a Mal'cev span via the block equivalence on A + B.
 
     The returned square is contractually a pushout, a pullback and stable;
@@ -139,9 +127,9 @@ def malcev_pushout_direct(
     require_malcev(s)
     a_set, b_set = s.feet
     r = span_to_relation(s)
-    e = pushout_equivalence(r, mutations)
+    e = pushout_equivalence(r)
     total, inl, inr = coproduct(a_set, b_set)
-    if not mutations:
+    if not mutants.active():
         if not is_equivalence(e):
             raise InternalInvariantError(
                 "direct-pushout",
@@ -150,9 +138,7 @@ def malcev_pushout_direct(
         quotient = quotient_by_equivalence(total, e)
         square_of = CommutativeSquare
     else:
-        quotient = quotient_by_generated(
-            total, list(e.pairs()), symmetric=MUTANT_NONSYMMETRIC not in mutations
-        )
+        quotient = quotient_by_generated(total, list(e.pairs()))
         square_of = CommutativeSquare._unchecked
     h = compose(quotient, inl)
     k = compose(quotient, inr)
@@ -160,18 +146,14 @@ def malcev_pushout_direct(
     return MalcevPushoutResult(span=s, e=e, quotient=quotient, h=h, k=k, square=square)
 
 
-def coproduct_via_pushout(
-    a: FiniteSet, b: FiniteSet, mutations: Mutations = NO_MUTATIONS
-) -> MalcevPushoutResult:
+def coproduct_via_pushout(a: FiniteSet, b: FiniteSet) -> MalcevPushoutResult:
     """Pushout of the empty-apex span: the disjoint coproduct of a and b."""
     empty = FiniteSet(())
     s = Span(empty, SetFunction(empty, a, ()), SetFunction(empty, b, ()))
-    return malcev_pushout_direct(s, mutations)
+    return malcev_pushout_direct(s)
 
 
-def coequalizer_via_pushout(
-    e: Relation, mutations: Mutations = NO_MUTATIONS
-) -> MalcevPushoutResult:
+def coequalizer_via_pushout(e: Relation) -> MalcevPushoutResult:
     """Pushout of the tabulation of an equivalence relation.
 
     Reflexivity forces the two legs to coincide, and the common leg is the
@@ -179,17 +161,15 @@ def coequalizer_via_pushout(
     """
     if not is_equivalence(e):
         raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
-    result = malcev_pushout_direct(tabulate(e), mutations)
-    if not mutations and result.h != result.k:
+    result = malcev_pushout_direct(tabulate(e))
+    if not mutants.active() and result.h != result.k:
         raise InternalInvariantError(
             "coequalizer", "legs of a reflexive-span pushout differ"
         )
     return result
 
 
-def mono_span_pushout(
-    s: Span, mutations: Mutations = NO_MUTATIONS
-) -> CommutativeSquare:
+def mono_span_pushout(s: Span) -> CommutativeSquare:
     """Amalgamation of a span of injections.
 
     Each element of the left foot hit by the apex is glued onto the right
@@ -198,7 +178,7 @@ def mono_span_pushout(
     obligations are load-bearing: the skip-mono-check mutant removes them
     and exposes wrong corners downstream.
     """
-    if MUTANT_SKIP_MONO not in mutations:
+    if not mutants.active(mutants.SKIP_MONO):
         require_mono(s.left, "left leg of a mono-span pushout")
         require_mono(s.right, "right leg of a mono-span pushout")
     x_set, y_set = s.feet
@@ -222,7 +202,7 @@ def mono_span_pushout(
     into_left = SetFunction(x_set, corner, tuple(name_of[f"l:{x}"] for x in x_set))
     into_right = SetFunction(y_set, corner, tuple(name_of[f"r:{y}"] for y in y_set))
     cospan = Cospan(into_left, into_right)
-    if MUTANT_SKIP_MONO in mutations:
+    if mutants.active(mutants.SKIP_MONO):
         return CommutativeSquare._unchecked(s, cospan)
     return CommutativeSquare(s, cospan)
 
@@ -247,9 +227,7 @@ def subobject_union(
     return induced, sq
 
 
-def pushout_epi_leg(
-    s: Span, mutations: Mutations = NO_MUTATIONS
-) -> MalcevPushoutResult:
+def pushout_epi_leg(s: Span) -> MalcevPushoutResult:
     """Pushout of a Mal'cev span whose right leg is surjective.
 
     Quotients the left foot by ``1 u R°R``, then induces the second leg by
@@ -283,7 +261,8 @@ def pushout_epi_leg(
     k = SetFunction(b_set, h.codomain, tuple(values))
     square = CommutativeSquare(s, Cospan(h, k))
     quotient = copair(h, k)
-    e = span_to_relation(kernel_pair(quotient))
+    g = graph_of(quotient)
+    e = rel_compose(converse(g), g)
     return MalcevPushoutResult(span=s, e=e, quotient=quotient, h=h, k=k, square=square)
 
 
@@ -323,9 +302,7 @@ class DecompositionTrace:
         return self.pasted.corner
 
 
-def malcev_pushout_decomposed(
-    s: Span, mutations: Mutations = NO_MUTATIONS
-) -> DecompositionTrace:
+def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
     """Pushout of a Mal'cev span by factorize-and-amalgamate.
 
     Stage 1 factors the right leg and pushes out along its surjective part;
@@ -340,7 +317,6 @@ def malcev_pushout_decomposed(
     whenever stage 1's induced map is not injective.
     """
     require_malcev(s)
-    skip_stage_two = MUTANT_SKIP_MONO in mutations
     f, g = s.left, s.right
 
     g1, g2 = image_factorization(g)
@@ -349,10 +325,10 @@ def malcev_pushout_decomposed(
         raise InternalInvariantError(
             "stage-1", "span against the surjective factor is not Mal'cev"
         )
-    first = pushout_epi_leg(stage_one_span, mutations)
+    first = pushout_epi_leg(stage_one_span)
     h1, f_prime = first.h, first.k
 
-    if skip_stage_two:
+    if mutants.active(mutants.SKIP_MONO):
         c_mid = g1.codomain
         f1_prime = identity(c_mid)
         f2_prime = f_prime
@@ -366,7 +342,7 @@ def malcev_pushout_decomposed(
             raise InternalInvariantError(
                 "stage-2", "span against the second surjective factor is not Mal'cev"
             )
-        second_result = pushout_epi_leg(stage_two_span, mutations)
+        second_result = pushout_epi_leg(stage_two_span)
         h2, g2_prime = second_result.h, second_result.k
         second = second_result.square
         by_kernel_pair = is_kernel_pair_trivial(g2_prime)
@@ -384,12 +360,12 @@ def malcev_pushout_decomposed(
                 "stage-2", "image inclusion is not injective"
             )
 
-    third = mono_span_pushout(span(f2_prime, g2_prime), mutations)
+    third = mono_span_pushout(span(f2_prime, g2_prime))
     outer = Cospan(
         compose(third.cospan.left, h1),
         compose(third.cospan.right, h2),
     )
-    if mutations:
+    if mutants.active():
         pasted = CommutativeSquare._unchecked(s, outer)
     else:
         pasted = CommutativeSquare(s, outer)

@@ -6,16 +6,19 @@ span corpus) and two exercise the pointed layer.  Instance order, sampling
 and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
-The ``mutant`` knob injects one deliberate construction or oracle defect;
+Each suite runs with ``SuiteConfig.mutant`` enabled (see ``mutants``);
 every mutant must make at least one suite fail with an element-level
 witness, which is how the suites themselves are tested for teeth.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from typing import Callable
 
+from . import mutants
 from .certificates import PushoutCertificate, certify, effectiveness_check
 from .enumeration import (
     all_equivalences,
@@ -28,7 +31,6 @@ from .errors import InternalInvariantError, PreconditionError
 from .fsets import canonical_comparison, coproduct, is_epi, is_iso, kernel_pair, pullback
 from .pointed import (
     BASEPOINT,
-    MUTANT_DROP_BASEPOINT,
     canonical_pointed_set,
     pointed_malcev_pushout,
     pointed_pullback,
@@ -37,9 +39,6 @@ from .pointed import (
     zero_object_checks,
 )
 from .pushouts import (
-    MUTANT_DROP_ROR,
-    MUTANT_NONSYMMETRIC,
-    MUTANT_SKIP_MONO,
     MalcevPushoutResult,
     coequalizer_via_pushout,
     coproduct_via_pushout,
@@ -55,13 +54,6 @@ from .relations import (
     leq,
     rel_compose,
     span_to_relation,
-)
-
-KNOWN_MUTANTS = (
-    MUTANT_DROP_ROR,
-    MUTANT_SKIP_MONO,
-    MUTANT_NONSYMMETRIC,
-    MUTANT_DROP_BASEPOINT,
 )
 
 _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
@@ -82,14 +74,7 @@ class SuiteConfig:
             raise ValueError("max_size must be nonnegative")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
-        if self.mutant is not None and self.mutant not in KNOWN_MUTANTS:
-            raise ValueError(
-                f"unknown mutant {self.mutant!r}; known: {', '.join(KNOWN_MUTANTS)}"
-            )
-
-    @property
-    def mutations(self) -> frozenset[str]:
-        return frozenset() if self.mutant is None else frozenset((self.mutant,))
+        mutants.check(self.mutant)
 
     @property
     def exhaustive_bound(self) -> int:
@@ -160,6 +145,19 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+def _under_mutant(
+    suite: Callable[[SuiteConfig], SuiteReport]
+) -> Callable[[SuiteConfig], SuiteReport]:
+    """Run the suite with its configuration's mutant enabled."""
+
+    @functools.wraps(suite)
+    def run(config: SuiteConfig) -> SuiteReport:
+        with mutants.enabled(config.mutant):
+            return suite(config)
+
+    return run
+
+
 def _certificate_failures(
     failures: list[SuiteFailure], label: str, cert: PushoutCertificate
 ) -> None:
@@ -217,6 +215,7 @@ def _e_structure_failures(
         )
 
 
+@_under_mutant
 def suite_coproducts(config: SuiteConfig) -> SuiteReport:
     """Empty-apex pushouts: corner equals the tagged coproduct and the
     square is a disjoint (pullback) stable pushout."""
@@ -227,9 +226,7 @@ def suite_coproducts(config: SuiteConfig) -> SuiteReport:
             label = f"coproduct |A|={m},|B|={n}"
             total += 1
             try:
-                result = coproduct_via_pushout(
-                    letters("a", m), letters("b", n), config.mutations
-                )
+                result = coproduct_via_pushout(letters("a", m), letters("b", n))
                 expected, _, _ = coproduct(letters("a", m), letters("b", n))
                 if result.corner != expected:
                     failures.append(
@@ -239,14 +236,13 @@ def suite_coproducts(config: SuiteConfig) -> SuiteReport:
                             f"corner {result.corner} differs from coproduct {expected}",
                         )
                     )
-                _certificate_failures(
-                    failures, label, certify(result.square, config.mutations)
-                )
+                _certificate_failures(failures, label, certify(result.square))
             except _CAUGHT as exc:
                 failures.append(SuiteFailure(label, "construction", str(exc)))
     return SuiteReport("T1a", "coproducts-disjoint-stable", total, tuple(failures))
 
 
+@_under_mutant
 def suite_equivalences(config: SuiteConfig) -> SuiteReport:
     """Equivalence relations pushed out along their tabulations: the legs
     coincide, the quotient is effective, and E is recovered."""
@@ -258,7 +254,7 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
             label = f"|A|={size} {partition_label}"
             total += 1
             try:
-                result = coequalizer_via_pushout(e, config.mutations)
+                result = coequalizer_via_pushout(e)
                 if result.h != result.k:
                     failures.append(
                         SuiteFailure(label, "legs", "pushout legs differ on a reflexive span")
@@ -278,9 +274,7 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
                         )
                     )
                 _e_structure_failures(failures, label, result)
-                _certificate_failures(
-                    failures, label, certify(result.square, config.mutations)
-                )
+                _certificate_failures(failures, label, certify(result.square))
             except _CAUGHT as exc:
                 failures.append(SuiteFailure(label, "construction", str(exc)))
     return SuiteReport("T1b", "equivalence-coequalizers", total, tuple(failures))
@@ -297,20 +291,18 @@ def _span_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
     return corpus
 
 
+@_under_mutant
 def suite_agreement(config: SuiteConfig) -> SuiteReport:
     """Direct block-equivalence pushouts agree, up to the unique comparison
     isomorphism, with the decomposed pipeline (and with the epi-leg
     construction where it applies)."""
     failures: list[SuiteFailure] = []
-    symmetric = MUTANT_NONSYMMETRIC not in config.mutations
     corpus = _span_corpus(config)
     for label, s in corpus:
         try:
-            direct = malcev_pushout_direct(s, config.mutations)
-            trace = malcev_pushout_decomposed(s, config.mutations)
-            to_direct = canonical_comparison(
-                direct.square, direct.square.cospan, symmetric=symmetric
-            )
+            direct = malcev_pushout_direct(s)
+            trace = malcev_pushout_decomposed(s)
+            to_direct = canonical_comparison(direct.square, direct.square.cospan)
             if not is_iso(to_direct):
                 failures.append(
                     SuiteFailure(
@@ -319,9 +311,7 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
                         f"comparison onto the direct corner is not bijective: {to_direct!r}",
                     )
                 )
-            to_pasted = canonical_comparison(
-                trace.pasted, trace.pasted.cospan, symmetric=symmetric
-            )
+            to_pasted = canonical_comparison(trace.pasted, trace.pasted.cospan)
             if not is_iso(to_pasted):
                 failures.append(
                     SuiteFailure(
@@ -331,10 +321,8 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
                     )
                 )
             if is_epi(s.right):
-                epi_result = pushout_epi_leg(s, config.mutations)
-                to_epi = canonical_comparison(
-                    epi_result.square, epi_result.square.cospan, symmetric=symmetric
-                )
+                epi_result = pushout_epi_leg(s)
+                to_epi = canonical_comparison(epi_result.square, epi_result.square.cospan)
                 if not is_iso(to_epi):
                     failures.append(
                         SuiteFailure(
@@ -348,6 +336,7 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
     return SuiteReport("T2", "direct-vs-decomposed", len(corpus), tuple(failures))
 
 
+@_under_mutant
 def suite_certificates(config: SuiteConfig) -> SuiteReport:
     """Full certification of every corpus span's direct pushout, plus the
     E-structure and pullback-recovery facts behind it."""
@@ -355,10 +344,8 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
     corpus = _span_corpus(config)
     for label, s in corpus:
         try:
-            result = malcev_pushout_direct(s, config.mutations)
-            _certificate_failures(
-                failures, label, certify(result.square, config.mutations)
-            )
+            result = malcev_pushout_direct(s)
+            _certificate_failures(failures, label, certify(result.square))
             _e_structure_failures(failures, label, result)
             recovered_span, _ = pullback(result.square.cospan)
             recovered = span_to_relation(recovered_span)
@@ -392,6 +379,7 @@ def theorem_suites(config: SuiteConfig) -> RunReport:
     )
 
 
+@_under_mutant
 def suite_zero_object(config: SuiteConfig) -> SuiteReport:
     bound = max(1, min(config.max_size, 5))
     report = zero_object_checks(bound)
@@ -428,6 +416,7 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
     return corpus
 
 
+@_under_mutant
 def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
     """Pointed Mal'cev pushouts: certified on the underlying sets, with
     basepoint bookkeeping and the underlying-set transfer equality."""
@@ -435,10 +424,8 @@ def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
     corpus = _pointed_corpus(config)
     for label, ps in corpus:
         try:
-            result = pointed_malcev_pushout(ps, config.mutations)
-            _certificate_failures(
-                failures, label, certify(result.underlying.square, config.mutations)
-            )
+            result = pointed_malcev_pushout(ps)
+            _certificate_failures(failures, label, certify(result.underlying.square))
             base_a = ps.left.codomain.basepoint
             base_b = ps.right.codomain.basepoint
             if result.h.function(base_a) != result.corner.basepoint:
@@ -459,7 +446,7 @@ def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
                         f"not {result.corner.basepoint!r}",
                     )
                 )
-            plain = malcev_pushout_direct(ps.underlying, config.mutations)
+            plain = malcev_pushout_direct(ps.underlying)
             if result.underlying.square.corner != plain.corner:
                 failures.append(
                     SuiteFailure(

@@ -1,5 +1,6 @@
 """Command-line behaviour: reports, exit codes, witnesses, determinism."""
 
+from diexact import mutants
 from diexact.cli import main
 
 MATCHED_PAIRS = """\
@@ -143,6 +144,14 @@ class TestPushoutCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "PUSHOUT: false" in out
+
+    def test_mutant_ends_with_its_command(self, tmp_path, capsys):
+        refused = write(tmp_path, "bad.txt", NON_DIFUNCTIONAL)
+        assert main(["pushout", "--mutant", "skip-mono-check", refused]) == 3
+        assert not mutants.active()
+        capsys.readouterr()
+        assert main(["pushout", write(tmp_path, "r.txt", MATCHED_PAIRS)]) == 0
+        assert capsys.readouterr().out == MATCHED_PAIRS_REPORT
 
 
 class TestSuiteCommand:

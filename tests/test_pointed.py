@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diexact import mutants
 from diexact.certificates import certify
 from diexact.errors import PreconditionError
 from diexact.fsets import fset
@@ -132,7 +133,8 @@ class TestPointedMutant:
     def test_dropping_basepoint_link_breaks_the_square(self):
         a, b = pointed(2), pointed(2)
         ps = pointed_span_from_relation(a, b, base_relation(a, b))
-        result = pointed_malcev_pushout(ps, frozenset(("drop-basepoint-link",)))
+        with mutants.enabled(mutants.DROP_BASEPOINT):
+            result = pointed_malcev_pushout(ps)
         cert = certify(result.underlying.square)
         assert not cert.commutes.ok
         assert not cert.is_pushout.ok

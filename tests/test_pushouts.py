@@ -27,6 +27,7 @@ from diexact.fsets import (
     compose,
     fset,
     identity,
+    image_factorization,
     inverse,
     is_epi,
     is_iso,
@@ -277,6 +278,11 @@ class TestEpiLegPushout:
         epi = pushout_epi_leg(s)
         comparison = canonical_comparison(direct.square, epi.square.cospan)
         assert is_iso(comparison)
+
+    @given(malcev_spans(max_size=3))
+    def test_e_recovered_as_kernel_pair_of_quotient(self, s):
+        epi = pushout_epi_leg(span(s.left, image_factorization(s.right)[0]))
+        assert span_to_relation(kernel_pair(epi.quotient)) == epi.e
 
 
 class TestDecomposition:

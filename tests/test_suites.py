@@ -2,8 +2,8 @@
 
 import pytest
 
+from diexact.mutants import KNOWN as KNOWN_MUTANTS
 from diexact.suites import (
-    KNOWN_MUTANTS,
     RunReport,
     SuiteConfig,
     SuiteFailure,
