@@ -208,12 +208,6 @@ def is_stable_pushout(
     return Verdict(True, "every corner fiber is a pushout", reports_t), reports_t
 
 
-def jointly_epic(cospan: Cospan) -> bool:
-    return set(cospan.left.values) | set(cospan.right.values) == set(
-        cospan.corner.elements
-    )
-
-
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
     cover: dict[str, str] = {}
     for leg, tag in ((cospan.left, "l"), (cospan.right, "r")):

@@ -18,12 +18,7 @@ from typing import IO
 
 from . import mutants
 from .certificates import PushoutCertificate, Verdict, certify
-from .documents import (
-    Document,
-    parse_document,
-    render_function,
-    render_set,
-)
+from .documents import Document, parse_document
 from .errors import InternalInvariantError, ParseError, PreconditionError
 from .fsets import (
     CommutativeSquare,
@@ -104,7 +99,7 @@ def _verdict_lines(name: str, verdict: Verdict, witness_label: str) -> list[str]
     lines = [f"{name}: {'true' if verdict.ok else 'false'}"]
     if verdict.ok:
         if isinstance(verdict.evidence, SetFunction):
-            lines.append(f"    {witness_label}: {render_function(verdict.evidence)}")
+            lines.append(f"    {witness_label}: {verdict.evidence!r}")
         elif verdict.evidence is not None and witness_label:
             lines.append(f"    {witness_label}: {verdict.detail}")
     else:
@@ -119,9 +114,9 @@ def render_certificate(
 ) -> str:
     square = certificate.square
     lines = list(header_lines)
-    lines.append(f"corner = {render_set(square.corner)}")
-    lines.append(f"h = {render_function(square.cospan.left)}")
-    lines.append(f"k = {render_function(square.cospan.right)}")
+    lines.append(f"corner = {square.corner!r}")
+    lines.append(f"h = {square.cospan.left!r}")
+    lines.append(f"k = {square.cospan.right!r}")
     lines += _verdict_lines("COMMUTES", certificate.commutes, "composite")
     lines += _verdict_lines("PUSHOUT", certificate.is_pushout, "comparison")
     lines += _verdict_lines("PULLBACK", certificate.is_pullback, "pairing")

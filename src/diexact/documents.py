@@ -53,12 +53,6 @@ class Document:
     declarations: tuple[Declaration, ...]
     points: tuple[tuple[str, str], ...]
 
-    def declaration(self, name: str) -> Declaration:
-        for decl in self.declarations:
-            if decl.name == name:
-                return decl
-        raise KeyError(name)
-
 
 def _check_identifier(token: str, line: int) -> str:
     if not _NAME.match(token):
@@ -114,16 +108,14 @@ class _Env:
     def __init__(self) -> None:
         self.sets: dict[str, FiniteSet] = {}
         self.functions: dict[str, SetFunction] = {}
-        self.relations: dict[str, Relation] = {}
-        self.spans: dict[str, Span] = {}
         self.points: dict[str, str] = {}
-        self.declarations: list[Declaration] = []
+        self.declarations: dict[str, Declaration] = {}
 
-    def declare(self, kind: str, name: str, value: object, line: int) -> None:
-        for space in (self.sets, self.functions, self.relations, self.spans):
-            if name in space:
-                raise ParseError(f"name {name!r} is already declared", line)
-        self.declarations.append(Declaration(kind, name, value))
+    def declare(self, kind: str, name: str, value: object, line: int) -> Declaration:
+        if name in self.declarations:
+            raise ParseError(f"name {name!r} is already declared", line)
+        self.declarations[name] = Declaration(kind, name, value)
+        return self.declarations[name]
 
     def get_set(self, name: str, line: int) -> FiniteSet:
         if name not in self.sets:
@@ -146,9 +138,8 @@ def parse_document(text: str) -> Document:
             if len(set(elements)) != len(elements):
                 raise ParseError(f"set {name!r} repeats an element", line_no)
             value = FiniteSet(tuple(elements))
-            env.declare("set", name, value, line_no)
+            last = env.declare("set", name, value, line_no)
             env.sets[name] = value
-            last = env.declarations[-1]
         elif match := _POINT.match(line):
             name = _check_identifier(match.group(1), line_no)
             element = _check_element(match.group(2), line_no)
@@ -178,9 +169,8 @@ def parse_document(text: str) -> Document:
                 value = SetFunction.from_mapping(dom, cod, mapping)
             except ValueError as exc:
                 raise ParseError(str(exc), line_no) from None
-            env.declare("function", name, value, line_no)
+            last = env.declare("function", name, value, line_no)
             env.functions[name] = value
-            last = env.declarations[-1]
         elif match := _REL.match(line):
             name = _check_identifier(match.group(1), line_no)
             source_set = env.get_set(match.group(2), line_no)
@@ -192,9 +182,7 @@ def parse_document(text: str) -> Document:
                 if b not in target_set:
                     raise ParseError(f"{b!r} is not in set {match.group(3)!r}", line_no)
             value = Relation.from_pairs(source_set, target_set, pairs)
-            env.declare("relation", name, value, line_no)
-            env.relations[name] = value
-            last = env.declarations[-1]
+            last = env.declare("relation", name, value, line_no)
         elif match := _SPAN.match(line):
             name = _check_identifier(match.group(1), line_no)
             left_name, right_name = match.group(2), match.group(3)
@@ -208,9 +196,7 @@ def parse_document(text: str) -> Document:
                     line_no,
                 )
             value = span(left, right)
-            env.declare("span", name, value, line_no)
-            env.spans[name] = value
-            last = env.declarations[-1]
+            last = env.declare("span", name, value, line_no)
         else:
             raise ParseError(f"unrecognised declaration {line!r}", line_no)
     if last is None:
@@ -219,7 +205,7 @@ def parse_document(text: str) -> Document:
     return Document(
         kind=kind,
         payload=payload,
-        declarations=tuple(env.declarations),
+        declarations=tuple(env.declarations.values()),
         points=tuple(sorted(env.points.items())),
     )
 
@@ -268,20 +254,6 @@ def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
     return PointedSpan(apex, left, right)
 
 
-def render_set(value: FiniteSet) -> str:
-    return "{" + ", ".join(value.elements) + "}"
-
-
-def render_function(value: SetFunction) -> str:
-    return "{" + ", ".join(
-        f"{a} |-> {b}" for a, b in zip(value.domain.elements, value.values)
-    ) + "}"
-
-
-def render_relation(value: Relation) -> str:
-    return "{" + ", ".join(f"({a},{b})" for a, b in value.pairs()) + "}"
-
-
 def render_document(doc: Document) -> str:
     """Canonical text for a document; parsing the result reproduces it."""
     set_names: dict[FiniteSet, str] = {}
@@ -291,7 +263,7 @@ def render_document(doc: Document) -> str:
     for decl in doc.declarations:
         if decl.kind == "set":
             set_names[decl.value] = decl.name
-            lines.append(f"set {decl.name} = {render_set(decl.value)}")
+            lines.append(f"set {decl.name} = {decl.value!r}")
             if decl.name in points:
                 lines.append(f"point {decl.name} = {points[decl.name]}")
         elif decl.kind == "function":
@@ -299,13 +271,13 @@ def render_document(doc: Document) -> str:
             value: SetFunction = decl.value
             lines.append(
                 f"fun {decl.name} : {set_names[value.domain]} -> "
-                f"{set_names[value.codomain]} = {render_function(value)}"
+                f"{set_names[value.codomain]} = {value!r}"
             )
         elif decl.kind == "relation":
             rel: Relation = decl.value
             lines.append(
                 f"rel {decl.name} : {set_names[rel.source]} -|> "
-                f"{set_names[rel.target]} = {render_relation(rel)}"
+                f"{set_names[rel.target]} = {rel!r}"
             )
         elif decl.kind == "span":
             value_span: Span = decl.value

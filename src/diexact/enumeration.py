@@ -107,16 +107,6 @@ def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:
     return f"sampled |A|={m},|B|={n} R={r!r}", tabulate(r)
 
 
-def random_equivalence(rng: random.Random, a: FiniteSet) -> Relation:
-    if len(a) == 0:
-        return Relation.empty(a, a)
-    block_count = rng.randint(1, len(a))
-    blocks: dict[int, list[str]] = {}
-    for x in a:
-        blocks.setdefault(rng.randrange(block_count), []).append(x)
-    return equivalence_from_partition(a, list(blocks.values()))
-
-
 def _random_plain_square(rng: random.Random, max_size: int) -> CommutativeSquare | None:
     nc = rng.randint(0, max_size)
     na = rng.randint(1 if nc else 0, max_size)

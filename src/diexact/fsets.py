@@ -16,6 +16,10 @@ Naming conventions for constructed elements:
 * pullback / tabulation elements are ``"(a,b)"``;
 * coproduct elements are tagged ``"l:a"`` / ``"r:b"``;
 * quotient classes are named by their lexicographically least member.
+
+Constructed elements get these names only here, from ``pair_name``,
+``coproduct`` and ``quotient_by_partition``; other modules call those
+functions and spell no such name themselves.
 """
 
 from __future__ import annotations

@@ -19,22 +19,19 @@ from . import mutants
 from .enumeration import random_relation
 from .errors import PreconditionError
 from .fsets import (
-    CommutativeSquare,
     Cospan,
     FiniteSet,
     SetFunction,
     Span,
     all_functions,
-    compose,
-    coproduct,
     is_iso,
+    pair_name,
     pullback,
-    quotient_by_generated,
 )
 from .pushouts import (
     MalcevPushoutResult,
+    _block_quotient,
     malcev_pushout_direct,
-    pushout_equivalence,
     require_malcev,
 )
 from .relations import Relation, difunctional_closure, span_to_relation, tabulate
@@ -141,19 +138,12 @@ def pointed_malcev_pushout(ps: PointedSpan) -> PointedPushoutResult:
 def _pushout_without_basepoint_link(ps: PointedSpan) -> MalcevPushoutResult:
     s = ps.underlying
     require_malcev(s)
-    a_set, b_set = s.feet
     base_pair = (ps.left.codomain.basepoint, ps.right.codomain.basepoint)
     r = span_to_relation(s)
     mutated = Relation.from_pairs(
-        a_set, b_set, (p for p in r.pairs() if p != base_pair)
+        r.source, r.target, (p for p in r.pairs() if p != base_pair)
     )
-    e = pushout_equivalence(mutated)
-    total, inl, inr = coproduct(a_set, b_set)
-    quotient = quotient_by_generated(total, list(e.pairs()))
-    h = compose(quotient, inl)
-    k = compose(quotient, inr)
-    square = CommutativeSquare._unchecked(s, Cospan(h, k))
-    return MalcevPushoutResult(span=s, e=e, quotient=quotient, h=h, k=k, square=square)
+    return _block_quotient(s, mutated)
 
 
 def pointed_pullback(f: PointedMap, g: PointedMap) -> tuple[PointedSpan, PointedSet]:
@@ -162,8 +152,7 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> tuple[PointedSpan, Pointed
     if f.codomain != g.codomain:
         raise PreconditionError("pointed pullback needs a common codomain")
     s, _ = pullback(Cospan(f.function, g.function))
-    base = f"({f.domain.basepoint},{g.domain.basepoint})"
-    apex = PointedSet(s.apex, base)
+    apex = PointedSet(s.apex, pair_name(f.domain.basepoint, g.domain.basepoint))
     left = PointedMap(apex, f.domain, s.left)
     right = PointedMap(apex, g.domain, s.right)
     return PointedSpan(apex, left, right), apex
@@ -257,7 +246,7 @@ def pointed_span_from_relation(
             "relation must relate the basepoints for its tabulation to be pointed"
         )
     s = tabulate(r)
-    apex = PointedSet(s.apex, f"({a.basepoint},{b.basepoint})")
+    apex = PointedSet(s.apex, pair_name(a.basepoint, b.basepoint))
     left = PointedMap(apex, a, s.left)
     right = PointedMap(apex, b, s.right)
     return PointedSpan(apex, left, right)

@@ -42,6 +42,7 @@ from .fsets import (
     mediating_map,
     pullback,
     quotient_by_generated,
+    quotient_by_partition,
     require_epi,
     require_mono,
     span,
@@ -125,10 +126,19 @@ def malcev_pushout_direct(s: Span) -> MalcevPushoutResult:
     here.
     """
     require_malcev(s)
-    a_set, b_set = s.feet
-    r = span_to_relation(s)
+    return _block_quotient(s, span_to_relation(s))
+
+
+def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
+    """The direct route after its precondition: quotient A + B by the block
+    relation of r, a relation between the span's feet, and read both legs
+    off the quotient.
+
+    Under any mutant the quotient is by the equivalence the pairs of the
+    block relation generate, and the square is left unchecked.
+    """
     e = pushout_equivalence(r)
-    total, inl, inr = coproduct(a_set, b_set)
+    total, inl, inr = coproduct(*s.feet)
     if not mutants.active():
         if not is_equivalence(e):
             raise InternalInvariantError(
@@ -181,27 +191,20 @@ def mono_span_pushout(s: Span) -> CommutativeSquare:
     if not mutants.active(mutants.SKIP_MONO):
         require_mono(s.left, "left leg of a mono-span pushout")
         require_mono(s.right, "right leg of a mono-span pushout")
-    x_set, y_set = s.feet
-    picked: dict[str, str] = {}
-    for x, y in zip(s.left.values, s.right.values):
-        picked.setdefault(x, y)
-    blocks: dict[str, list[str]] = {y: [f"r:{y}"] for y in y_set}
-    loose: list[list[str]] = []
-    for x in x_set:
-        if x in picked:
-            blocks[picked[x]].append(f"l:{x}")
+    total, inl, inr = coproduct(*s.feet)
+    glued: dict[int, int] = {}
+    for i, j in zip(s.left.table, s.right.table):
+        # The first preimage wins: under skip-mono-check the left leg may
+        # repeat a value, and gluing it once keeps the blocks a partition.
+        glued.setdefault(i, j)
+    blocks = [[y] for y in inr.values]
+    for i, x in enumerate(inl.values):
+        if i in glued:
+            blocks[glued[i]].append(x)
         else:
-            loose.append([f"l:{x}"])
-    all_blocks = [sorted(block) for block in blocks.values()] + loose
-    name_of: dict[str, str] = {}
-    for block in all_blocks:
-        least = min(block)
-        for member in block:
-            name_of[member] = least
-    corner = FiniteSet(tuple(sorted({min(block) for block in all_blocks})))
-    into_left = SetFunction(x_set, corner, tuple(name_of[f"l:{x}"] for x in x_set))
-    into_right = SetFunction(y_set, corner, tuple(name_of[f"r:{y}"] for y in y_set))
-    cospan = Cospan(into_left, into_right)
+            blocks.append([x])
+    q = quotient_by_partition(total, blocks)
+    cospan = Cospan(compose(q, inl), compose(q, inr))
     if mutants.active(mutants.SKIP_MONO):
         return CommutativeSquare._unchecked(s, cospan)
     return CommutativeSquare(s, cospan)

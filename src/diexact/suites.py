@@ -28,7 +28,15 @@ from .enumeration import (
     random_malcev_span,
 )
 from .errors import InternalInvariantError, PreconditionError
-from .fsets import canonical_comparison, coproduct, is_epi, is_iso, kernel_pair, pullback
+from .fsets import (
+    canonical_comparison,
+    coproduct,
+    is_epi,
+    is_iso,
+    kernel_pair,
+    pair_name,
+    pullback,
+)
 from .pointed import (
     BASEPOINT,
     canonical_pointed_set,
@@ -177,7 +185,7 @@ def _first_violation(r: Relation, s: Relation) -> str:
     """First pair where r holds but s does not, rendered; empty if r <= s."""
     for a, b in r.pairs():
         if not s.holds(a, b):
-            return f"({a},{b})"
+            return pair_name(a, b)
     return ""
 
 
@@ -189,7 +197,9 @@ def _e_structure_failures(
     e = result.e
     if not is_reflexive(e):
         missing = next(x for x in e.source if not e.holds(x, x))
-        failures.append(SuiteFailure(label, "e:reflexive", f"({missing},{missing}) missing"))
+        failures.append(
+            SuiteFailure(label, "e:reflexive", f"{pair_name(missing, missing)} missing")
+        )
     if not is_symmetric(e):
         failures.append(
             SuiteFailure(label, "e:symmetric", _first_violation(e, converse(e)))
@@ -457,7 +467,7 @@ def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
                     )
                 )
             pulled, apex = pointed_pullback(result.h, result.k)
-            expected_base = f"({base_a},{base_b})"
+            expected_base = pair_name(base_a, base_b)
             if apex.basepoint != expected_base:
                 failures.append(
                     SuiteFailure(

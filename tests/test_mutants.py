@@ -1,4 +1,5 @@
-"""The mutant switch: activation scope, name checks, one place for names."""
+"""The mutant switch: activation scope and name checks; and one owner each
+for mutant names, generated element names and the text form of values."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,31 @@ def test_mutants_are_named_and_switched_in_one_module():
         ]
     assert spelled == []
     assert threaded == []
+
+
+def _template(fstring: ast.JoinedStr) -> str:
+    """The f-string's text with each replacement field written ``{}``."""
+    return "".join(
+        "{}" if isinstance(part, ast.FormattedValue) else part.value
+        for part in fstring.values
+    )
+
+
+def test_generated_names_and_value_text_are_made_in_fsets():
+    spelled, copies = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                path.name != "fsets.py"
+                and isinstance(node, ast.JoinedStr)
+                and _template(node) in ("({},{})", "l:{}", "r:{}")
+            ):
+                spelled.append((path.name, node.lineno, _template(node)))
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "render_set",
+                "render_function",
+                "render_relation",
+            ):
+                copies.append((path.name, node.lineno, node.name))
+    assert spelled == []
+    assert copies == []

@@ -1,9 +1,11 @@
 """The construction routes: direct, epi-leg, amalgamation, decomposition."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import malcev_spans
+from conftest import arbitrary_spans, malcev_spans, sized_sets
+from diexact import mutants
 from diexact.certificates import certify, is_pushout_square
 from diexact.enumeration import (
     all_equivalences,
@@ -18,6 +20,7 @@ from diexact.errors import (
     NotMonoError,
 )
 from diexact.fsets import (
+    Cospan,
     FiniteSet,
     SetFunction,
     Span,
@@ -56,6 +59,43 @@ from diexact.relations import (
 
 def rel(source, target, *pairs):
     return Relation.from_pairs(fset(*source), fset(*target), pairs)
+
+
+def reference_amalgamation(s: Span) -> Cospan:
+    """The mono amalgamation with its coproduct tags and class names built
+    by hand, as it was first written; ``mono_span_pushout`` must agree."""
+    x_set, y_set = s.feet
+    picked: dict[str, str] = {}
+    for x, y in zip(s.left.values, s.right.values):
+        picked.setdefault(x, y)
+    blocks: dict[str, list[str]] = {y: [f"r:{y}"] for y in y_set}
+    loose: list[list[str]] = []
+    for x in x_set:
+        if x in picked:
+            blocks[picked[x]].append(f"l:{x}")
+        else:
+            loose.append([f"l:{x}"])
+    all_blocks = [sorted(block) for block in blocks.values()] + loose
+    name_of: dict[str, str] = {}
+    for block in all_blocks:
+        least = min(block)
+        for member in block:
+            name_of[member] = least
+    corner = FiniteSet(tuple(sorted({min(block) for block in all_blocks})))
+    into_left = SetFunction(x_set, corner, tuple(name_of[f"l:{x}"] for x in x_set))
+    into_right = SetFunction(y_set, corner, tuple(name_of[f"r:{y}"] for y in y_set))
+    return Cospan(into_left, into_right)
+
+
+@st.composite
+def injective_spans(draw, max_size: int = 4) -> Span:
+    n = draw(st.integers(0, max_size))
+    a = draw(sized_sets("a", min_size=n, max_size=max_size))
+    b = draw(sized_sets("b", min_size=n, max_size=max_size))
+    apex = FiniteSet(tuple(f"c{i}" for i in range(n)))
+    left = SetFunction(apex, a, draw(st.permutations(a.elements))[:n])
+    right = SetFunction(apex, b, draw(st.permutations(b.elements))[:n])
+    return span(left, right)
 
 
 class TestDirectPushout:
@@ -195,6 +235,15 @@ class TestMonoAmalgamation:
                             assert is_pushout_square(sq).ok
                             assert is_mono(sq.cospan.left)
                             assert is_mono(sq.cospan.right)
+
+    @given(injective_spans())
+    def test_matches_hand_built_reference(self, s):
+        assert mono_span_pushout(s).cospan == reference_amalgamation(s)
+
+    @given(arbitrary_spans(max_size=3))
+    def test_matches_hand_built_reference_without_mono_check(self, s):
+        with mutants.enabled(mutants.SKIP_MONO):
+            assert mono_span_pushout(s).cospan == reference_amalgamation(s)
 
 
 class TestSubobjectUnion:
