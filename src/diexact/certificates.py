@@ -25,12 +25,10 @@ from .fsets import (
     Span,
     canonical_comparison,
     commuting_composites,
-    compose,
     kernel_pair,
-    fiber_pairs,
-    pair_name,
     pullback,
 )
+from .names import LEFT, RIGHT, pair_name, tagged
 from .relations import Relation, quotient_by_equivalence, span_to_relation
 
 @dataclass(frozen=True)
@@ -210,9 +208,9 @@ def is_stable_pushout(
 
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
     cover: dict[str, str] = {}
-    for leg, tag in ((cospan.left, "l"), (cospan.right, "r")):
+    for leg, tag in ((cospan.left, LEFT), (cospan.right, RIGHT)):
         for x, image in zip(leg.domain, leg.values):
-            cover.setdefault(image, f"{tag}:{x}")
+            cover.setdefault(image, tagged(tag, x))
     missing = [d for d in cospan.corner if d not in cover]
     if missing:
         return Verdict(
@@ -412,32 +410,61 @@ def pullback_by_universal_property(
     return True
 
 
-def pull_square_back(square: CommutativeSquare, x: SetFunction) -> CommutativeSquare:
-    """Base-change the whole square along a map into its corner."""
-    if x.codomain != square.corner:
-        raise PreconditionError("base change must target the square's corner")
-    f, g = square.span.left, square.span.right
-    h, k = square.cospan.left, square.cospan.right
-    a2, a2_parts = fiber_pairs(h, x)
-    b2, b2_parts = fiber_pairs(k, x)
-    c2, c2_parts = fiber_pairs(compose(h, f), x)
-    f_at, g_at = f.as_dict, g.as_dict
-    f2 = SetFunction(c2, a2, tuple([pair_name(f_at[c], t) for c, t in c2_parts]))
-    g2 = SetFunction(c2, b2, tuple([pair_name(g_at[c], t) for c, t in c2_parts]))
-    h2 = SetFunction(a2, x.domain, tuple([t for _, t in a2_parts]))
-    k2 = SetFunction(b2, x.domain, tuple([t for _, t in b2_parts]))
-    return CommutativeSquare(Span(c2, f2, g2), Cospan(h2, k2))
+def _base_change_is_pushout(
+    tables: tuple[tuple[int, ...], ...], x: tuple[int, ...]
+) -> bool:
+    """Whether the square with these leg tables, pulled back along the map
+    sending each base element t to the corner index ``x[t]``, is a pushout.
+
+    The pulled-back carriers are the index pairs A2 = {(a, t) : h[a] = x[t]},
+    B2 = {(b, t) : k[b] = x[t]} and C2 = {(c, t) : h[f[c]] = x[t]}, and the
+    pulled-back legs act on the first coordinate.  One union-find over all
+    of A2 + B2, with the link (f[c], t) ~ (g[c], t) for each (c, t) in C2,
+    forms the canonical pushout of the pulled-back span.  The square is a
+    pushout iff the comparison from those classes onto the base is a
+    bijection: every class lies over a single t, and every t has exactly
+    one class.  The square must commute, or (g[c], t) need not be in B2.
+    """
+    f_t, g_t, h_t, k_t = tables
+    a2 = [(a, t) for t, d in enumerate(x) for a, e in enumerate(h_t) if e == d]
+    b2 = [(b, t) for t, d in enumerate(x) for b, e in enumerate(k_t) if e == d]
+    a_node = {pair: i for i, pair in enumerate(a2)}
+    b_node = {pair: i for i, pair in enumerate(b2, len(a2))}
+    over = [t for _, t in a2] + [t for _, t in b2]
+    parent = list(range(len(over)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for t, d in enumerate(x):
+        for c, a in enumerate(f_t):
+            if h_t[a] == d:
+                parent[find(a_node[a, t])] = find(b_node[g_t[c], t])
+    base: dict[int, int] = {}
+    for i, t in enumerate(over):
+        if base.setdefault(find(i), t) != t:
+            return False
+    return sorted(base.values()) == list(range(len(x)))
 
 
 def stable_by_all_pullbacks(square: CommutativeSquare, max_size: int = 3) -> bool:
     """Cross-validator for the fiberwise reduction: base-change along every
-    map from every set of size up to the bound and test the pushout oracle
-    on the result."""
-    from .fsets import all_functions
+    map from every set of size up to the bound into the corner, and decide
+    whether each pulled-back square is a pushout.
 
-    for size in range(max_size + 1):
-        base = FiniteSet(tuple(f"t{i}" for i in range(1, size + 1)))
-        for x in all_functions(base, square.corner):
-            if not is_pushout_square(pull_square_back(square, x)).ok:
-                return False
-    return True
+    The maps are the index tuples of ``itertools.product``, the same maps in
+    the same order as ``all_functions`` from ``t1..ts``.  Each pulled-back
+    square is decided on index pairs by ``_base_change_is_pushout``, one
+    union-find over the whole pulled-back coproduct; nothing here restricts
+    to fibers, since that is the reduction this validator checks.
+    """
+    _require_commuting(square)
+    tables = _tables(square)
+    corner = range(len(square.corner))
+    return all(
+        _base_change_is_pushout(tables, x)
+        for size in range(max_size + 1)
+        for x in itertools.product(corner, repeat=size)
+    )

@@ -69,14 +69,27 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="replace a non-jointly-monic span by the tabulation of its relation",
     )
-    push.add_argument("--mutant", choices=mutants.KNOWN, default=None)
+    push.add_argument(
+        "--mutant",
+        choices=mutants.KNOWN,
+        default=None,
+        help="inject one deliberate defect; drop-RoR-block changes only the "
+        "block relation, which the report does not print, so it leaves this "
+        "output unchanged (only suites T1b and D catch it)",
+    )
 
     suite = sub.add_parser("suite", help="run the verification suites")
     suite.add_argument("--max-size", type=int, default=3)
     suite.add_argument("--samples", type=int, default=0)
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--exhaustive", action="store_true")
-    suite.add_argument("--mutant", choices=mutants.KNOWN, default=None)
+    suite.add_argument(
+        "--mutant",
+        choices=mutants.KNOWN,
+        default=None,
+        help="inject one deliberate defect, which some suite must catch with "
+        "an element witness; drop-RoR-block is caught only by T1b and D",
+    )
     return parser
 
 

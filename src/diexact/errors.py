@@ -8,6 +8,8 @@ failed anyway; they must never be swallowed.
 
 from __future__ import annotations
 
+from .names import pair_name
+
 
 class CompositionError(ValueError):
     """Domain/codomain mismatch when composing functions or relations."""
@@ -45,7 +47,8 @@ class NotMalcevError(PreconditionError):
         a, b, a2, b2 = quadruple
         super().__init__(
             "relation is not difunctional: "
-            f"({a},{b}), ({a},{b2}), ({a2},{b}) hold but ({a2},{b2}) does not"
+            f"{pair_name(a, b)}, {pair_name(a, b2)}, {pair_name(a2, b)} hold "
+            f"but {pair_name(a2, b2)} does not"
         )
 
 

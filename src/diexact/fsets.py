@@ -17,9 +17,10 @@ Naming conventions for constructed elements:
 * coproduct elements are tagged ``"l:a"`` / ``"r:b"``;
 * quotient classes are named by their lexicographically least member.
 
-Constructed elements get these names only here, from ``pair_name``,
-``coproduct`` and ``quotient_by_partition``; other modules call those
-functions and spell no such name themselves.
+The text of pair names and coproduct tags is spelled only in ``names``;
+constructed elements get their names from ``pair_name``, ``coproduct`` and
+``quotient_by_partition``, and other modules call those functions and spell
+no such name themselves.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import (
     NotMonoError,
     PreconditionError,
 )
+from .names import LEFT, RIGHT, pair_name, tagged
 
 
 @dataclass(frozen=True)
@@ -131,10 +133,6 @@ class SetFunction:
     def __call__(self, name: str) -> str:
         return self.values[self.domain.index(name)]
 
-    @property
-    def as_dict(self) -> dict[str, str]:
-        return dict(zip(self.domain.elements, self.values))
-
     def __repr__(self) -> str:
         table = ", ".join(f"{a} |-> {b}" for a, b in zip(self.domain.elements, self.values))
         return "{" + table + "}"
@@ -171,10 +169,6 @@ def inverse(f: SetFunction) -> SetFunction:
         raise PreconditionError(f"cannot invert non-bijective function {f}")
     table = {v: a for a, v in zip(f.domain.elements, f.values)}
     return SetFunction(f.codomain, f.domain, tuple(table[b] for b in f.codomain))
-
-
-def pair_name(a: str, b: str) -> str:
-    return f"({a},{b})"
 
 
 def pair_set(
@@ -319,8 +313,8 @@ def is_kernel_pair_trivial(f: SetFunction) -> bool:
 
 def coproduct(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, SetFunction, SetFunction]:
     """Tagged disjoint union with injections; tags ``l:`` and ``r:``."""
-    left = tuple([f"l:{x}" for x in a.elements])
-    right = tuple([f"r:{x}" for x in b.elements])
+    left = tuple([tagged(LEFT, x) for x in a.elements])
+    right = tuple([tagged(RIGHT, x) for x in b.elements])
     total = FiniteSet(left + right)
     return total, SetFunction(a, total, left), SetFunction(b, total, right)
 

@@ -25,9 +25,9 @@ from .fsets import (
     Span,
     all_functions,
     is_iso,
-    pair_name,
     pullback,
 )
+from .names import pair_name
 from .pushouts import (
     MalcevPushoutResult,
     _block_quotient,

@@ -40,8 +40,8 @@ from diexact.fsets import (
     CommutativeSquare,
     Cospan,
     FiniteSet,
+    SetFunction,
     Span,
-    all_functions,
     canonical_comparison,
     canonical_pushout,
     fset,
@@ -208,24 +208,36 @@ def test_criterion_5_negative_control():
     )
 
 
+def _maps(domain, codomain):
+    """Every map between the sets as its index table and its function, in
+    ``all_functions`` order."""
+    return [
+        (table, SetFunction(domain, codomain, tuple(codomain.elements[i] for i in table)))
+        for table in itertools.product(range(len(codomain)), repeat=len(domain))
+    ]
+
+
 def _all_commuting_squares_up_to_3():
+    """The squares of ``all_functions`` over c0.., a0.., b0.., d0.., in that
+    enumeration order, with commutativity decided on the index tables."""
     sizes = range(4)
     for nc, na, nb, nd in itertools.product(sizes, repeat=4):
         if nc and (not na or not nb):
             continue
         if (na or nb) and not nd:
             continue
-        c = FiniteSet(tuple(f"c{i}" for i in range(nc)))
-        a = FiniteSet(tuple(f"a{i}" for i in range(na)))
-        b = FiniteSet(tuple(f"b{i}" for i in range(nb)))
-        d = FiniteSet(tuple(f"d{i}" for i in range(nd)))
-        for f in all_functions(c, a):
-            for g in all_functions(c, b):
+        c, a, b, d = (
+            FiniteSet(tuple(f"{prefix}{i}" for i in range(n)))
+            for prefix, n in (("c", nc), ("a", na), ("b", nb), ("d", nd))
+        )
+        gs, hs, ks = _maps(c, b), _maps(a, d), _maps(b, d)
+        for f_t, f in _maps(c, a):
+            for g_t, g in gs:
                 s = Span(c, f, g)
-                for h in all_functions(a, d):
-                    hf = tuple(h(v) for v in f.values)
-                    for k in all_functions(b, d):
-                        if tuple(k(v) for v in g.values) == hf:
+                for h_t, h in hs:
+                    hf = tuple(h_t[i] for i in f_t)
+                    for k_t, k in ks:
+                        if tuple(k_t[j] for j in g_t) == hf:
                             yield CommutativeSquare(s, Cospan(h, k))
 
 

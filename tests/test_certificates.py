@@ -11,7 +11,6 @@ from diexact.certificates import (
     is_pushout_square,
     is_stable_pushout,
     joint_epicity_verdict,
-    pull_square_back,
     pushout_by_universal_property,
     pushout_by_universal_property_bruteforce,
     recheck_certificate,
@@ -267,24 +266,3 @@ class TestOracleCrossValidation:
             assert fiberwise.ok == stable_by_all_pullbacks(sq, max_size=2)
             checked += 1
         assert checked == 55  # frozen count of pushout squares among the 249
-
-
-class TestBaseChange:
-    def test_pullback_along_identity_preserves_verdicts(self):
-        sq = matched_pairs_square()
-        pulled = pull_square_back(sq, identity(sq.corner))
-        assert is_pushout_square(pulled).ok == is_pushout_square(sq).ok
-        assert len(pulled.corner) == len(sq.corner)
-
-    def test_pullback_along_point_is_fiber(self):
-        sq = matched_pairs_square()
-        point = fset("t1")
-        for d in sq.corner:
-            x = SetFunction(point, sq.corner, (d,))
-            pulled = pull_square_back(sq, x)
-            assert is_pushout_square(pulled).ok
-
-    def test_rejects_wrong_target(self):
-        sq = matched_pairs_square()
-        with pytest.raises(PreconditionError):
-            pull_square_back(sq, identity(fset("elsewhere")))

@@ -1,5 +1,7 @@
 """Command-line behaviour: reports, exit codes, witnesses, determinism."""
 
+import pytest
+
 from diexact import mutants
 from diexact.cli import main
 
@@ -189,3 +191,12 @@ class TestSuiteCommand:
     def test_zero_bound_is_vacuously_fine(self, capsys):
         assert main(["suite", "--max-size", "0"]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["pushout", "suite"])
+def test_mutant_help_says_what_catches_drop_ror(command, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "drop-RoR-block" in text and "T1b and D" in text

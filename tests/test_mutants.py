@@ -74,14 +74,22 @@ def _template(fstring: ast.JoinedStr) -> str:
     )
 
 
+def _spells_a_generated_name(template: str) -> bool:
+    """A pair name anywhere in the text, or a coproduct tag on its own."""
+    return "({},{})" in template or template in ("l:{}", "r:{}", "{}:{}")
+
+
 def test_generated_names_and_value_text_are_made_in_fsets():
+    """Pair names and coproduct tags are spelled only in ``names`` (which
+    ``fsets`` and ``errors`` both import), and values print only through the
+    ``fsets`` reprs."""
     spelled, copies = [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (
-                path.name != "fsets.py"
+                path.name != "names.py"
                 and isinstance(node, ast.JoinedStr)
-                and _template(node) in ("({},{})", "l:{}", "r:{}")
+                and _spells_a_generated_name(_template(node))
             ):
                 spelled.append((path.name, node.lineno, _template(node)))
             if isinstance(node, ast.FunctionDef) and node.name in (
