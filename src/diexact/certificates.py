@@ -240,13 +240,7 @@ def certify(square: CommutativeSquare) -> PushoutCertificate:
                 False, f"not a pushout, so not a stable one: {po.detail}", po.evidence
             )
     else:
-        po = Verdict(
-            False, f"square does not commute: {commutes.detail}", commutes.evidence
-        )
-        pb = Verdict(
-            False, f"square does not commute: {commutes.detail}", commutes.evidence
-        )
-        stable = Verdict(
+        po = pb = stable = Verdict(
             False, f"square does not commute: {commutes.detail}", commutes.evidence
         )
     return PushoutCertificate(

@@ -109,12 +109,15 @@ class _Env:
         self.sets: dict[str, FiniteSet] = {}
         self.functions: dict[str, SetFunction] = {}
         self.points: dict[str, str] = {}
+        self.point_lines: dict[str, int] = {}
         self.declarations: dict[str, Declaration] = {}
+        self.last_line = 1
 
     def declare(self, kind: str, name: str, value: object, line: int) -> Declaration:
         if name in self.declarations:
             raise ParseError(f"name {name!r} is already declared", line)
         self.declarations[name] = Declaration(kind, name, value)
+        self.last_line = line
         return self.declarations[name]
 
     def get_set(self, name: str, line: int) -> FiniteSet:
@@ -151,6 +154,7 @@ def parse_document(text: str) -> Document:
             if name in env.points:
                 raise ParseError(f"set {name!r} already has a basepoint", line_no)
             env.points[name] = element
+            env.point_lines[name] = line_no
         elif match := _FUN.match(line):
             name = _check_identifier(match.group(1), line_no)
             dom = env.get_set(match.group(2), line_no)
@@ -233,7 +237,7 @@ def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
             raise ParseError(
                 f"sets {by_value[carrier]!r} and {set_name!r} are equal but carry "
                 "different basepoints",
-                1,
+                env.point_lines[set_name],
             )
         by_value[carrier] = set_name
     needed = (value.apex, value.left.codomain, value.right.codomain)
@@ -250,7 +254,7 @@ def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
         left = PointedMap(apex, left_cod, value.left)
         right = PointedMap(apex, right_cod, value.right)
     except ValueError as exc:
-        raise ParseError(f"span is not pointed: {exc}", 1) from None
+        raise ParseError(f"span is not pointed: {exc}", env.last_line) from None
     return PointedSpan(apex, left, right)
 
 

@@ -22,17 +22,21 @@ from .fsets import (
 )
 from .relations import Relation, difunctional_closure, is_difunctional, tabulate
 
+DENSITY = 0.3  # chance that a pair holds in a seeded random relation
+
 
 def letters(prefix: str, n: int) -> FiniteSet:
     return FiniteSet(tuple(f"{prefix}{i}" for i in range(1, n + 1)))
 
 
 def all_relations(source: FiniteSet, target: FiniteSet) -> Iterator[Relation]:
-    cells = len(source) * len(target)
-    cols = len(target)
-    for bits in itertools.product((False, True), repeat=cells):
-        matrix = tuple(bits[i * cols : (i + 1) * cols] for i in range(len(source)))
-        yield Relation(source, target, matrix)
+    """Every relation, cell by cell in row-major order, false before true."""
+    row_values = [
+        sum(bit << j for j, bit in enumerate(cells))
+        for cells in itertools.product((0, 1), repeat=len(target))
+    ]
+    for rows in itertools.product(row_values, repeat=len(source)):
+        yield Relation._of_rows(source, target, rows)
 
 
 def difunctional_relations(source: FiniteSet, target: FiniteSet) -> Iterator[Relation]:
@@ -86,19 +90,17 @@ def random_function(rng: random.Random, domain: FiniteSet, codomain: FiniteSet) 
     )
 
 
-def random_relation(
-    rng: random.Random, source: FiniteSet, target: FiniteSet, density: float = 0.35
-) -> Relation:
-    matrix = tuple(
-        tuple(rng.random() < density for _ in target) for _ in source
+def random_relation(rng: random.Random, source: FiniteSet, target: FiniteSet) -> Relation:
+    """Each pair holds with probability ``DENSITY``, drawn row by row."""
+    rows = tuple(
+        sum(1 << j for j in range(len(target)) if rng.random() < DENSITY)
+        for _ in source
     )
-    return Relation(source, target, matrix)
+    return Relation._of_rows(source, target, rows)
 
 
-def random_difunctional(
-    rng: random.Random, source: FiniteSet, target: FiniteSet, density: float = 0.3
-) -> Relation:
-    return difunctional_closure(random_relation(rng, source, target, density))
+def random_difunctional(rng: random.Random, source: FiniteSet, target: FiniteSet) -> Relation:
+    return difunctional_closure(random_relation(rng, source, target))
 
 
 def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:

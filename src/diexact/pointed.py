@@ -226,7 +226,7 @@ def random_pointed_span(
     m, n = rng.randint(1, max_size), rng.randint(1, max_size)
     a = canonical_pointed_set(m)
     b = canonical_pointed_set(n)
-    raw = random_relation(rng, a.carrier, b.carrier, density=0.3)
+    raw = random_relation(rng, a.carrier, b.carrier)
     with_base = Relation.from_pairs(
         a.carrier,
         b.carrier,

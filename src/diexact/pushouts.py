@@ -276,21 +276,18 @@ class DecompositionTrace:
     ``squares`` holds, in order: the epi-leg pushout along the first
     factorization, the epi-leg pushout along the second, and the mono
     amalgamation.  ``pasted`` is the outer rectangle on the original span.
+    The factors are legs of the squares: the first square's span is
+    ``<f, g1>``, the second's ``<g2, f1'>`` and the third's ``<f2', g2'>``.
     """
 
-    g1: SetFunction
-    g2: SetFunction
-    f1_prime: SetFunction
-    f2_prime: SetFunction
-    g2_prime: SetFunction
     squares: tuple[CommutativeSquare, CommutativeSquare, CommutativeSquare]
     pasted: CommutativeSquare
 
     def __post_init__(self) -> None:
         first, second, third = self.squares
-        if compose(self.g2, self.g1) != self.pasted.span.right:
+        if compose(second.span.left, self.g1) != self.pasted.span.right:
             raise ValueError("factorization does not recompose the original leg")
-        if compose(self.f2_prime, self.f1_prime) != first.cospan.right:
+        if compose(third.span.left, second.span.right) != first.cospan.right:
             raise ValueError("second factorization does not recompose the induced leg")
         expected_left = compose(third.cospan.left, first.cospan.left)
         expected_right = compose(third.cospan.right, second.cospan.left)
@@ -299,6 +296,11 @@ class DecompositionTrace:
             or self.pasted.cospan.right != expected_right
         ):
             raise ValueError("outer rectangle does not equal the pasted cospan")
+
+    @property
+    def g1(self) -> SetFunction:
+        """The surjective factor of the original right leg."""
+        return self.squares[0].span.right
 
     @property
     def corner(self) -> FiniteSet:
@@ -332,10 +334,8 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
     h1, f_prime = first.h, first.k
 
     if mutants.active(mutants.SKIP_MONO):
-        c_mid = g1.codomain
-        f1_prime = identity(c_mid)
-        f2_prime = f_prime
-        g2_prime = g2
+        f1_prime = identity(g1.codomain)
+        f2_prime, g2_prime = f_prime, g2
         h2 = identity(g2.codomain)
         second = CommutativeSquare(span(g2, f1_prime), Cospan(h2, g2))
     else:
@@ -372,12 +372,4 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
         pasted = CommutativeSquare._unchecked(s, outer)
     else:
         pasted = CommutativeSquare(s, outer)
-    return DecompositionTrace(
-        g1=g1,
-        g2=g2,
-        f1_prime=f1_prime,
-        f2_prime=f2_prime,
-        g2_prime=g2_prime,
-        squares=(first.square, second, third),
-        pasted=pasted,
-    )
+    return DecompositionTrace(squares=(first.square, second, third), pasted=pasted)

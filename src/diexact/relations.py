@@ -2,8 +2,10 @@
 
 A relation keeps one Python ``int`` per source element: bit j of row i says
 that (source[i], target[j]) holds.  Composites, converses, unions and the
-difunctionality witness are word-parallel OR/AND operations on those rows;
-the boolean ``matrix`` and the pair list are views derived from them.
+difunctionality witness are word-parallel OR/AND operations on those rows,
+and the pair list is a view derived from them.  Relations come from
+``from_pairs``, ``empty``, ``full``, ``diagonal`` and the calculus; there is
+no public positional constructor.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .fsets import (
     quotient_by_partition,
 )
 
-Matrix = tuple[tuple[bool, ...], ...]
-
 
 def _bits(row: int) -> Iterator[int]:
     """Indexes of the set bits of a row, lowest first."""
@@ -42,19 +42,6 @@ class Relation:
     target: FiniteSet
     rows: tuple[int, ...]
 
-    def __init__(self, source: FiniteSet, target: FiniteSet, matrix: Matrix) -> None:
-        matrix = tuple(tuple(row) for row in matrix)
-        if len(matrix) != len(source):
-            raise ValueError(
-                f"matrix has {len(matrix)} rows for a source of size {len(source)}"
-            )
-        if any(len(row) != len(target) for row in matrix):
-            raise ValueError(f"matrix rows must all have length {len(target)}")
-        rows = tuple(sum(1 << j for j, x in enumerate(row) if x) for row in matrix)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rows", rows)
-
     @classmethod
     def _of_rows(cls, source: FiniteSet, target: FiniteSet, rows: tuple[int, ...]) -> "Relation":
         r = object.__new__(cls)
@@ -62,11 +49,6 @@ class Relation:
         object.__setattr__(r, "target", target)
         object.__setattr__(r, "rows", rows)
         return r
-
-    @property
-    def matrix(self) -> Matrix:
-        width = range(len(self.target))
-        return tuple(tuple(bool(row >> j & 1) for j in width) for row in self.rows)
 
     @classmethod
     def from_pairs(
@@ -187,11 +169,11 @@ def difunctionality_witness(r: Relation) -> tuple[str, str, str, str] | None:
     """First quadruple (a, b, a2, b2), in canonical element order, with
     (a,b), (a,b2), (a2,b) all related but (a2,b2) not; None if difunctional.
 
-    This is the elementwise oracle; ``is_difunctional`` is the matrix route.
-    For each row i, the candidates are the rows that meet row i without
-    containing it: j is the first column of row i holding a candidate, i2
-    the least candidate in column j, and j2 the least column of row i
-    missing from row i2.
+    This is the elementwise oracle; ``is_difunctional`` is the composite
+    route ``R R° R <= R``.  For each row i, the candidates are the rows that
+    meet row i without containing it: j is the first column of row i holding
+    a candidate, i2 the least candidate in column j, and j2 the least column
+    of row i missing from row i2.
     """
     rows = r.rows
     columns = converse(r).rows
@@ -310,8 +292,9 @@ def malcev_factorization_exists(s: Span) -> bool:
     chain c1, c2, c3 with right(c1) = right(c2) and left(c2) = left(c3),
     some apex element pairs left(c1) with right(c3).
 
-    Kept independent of the matrix route; the two must agree on jointly
-    monic spans (and the definition requires joint monicity first).
+    Kept independent of the composite route ``R R° R <= R``; the two must
+    agree on jointly monic spans (and the definition requires joint
+    monicity first).
     """
     if not is_jointly_monic(s):
         return False

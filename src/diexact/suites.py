@@ -29,6 +29,7 @@ from .enumeration import (
 )
 from .errors import InternalInvariantError, PreconditionError
 from .fsets import (
+    CommutativeSquare,
     canonical_comparison,
     coproduct,
     is_epi,
@@ -65,6 +66,8 @@ from .relations import (
 )
 
 _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
+
+MAX_FAILURES_SHOWN = 6  # failures listed per suite in a rendered report
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ class RunReport:
     def total_failures(self) -> int:
         return sum(len(s.failures) for s in self.suites)
 
-    def render(self, max_failures_per_suite: int = 6) -> str:
+    def render(self) -> str:
         cfg = self.config
         lines = [
             "suites: "
@@ -138,11 +141,11 @@ class RunReport:
                 f"{suite.name} {suite.description}: "
                 f"{suite.total} instances, {len(suite.failures)} failures"
             )
-            for failure in suite.failures[:max_failures_per_suite]:
+            for failure in suite.failures[:MAX_FAILURES_SHOWN]:
                 lines.append(
                     f"  FAIL {failure.instance} | {failure.check} | {failure.witness}"
                 )
-            hidden = len(suite.failures) - max_failures_per_suite
+            hidden = len(suite.failures) - MAX_FAILURES_SHOWN
             if hidden > 0:
                 lines.append(f"  (+{hidden} more failures)")
         verdict = "PASS" if self.passed else "FAIL"
@@ -189,6 +192,11 @@ def _first_violation(r: Relation, s: Relation) -> str:
     return ""
 
 
+def _first_difference(r: Relation, s: Relation) -> str:
+    """First pair where r and s differ, looking in r before s; empty if equal."""
+    return _first_violation(r, s) or _first_violation(s, r)
+
+
 def _e_structure_failures(
     failures: list[SuiteFailure], label: str, result: MalcevPushoutResult
 ) -> None:
@@ -215,7 +223,7 @@ def _e_structure_failures(
         )
     recovered = span_to_relation(kernel_pair(result.quotient))
     if recovered != e:
-        extra = _first_violation(recovered, e) or _first_violation(e, recovered)
+        extra = _first_difference(recovered, e)
         failures.append(
             SuiteFailure(
                 label,
@@ -275,7 +283,7 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
                     )
                 recovered = span_to_relation(kernel_pair(result.h))
                 if recovered != e:
-                    where = _first_violation(recovered, e) or _first_violation(e, recovered)
+                    where = _first_difference(recovered, e)
                     failures.append(
                         SuiteFailure(
                             label,
@@ -301,6 +309,22 @@ def _span_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
     return corpus
 
 
+def _corner_failures(
+    failures: list[SuiteFailure], label: str, route: str, square: CommutativeSquare
+) -> None:
+    """The comparison from a route's square onto its own corner must be a
+    bijection."""
+    comparison = canonical_comparison(square, square.cospan)
+    if not is_iso(comparison):
+        failures.append(
+            SuiteFailure(
+                label,
+                f"{route}-corner",
+                f"comparison onto the {route} corner is not bijective: {comparison!r}",
+            )
+        )
+
+
 @_under_mutant
 def suite_agreement(config: SuiteConfig) -> SuiteReport:
     """Direct block-equivalence pushouts agree, up to the unique comparison
@@ -312,35 +336,10 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
         try:
             direct = malcev_pushout_direct(s)
             trace = malcev_pushout_decomposed(s)
-            to_direct = canonical_comparison(direct.square, direct.square.cospan)
-            if not is_iso(to_direct):
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "direct-corner",
-                        f"comparison onto the direct corner is not bijective: {to_direct!r}",
-                    )
-                )
-            to_pasted = canonical_comparison(trace.pasted, trace.pasted.cospan)
-            if not is_iso(to_pasted):
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "pasted-corner",
-                        f"comparison onto the pasted corner is not bijective: {to_pasted!r}",
-                    )
-                )
+            _corner_failures(failures, label, "direct", direct.square)
+            _corner_failures(failures, label, "pasted", trace.pasted)
             if is_epi(s.right):
-                epi_result = pushout_epi_leg(s)
-                to_epi = canonical_comparison(epi_result.square, epi_result.square.cospan)
-                if not is_iso(to_epi):
-                    failures.append(
-                        SuiteFailure(
-                            label,
-                            "epi-leg-corner",
-                            f"comparison onto the epi-leg corner is not bijective: {to_epi!r}",
-                        )
-                    )
+                _corner_failures(failures, label, "epi-leg", pushout_epi_leg(s).square)
         except _CAUGHT as exc:
             failures.append(SuiteFailure(label, "construction", str(exc)))
     return SuiteReport("T2", "direct-vs-decomposed", len(corpus), tuple(failures))
@@ -361,9 +360,7 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
             recovered = span_to_relation(recovered_span)
             original = span_to_relation(s)
             if recovered != original:
-                where = _first_violation(recovered, original) or _first_violation(
-                    original, recovered
-                )
+                where = _first_difference(recovered, original)
                 failures.append(
                     SuiteFailure(
                         label,

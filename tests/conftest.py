@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
@@ -22,19 +24,11 @@ def sized_sets(prefix: str, min_size: int = 0, max_size: int = 3) -> st.SearchSt
 def relations(
     draw, source_prefix: str = "a", target_prefix: str = "b", max_size: int = 3
 ) -> Relation:
+    """Each cell of source x target, row-major, holds by one drawn boolean."""
     source = draw(sized_sets(source_prefix, max_size=max_size))
     target = draw(sized_sets(target_prefix, max_size=max_size))
-    matrix = tuple(
-        tuple(draw(st.booleans()) for _ in target) for _ in source
-    )
-    return Relation(source, target, matrix)
-
-
-@st.composite
-def endo_relations(draw, prefix: str = "a", max_size: int = 3) -> Relation:
-    carrier = draw(sized_sets(prefix, max_size=max_size))
-    matrix = tuple(tuple(draw(st.booleans()) for _ in carrier) for _ in carrier)
-    return Relation(carrier, carrier, matrix)
+    cells = itertools.product(source, target)
+    return Relation.from_pairs(source, target, [c for c in cells if draw(st.booleans())])
 
 
 @st.composite

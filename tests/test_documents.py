@@ -135,6 +135,32 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="not pointed"):
             parse_document(text)
 
+    def test_unpointed_span_names_the_span_line(self):
+        text = (
+            "# comment\n"
+            "set C = {c1, c2}\npoint C = c1\n"
+            "set A = {*, a1}\npoint A = *\n"
+            "set B = {*}\npoint B = *\n"
+            "fun f : C -> A = {c1 |-> a1, c2 |-> a1}\n"
+            "fun g : C -> B = {c1 |-> *, c2 |-> *}\n"
+            "span S = <f, g>"
+        )
+        with pytest.raises(ParseError, match="not pointed") as err:
+            parse_document(text)
+        assert err.value.line == 10
+
+    def test_conflicting_basepoints_name_the_second_point_line(self):
+        text = (
+            "# comment\n"
+            "set A = {a1, a2}\npoint A = a1\n"
+            "set B = {a1, a2}\n\npoint B = a2\n"
+            "fun f : A -> B = {a1 |-> a1, a2 |-> a2}\n"
+            "span S = <f, f>"
+        )
+        with pytest.raises(ParseError, match="different basepoints") as err:
+            parse_document(text)
+        assert err.value.line == 6
+
     def test_empty_document(self):
         with pytest.raises(ParseError, match="no declarations"):
             parse_document("# nothing here\n")

@@ -20,6 +20,7 @@ from diexact.errors import (
     NotMonoError,
 )
 from diexact.fsets import (
+    CommutativeSquare,
     Cospan,
     FiniteSet,
     SetFunction,
@@ -40,6 +41,7 @@ from diexact.fsets import (
     span,
 )
 from diexact.pushouts import (
+    DecompositionTrace,
     coequalizer_via_pushout,
     coproduct_via_pushout,
     malcev_pushout_decomposed,
@@ -385,6 +387,51 @@ class TestDecomposition:
     def test_pasted_squares_certify(self, s):
         trace = malcev_pushout_decomposed(s)
         assert certify(trace.pasted).ok
+
+
+def widened(square: CommutativeSquare) -> CommutativeSquare:
+    """The same span into the corner plus one new element: still commuting,
+    but with different legs."""
+    corner = square.corner
+    widen = SetFunction(corner, FiniteSet(corner.elements + ("z9",)), corner.elements)
+    return CommutativeSquare(
+        square.span,
+        Cospan(compose(widen, square.cospan.left), compose(widen, square.cospan.right)),
+    )
+
+
+class TestDecompositionTraceChecks:
+    @pytest.fixture
+    def trace(self):
+        r = rel("abc", "xyz", ("a", "x"), ("b", "x"), ("c", "y"))
+        return malcev_pushout_decomposed(tabulate(r))
+
+    def test_factors_are_legs_of_the_squares(self, trace):
+        first, second, third = trace.squares
+        assert trace.g1 == first.span.right
+        assert compose(second.span.left, trace.g1) == trace.pasted.span.right
+        assert compose(third.span.left, second.span.right) == first.cospan.right
+        assert DecompositionTrace(trace.squares, trace.pasted) == trace
+
+    def test_original_leg_check_fires(self, trace):
+        other = malcev_pushout_direct(tabulate(rel("a", "x", ("a", "x")))).square
+        with pytest.raises(
+            ValueError, match="factorization does not recompose the original leg"
+        ):
+            DecompositionTrace(trace.squares, other)
+
+    def test_induced_leg_check_fires(self, trace):
+        first, second, third = trace.squares
+        with pytest.raises(
+            ValueError, match="second factorization does not recompose the induced leg"
+        ):
+            DecompositionTrace((widened(first), second, third), trace.pasted)
+
+    def test_pasted_cospan_check_fires(self, trace):
+        with pytest.raises(
+            ValueError, match="outer rectangle does not equal the pasted cospan"
+        ):
+            DecompositionTrace(trace.squares, widened(trace.pasted))
 
 
 class TestResultInvariants:

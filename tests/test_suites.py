@@ -65,7 +65,7 @@ class TestReports:
             SuiteConfig(),
             (SuiteReport("X", "demo", 9, failures),),
         )
-        rendered = report.render(max_failures_per_suite=6)
+        rendered = report.render()
         assert rendered.count("FAIL instance") == 6
         assert "(+3 more failures)" in rendered
         assert "RESULT: FAIL" in rendered
