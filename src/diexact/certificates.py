@@ -24,7 +24,9 @@ from .fsets import (
     SetFunction,
     Span,
     canonical_comparison,
-    commuting_composites,
+    compose,
+    disagreement_text,
+    first_disagreement,
     kernel_pair,
     pullback,
 )
@@ -85,16 +87,14 @@ class PushoutCertificate:
 
 
 def commutes_verdict(square: CommutativeSquare) -> Verdict:
-    """Recheck commutativity from the parts; tolerates unchecked squares."""
-    left, right = commuting_composites(square.span, square.cospan)
-    for c, u, v in zip(square.span.apex, left.values, right.values):
-        if u != v:
-            return Verdict(
-                False,
-                f"apex element {c!r} has images {u!r} and {v!r}",
-                (c, u, v),
-            )
-    return Verdict(True, "both composites agree", left)
+    """Recheck commutativity from the parts; tolerates unchecked squares.
+    The evidence is the culprit, or on success the common composite."""
+    culprit = first_disagreement(square.span, square.cospan)
+    if culprit is not None:
+        return Verdict(False, disagreement_text(culprit), culprit)
+    return Verdict(
+        True, "both composites agree", compose(square.cospan.left, square.span.left)
+    )
 
 
 def _require_commuting(square: CommutativeSquare) -> None:
@@ -261,8 +261,9 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
         composite = cert.commutes.evidence
         if not isinstance(composite, SetFunction):
             return False
-        left, right = commuting_composites(square.span, square.cospan)
-        if composite != left or composite != right:
+        if composite != compose(square.cospan.left, square.span.left):
+            return False
+        if composite != compose(square.cospan.right, square.span.right):
             return False
     if cert.is_pushout.ok:
         comparison = cert.is_pushout.evidence
@@ -303,8 +304,8 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
 
 def _tables(square: CommutativeSquare) -> tuple[tuple[int, ...], ...]:
     """The four legs as index tables.  Callers check commutativity first,
-    which composes h after f and k after g, so each span leg's codomain is
-    the domain of the cospan leg it meets and the indexes line up."""
+    which requires each span leg's codomain to be the domain of the cospan
+    leg it meets, so the indexes line up."""
     return (
         square.span.left.table,
         square.span.right.table,

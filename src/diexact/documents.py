@@ -230,9 +230,14 @@ def _resolve_payload(last: Declaration, env: _Env) -> tuple[str, object]:
 
 
 def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
+    """The span pointed by the ``point``s of its apex and feet, or None if
+    one has none; points on sets the span does not use are ignored."""
+    needed = (value.apex, value.left.codomain, value.right.codomain)
     by_value: dict[FiniteSet, str] = {}
     for set_name, base in env.points.items():
         carrier = env.sets[set_name]
+        if carrier not in needed:
+            continue
         if carrier in by_value and env.points[by_value[carrier]] != base:
             raise ParseError(
                 f"sets {by_value[carrier]!r} and {set_name!r} are equal but carry "
@@ -240,7 +245,6 @@ def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
                 env.point_lines[set_name],
             )
         by_value[carrier] = set_name
-    needed = (value.apex, value.left.codomain, value.right.codomain)
     if not all(carrier in by_value for carrier in needed):
         return None
     apex = PointedSet(value.apex, env.points[by_value[value.apex]])

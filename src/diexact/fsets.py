@@ -9,7 +9,8 @@ reports diff cleanly.
 A ``SetFunction`` also carries ``table``, the codomain index of each value,
 built by the same pass that checks the values lie in the codomain.
 Composites, pullbacks and the oracles read values and tables by position;
-``f(x)`` looks a name up and is for callers outside those loops.
+``f(x)`` looks a name up and is for callers outside those loops.  Every
+commutativity check is ``first_disagreement``, decided on those tables.
 
 Naming conventions for constructed elements:
 
@@ -144,12 +145,16 @@ def identity(a: FiniteSet) -> SetFunction:
 
 def compose(g: SetFunction, f: SetFunction) -> SetFunction:
     """Pointwise composite g after f."""
+    _require_composable(g, f)
+    values = g.values
+    return SetFunction(f.domain, g.codomain, tuple([values[i] for i in f.table]))
+
+
+def _require_composable(g: SetFunction, f: SetFunction) -> None:
     if f.codomain != g.domain:
         raise CompositionError(
             f"cannot compose: codomain {f.codomain} != domain {g.domain}"
         )
-    values = g.values
-    return SetFunction(f.domain, g.codomain, tuple([values[i] for i in f.table]))
 
 
 def is_mono(f: SetFunction) -> bool:
@@ -236,25 +241,18 @@ class Cospan:
 class CommutativeSquare:
     """A span and a cospan with matching feet whose two composites agree.
 
-    Commutativity is checked at construction; mutants and doctored test
-    squares may bypass it via ``_unchecked``.
+    Commutativity is checked at construction, on index tables by
+    ``first_disagreement``; mutants and doctored test squares may bypass it
+    via ``_unchecked``.
     """
 
     span: Span
     cospan: Cospan
 
     def __post_init__(self) -> None:
-        left, right = commuting_composites(self.span, self.cospan)
-        if left != right:
-            culprit = next(
-                c
-                for c, u, v in zip(self.span.apex, left.values, right.values)
-                if u != v
-            )
-            raise ValueError(
-                f"square does not commute: apex element {culprit!r} has images "
-                f"{left(culprit)!r} and {right(culprit)!r}"
-            )
+        culprit = first_disagreement(self.span, self.cospan)
+        if culprit is not None:
+            raise ValueError(f"square does not commute: {disagreement_text(culprit)}")
 
     @classmethod
     def _unchecked(cls, span_: Span, cospan_: Cospan) -> "CommutativeSquare":
@@ -268,9 +266,25 @@ class CommutativeSquare:
         return self.cospan.corner
 
 
-def commuting_composites(span_: Span, cospan_: Cospan) -> tuple[SetFunction, SetFunction]:
-    """Both apex-to-corner composites of a would-be square."""
-    return compose(cospan_.left, span_.left), compose(cospan_.right, span_.right)
+def first_disagreement(span_: Span, cospan_: Cospan) -> tuple[str, str, str] | None:
+    """The first apex element whose corner images ``h.table[f.table[i]]``
+    and ``k.table[g.table[i]]`` differ, with both images; None if the span
+    and cospan commute.  No composite is built, but feet that do not match
+    raise the ``CompositionError`` of ``compose``."""
+    f, g = span_.left, span_.right
+    h, k = cospan_.left, cospan_.right
+    _require_composable(h, f)
+    _require_composable(k, g)
+    h_t, k_t = h.table, k.table
+    for c, i, j in zip(span_.apex.elements, f.table, g.table):
+        if h_t[i] != k_t[j]:
+            return c, h.values[i], k.values[j]
+    return None
+
+
+def disagreement_text(culprit: tuple[str, str, str]) -> str:
+    """How a ``first_disagreement`` culprit is reported."""
+    return "apex element {!r} has images {!r} and {!r}".format(*culprit)
 
 
 def fiber_pairs(
@@ -478,14 +492,11 @@ def _require_commutes_with_span(span_: Span, candidate: Cospan) -> None:
         or candidate.right.domain != span_.right.codomain
     ):
         raise PreconditionError("candidate cospan does not fit the span's feet")
-    left, right = commuting_composites(span_, candidate)
-    if left != right:
-        culprit = next(
-            c for c, u, v in zip(span_.apex, left.values, right.values) if u != v
-        )
+    culprit = first_disagreement(span_, candidate)
+    if culprit is not None:
         raise PreconditionError(
-            f"candidate cospan does not commute with the span: apex element "
-            f"{culprit!r} has images {left(culprit)!r} and {right(culprit)!r}"
+            "candidate cospan does not commute with the span: "
+            + disagreement_text(culprit)
         )
 
 

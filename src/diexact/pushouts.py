@@ -27,6 +27,7 @@ from .errors import (
     NotMalcevError,
 )
 from .fsets import (
+    EMPTY,
     CommutativeSquare,
     Cospan,
     FiniteSet,
@@ -48,7 +49,6 @@ from .fsets import (
     span,
 )
 from .relations import (
-    BlockRelation,
     Relation,
     assemble_block,
     converse,
@@ -67,24 +67,30 @@ from .relations import (
 @dataclass(frozen=True)
 class MalcevPushoutResult:
     """A pushout square together with the data that produced it: the block
-    equivalence on the tagged coproduct and its quotient map."""
+    equivalence on the tagged coproduct and its quotient map.  Only ``e``,
+    ``quotient`` and ``square`` are stored; the legs ``h`` and ``k`` are
+    read off ``square.cospan``, and the span is ``square.span``."""
 
-    span: Span
     e: Relation
     quotient: SetFunction
-    h: SetFunction
-    k: SetFunction
     square: CommutativeSquare
 
     def __post_init__(self) -> None:
-        a_set, b_set = self.span.feet
-        total, inl, inr = coproduct(a_set, b_set)
-        if self.quotient.domain != total:
+        legs = copair(self.h, self.k)
+        if self.quotient.domain != legs.domain:
             raise ValueError("quotient must be defined on the tagged coproduct")
-        if compose(self.quotient, inl) != self.h or compose(self.quotient, inr) != self.k:
+        if self.quotient != legs:
             raise ValueError("legs must be the quotient composed with the injections")
-        if self.e.source != total or self.e.target != total:
+        if self.e.source != legs.domain or self.e.target != legs.domain:
             raise ValueError("e must be an endo-relation on the tagged coproduct")
+
+    @property
+    def h(self) -> SetFunction:
+        return self.square.cospan.left
+
+    @property
+    def k(self) -> SetFunction:
+        return self.square.cospan.right
 
     @property
     def corner(self) -> FiniteSet:
@@ -113,9 +119,7 @@ def pushout_equivalence(r: Relation) -> Relation:
     if not mutants.active(mutants.DROP_ROR):
         top_left = union(top_left, rel_compose(r_conv, r))
     bottom_right = union(Relation.diagonal(r.target), rel_compose(r, r_conv))
-    return assemble_block(
-        BlockRelation(((top_left, r_conv), (r, bottom_right)))
-    )
+    return assemble_block(top_left, r_conv, r, bottom_right)
 
 
 def malcev_pushout_direct(s: Span) -> MalcevPushoutResult:
@@ -150,16 +154,13 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
     else:
         quotient = quotient_by_generated(total, list(e.pairs()))
         square_of = CommutativeSquare._unchecked
-    h = compose(quotient, inl)
-    k = compose(quotient, inr)
-    square = square_of(s, Cospan(h, k))
-    return MalcevPushoutResult(span=s, e=e, quotient=quotient, h=h, k=k, square=square)
+    square = square_of(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
+    return MalcevPushoutResult(e=e, quotient=quotient, square=square)
 
 
 def coproduct_via_pushout(a: FiniteSet, b: FiniteSet) -> MalcevPushoutResult:
     """Pushout of the empty-apex span: the disjoint coproduct of a and b."""
-    empty = FiniteSet(())
-    s = Span(empty, SetFunction(empty, a, ()), SetFunction(empty, b, ()))
+    s = Span(EMPTY, SetFunction(EMPTY, a, ()), SetFunction(EMPTY, b, ()))
     return malcev_pushout_direct(s)
 
 
@@ -266,7 +267,7 @@ def pushout_epi_leg(s: Span) -> MalcevPushoutResult:
     quotient = copair(h, k)
     g = graph_of(quotient)
     e = rel_compose(converse(g), g)
-    return MalcevPushoutResult(span=s, e=e, quotient=quotient, h=h, k=k, square=square)
+    return MalcevPushoutResult(e=e, quotient=quotient, square=square)
 
 
 @dataclass(frozen=True)

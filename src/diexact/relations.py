@@ -306,51 +306,30 @@ def malcev_factorization_exists(s: Span) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BlockRelation:
-    """A 2x2 block matrix of relations describing a relation between tagged
-    coproducts: ``blocks[i][j]`` relates summand j to summand i."""
-
-    blocks: tuple[tuple[Relation, Relation], tuple[Relation, Relation]]
-
-    def __post_init__(self) -> None:
-        (tl, tr), (bl, br) = self.blocks
-        a, b = tl.source, br.source
-        expected = {
-            (0, 0): (a, a),
-            (0, 1): (b, a),
-            (1, 0): (a, b),
-            (1, 1): (b, b),
-        }
-        for (i, j), (src, tgt) in expected.items():
-            block = self.blocks[i][j]
-            if block.source != src or block.target != tgt:
-                raise ValueError(
-                    f"block [{i}][{j}] must be a relation {src} to {tgt}, "
-                    f"got {block.source} to {block.target}"
-                )
-
-    @property
-    def left_set(self) -> FiniteSet:
-        return self.blocks[0][0].source
-
-    @property
-    def right_set(self) -> FiniteSet:
-        return self.blocks[1][1].source
-
-
-def assemble_block(e: BlockRelation) -> Relation:
-    """The relation on the tagged coproduct whose restriction to each tag
-    pair is the corresponding block.
+def assemble_block(
+    top_left: Relation, top_right: Relation, bottom_left: Relation, bottom_right: Relation
+) -> Relation:
+    """The relation on the tagged coproduct a + b of the diagonal blocks'
+    sources with the four blocks as restrictions: block [i][j] relates
+    summand j to summand i.
 
     The coproduct lists every ``l:`` element, in the order of a, before every
     ``r:`` element, in the order of b; so summand b starts at bit |a|.
     """
-    a, b = e.left_set, e.right_set
+    a, b = top_left.source, bottom_right.source
+    for i, j, block, src, tgt in (
+        (0, 0, top_left, a, a),
+        (0, 1, top_right, b, a),
+        (1, 0, bottom_left, a, b),
+        (1, 1, bottom_right, b, b),
+    ):
+        if block.source != src or block.target != tgt:
+            raise ValueError(
+                f"block [{i}][{j}] must be a relation {src} to {tgt}, "
+                f"got {block.source} to {block.target}"
+            )
     total, _, _ = coproduct(a, b)
     offset = len(a)
-    (tl, tr), (bl, br) = e.blocks
-    rows = tuple(x | y << offset for x, y in zip(tl.rows, bl.rows)) + tuple(
-        x | y << offset for x, y in zip(tr.rows, br.rows)
-    )
+    rows = tuple(x | y << offset for x, y in zip(top_left.rows, bottom_left.rows))
+    rows += tuple(x | y << offset for x, y in zip(top_right.rows, bottom_right.rows))
     return Relation._of_rows(total, total, rows)

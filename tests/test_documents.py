@@ -2,6 +2,7 @@
 
 import pytest
 
+from diexact.cli import main
 from diexact.documents import parse_document, render_document
 from diexact.errors import ParseError
 from diexact.fsets import FiniteSet, Span
@@ -160,6 +161,43 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="different basepoints") as err:
             parse_document(text)
         assert err.value.line == 6
+
+    def test_conflicting_basepoints_on_sets_the_span_does_not_use(self, tmp_path, capsys):
+        text = (
+            "set X = {p, q}\npoint X = p\n"
+            "set Y = {p, q}\npoint Y = q\n"
+            "set C = {c1}\nset A = {a1}\nset B = {b1}\n"
+            "fun f : C -> A = {c1 |-> a1}\n"
+            "fun g : C -> B = {c1 |-> b1}\n"
+            "span S = <f, g>"
+        )
+        doc = parse_document(text)
+        assert doc.kind == "span"
+        assert doc.points == (("X", "p"), ("Y", "q"))
+        path = tmp_path / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["pushout", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("input: span\n")
+
+    def test_conflicting_basepoints_on_a_used_carrier(self, tmp_path, capsys):
+        text = (
+            "set X = {p, q}\npoint X = p\n"
+            "set Y = {p, q}\npoint Y = q\n"
+            "set C = {c1}\n"
+            "fun f : C -> X = {c1 |-> p}\n"
+            "fun g : C -> Y = {c1 |-> p}\n"
+            "span S = <f, g>"
+        )
+        with pytest.raises(ParseError, match="different basepoints") as err:
+            parse_document(text)
+        assert err.value.line == 4
+        path = tmp_path / "doc.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["pushout", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: line 4: sets 'X' and 'Y' are equal but carry "
+            "different basepoints\n"
+        )
 
     def test_empty_document(self):
         with pytest.raises(ParseError, match="no declarations"):

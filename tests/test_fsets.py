@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import arbitrary_spans, functions
+from conftest import arbitrary_spans, functions, sized_sets
 from diexact.errors import CompositionError, PreconditionError
 from diexact.fsets import (
     CommutativeSquare,
@@ -21,6 +21,7 @@ from diexact.fsets import (
     compose,
     coproduct,
     copair,
+    first_disagreement,
     fset,
     identity,
     image_factorization,
@@ -392,8 +393,12 @@ class TestCanonicalComparison:
             SetFunction(a, fset("p", "q"), ("p", "q")),
             SetFunction(b, fset("p", "q"), ("p",)),
         )
-        with pytest.raises(PreconditionError, match="does not commute"):
+        with pytest.raises(PreconditionError, match="does not commute") as err:
             canonical_comparison(canon, bad)
+        assert str(err.value) == (
+            "candidate cospan does not commute with the span: "
+            "apex element 'c2' has images 'q' and 'p'"
+        )
 
 
 class TestSquares:
@@ -403,8 +408,39 @@ class TestSquares:
         s = Span(
             apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, a, ("a2",))
         )
-        with pytest.raises(ValueError, match="does not commute"):
+        with pytest.raises(ValueError, match="does not commute") as err:
             CommutativeSquare(s, Cospan(identity(a), identity(a)))
+        assert str(err.value) == (
+            "square does not commute: apex element 'c' has images 'a1' and 'a2'"
+        )
+
+    def test_square_with_a_foot_off_its_leg_raises_composition_error(self):
+        a, b, apex = fset("a1"), fset("b1"), fset("c")
+        s = Span(apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, a, ("a1",)))
+        cospan_ = Cospan(identity(a), SetFunction(b, a, ("a1",)))
+        with pytest.raises(
+            CompositionError, match=r"cannot compose: codomain \{a1\} != domain \{b1\}"
+        ):
+            CommutativeSquare(s, cospan_)
+
+    @given(st.data())
+    def test_first_disagreement_is_the_first_differing_composite_entry(self, data):
+        s = data.draw(arbitrary_spans(max_size=3))
+        a, b = s.feet
+        if data.draw(st.booleans()):
+            cospan_ = canonical_pushout(s).cospan
+        else:
+            nonempty = 1 if len(a) + len(b) else 0
+            corner = data.draw(sized_sets("d", min_size=nonempty, max_size=3))
+            cospan_ = Cospan(
+                data.draw(functions(domain=a, codomain=corner)),
+                data.draw(functions(domain=b, codomain=corner)),
+            )
+        left, right = compose(cospan_.left, s.left), compose(cospan_.right, s.right)
+        differing = (
+            (c, u, v) for c, u, v in zip(s.apex, left.values, right.values) if u != v
+        )
+        assert first_disagreement(s, cospan_) == next(differing, None)
 
     @given(arbitrary_spans(max_size=3))
     def test_canonical_pushout_commutes_and_covers(self, s):

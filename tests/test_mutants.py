@@ -100,3 +100,17 @@ def test_generated_names_and_value_text_are_made_in_fsets():
                 copies.append((path.name, node.lineno, node.name))
     assert spelled == []
     assert copies == []
+
+
+def test_commutativity_culprit_is_spelled_once_in_fsets():
+    """Every commutativity check reports its culprit through
+    ``fsets.disagreement_text``; no other module spells the text."""
+    spelled = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "has images" in node.value
+    ]
+    assert [name for name, _ in spelled] == ["fsets.py"]

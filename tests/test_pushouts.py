@@ -1,5 +1,7 @@
 """The construction routes: direct, epi-leg, amalgamation, decomposition."""
 
+import dataclasses
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,7 @@ from diexact.fsets import (
 )
 from diexact.pushouts import (
     DecompositionTrace,
+    MalcevPushoutResult,
     coequalizer_via_pushout,
     coproduct_via_pushout,
     malcev_pushout_decomposed,
@@ -449,3 +452,39 @@ class TestResultInvariants:
         s = tabulate(graph_of(f))
         result = pushout_epi_leg(s)
         assert span_to_relation(kernel_pair(result.quotient)) == result.e
+
+
+class TestMalcevPushoutResultChecks:
+    """Each check of ``MalcevPushoutResult`` fires on a doctored input."""
+
+    @pytest.fixture
+    def result(self):
+        return malcev_pushout_direct(tabulate(rel("ab", "xy", ("a", "x"), ("b", "y"))))
+
+    def test_stores_e_quotient_and_square_only(self, result):
+        assert [f.name for f in dataclasses.fields(result)] == ["e", "quotient", "square"]
+        assert (result.h, result.k) == (result.square.cospan.left, result.square.cospan.right)
+
+    def test_quotient_on_the_wrong_domain(self, result):
+        with pytest.raises(
+            ValueError, match="quotient must be defined on the tagged coproduct"
+        ):
+            MalcevPushoutResult(result.e, result.h, result.square)
+
+    def test_quotient_disagreeing_with_a_leg(self, result):
+        q = result.quotient
+        swapped = SetFunction(q.domain, q.codomain, q.values[::-1])
+        assert swapped != q
+        with pytest.raises(
+            ValueError, match="legs must be the quotient composed with the injections"
+        ):
+            MalcevPushoutResult(result.e, swapped, result.square)
+
+    def test_e_not_on_the_tagged_coproduct(self, result):
+        with pytest.raises(
+            ValueError, match="e must be an endo-relation on the tagged coproduct"
+        ):
+            MalcevPushoutResult(
+                Relation.diagonal(result.h.domain), result.quotient, result.square
+            )
+

@@ -25,7 +25,6 @@ from diexact.errors import CompositionError, NotEquivalenceError, PreconditionEr
 from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso
 from diexact.pushouts import pushout_equivalence
 from diexact.relations import (
-    BlockRelation,
     Relation,
     assemble_block,
     converse,
@@ -425,34 +424,32 @@ class TestMalcevSpan:
 class TestBlockRelation:
     def test_all_empty_blocks(self):
         a, b = fset("a"), fset("b")
-        e = BlockRelation(
-            (
-                (Relation.empty(a, a), Relation.empty(b, a)),
-                (Relation.empty(a, b), Relation.empty(b, b)),
-            )
+        assembled = assemble_block(
+            Relation.empty(a, a),
+            Relation.empty(b, a),
+            Relation.empty(a, b),
+            Relation.empty(b, b),
         )
-        assembled = assemble_block(e)
         assert set(assembled.pairs()) == set()
 
     def test_diagonal_blocks(self):
         a, b = fset("a"), fset("b")
-        e = BlockRelation(
-            (
-                (Relation.diagonal(a), Relation.empty(b, a)),
-                (Relation.empty(a, b), Relation.diagonal(b)),
-            )
+        assembled = assemble_block(
+            Relation.diagonal(a),
+            Relation.empty(b, a),
+            Relation.empty(a, b),
+            Relation.diagonal(b),
         )
-        assembled = assemble_block(e)
         assert assembled == Relation.diagonal(assembled.source)
 
     def test_shape_mismatch_rejected(self):
         a, b = fset("a"), fset("b")
         with pytest.raises(ValueError, match="block"):
-            BlockRelation(
-                (
-                    (Relation.diagonal(a), Relation.empty(a, b)),
-                    (Relation.empty(a, b), Relation.diagonal(b)),
-                )
+            assemble_block(
+                Relation.diagonal(a),
+                Relation.empty(a, b),
+                Relation.empty(a, b),
+                Relation.diagonal(b),
             )
 
     def test_matched_pairs_block_equivalence(self):
