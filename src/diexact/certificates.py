@@ -1,4 +1,5 @@
-"""Brute-force verification oracles and machine-checkable certificates.
+"""Verification oracles, machine-checkable certificates and the
+assumption-free cross-validators that check the oracles.
 
 The pushout oracle builds the canonical colimit and tests whether the
 comparison map onto the square's corner is a bijection; the pullback oracle
@@ -6,9 +7,16 @@ tests whether the apex's pairing map onto the fiber-product pair set is a
 bijection; stability is decided fiberwise over the corner.  Each verdict
 stores enough evidence to re-check it without recomputing the construction.
 
-Slower, assumption-free cross-validators (raw universal-property
-quantification; pulling back along every map up to a size bound) live at the
-bottom; they exist so the fast oracles never have to be trusted.
+The cross-validators at the bottom test the universal properties directly,
+on the legs' index tables over every test set up to a size bound, with no
+colimit or limit construction, so the fast oracles never have to be trusted.
+Two of them count: every map into (or out of) the square induces a commuting
+test span (or cospan), so a universal property holds at a test size iff
+that assignment is injective and its image is as large as the set of
+commuting tests.  ``pushout_by_universal_property_bruteforce`` and the tests'
+``reference_pullback_by_universal_property`` quantify literally, one test at
+a time, and check the counting.  ``stable_by_all_pullbacks`` decides every
+base change up to a size bound.
 """
 
 from __future__ import annotations
@@ -321,11 +329,13 @@ def pushout_by_universal_property(
     bound that commutes with the span, exactly one mediating map out of the
     corner must exist.
 
-    Computed by exact counting: every map out of the corner induces a
-    commuting test cospan, so the requirement is that this assignment is
-    injective and hits every commuting cospan.  No canonical colimit is
-    constructed; ``pushout_by_universal_property_bruteforce`` is the literal
-    per-cospan quantification used to validate this validator.
+    Computed by exact counting: every map m out of the corner induces the
+    test cospan (m∘h, m∘k), which commutes because the square does.  So the
+    requirement is that this assignment is injective and hits every
+    commuting test cospan.  The commuting cospans (u, v) are counted by
+    bucketing each v by v∘g and summing the bucket of u∘f over every u.  No
+    canonical colimit is constructed.  The literal per-cospan quantification
+    it is checked against is ``pushout_by_universal_property_bruteforce``.
     """
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
@@ -356,26 +366,31 @@ def pushout_by_universal_property(
 def pushout_by_universal_property_bruteforce(
     square: CommutativeSquare, max_test_size: int = 3
 ) -> bool:
-    """The same quantification, spelled out one test cospan at a time with
-    mediating maps enumerated by brute force.  Slow; for cross-checks."""
+    """The same quantification, spelled out one test cospan at a time: for
+    each commuting test cospan, count the maps out of the corner that
+    induce it, and require exactly one.
+
+    Per size, the commuting cospans (u, v) are found by bucketing each v by
+    v∘g and looking the bucket up at u∘f, and each map m's induced cospan
+    (m∘h, m∘k) is computed once into a list that every cospan's count runs
+    over.  Used to validate the counting in
+    ``pushout_by_universal_property``.
+    """
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
     n_a, n_b, n_d = len(h_t), len(k_t), len(square.corner)
     for size in range(max_test_size + 1):
         elements = range(size)
+        induced = [
+            (tuple(m[i] for i in h_t), tuple(m[j] for j in k_t))
+            for m in itertools.product(elements, repeat=n_d)
+        ]
+        right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for v in itertools.product(elements, repeat=n_b):
+            right.setdefault(tuple(v[j] for j in g_t), []).append(v)
         for u in itertools.product(elements, repeat=n_a):
-            for v in itertools.product(elements, repeat=n_b):
-                if any(u[f_t[c]] != v[g_t[c]] for c in range(len(f_t))):
-                    continue
-                count = 0
-                for m in itertools.product(elements, repeat=n_d):
-                    if all(m[h_t[i]] == u[i] for i in range(n_a)) and all(
-                        m[k_t[j]] == v[j] for j in range(n_b)
-                    ):
-                        count += 1
-                        if count > 1:
-                            break
-                if count != 1:
+            for v in right.get(tuple(u[i] for i in f_t), ()):
+                if induced.count((u, v)) != 1:
                     return False
     return True
 
@@ -384,24 +399,35 @@ def pullback_by_universal_property(
     square: CommutativeSquare, max_apex_size: int = 3
 ) -> bool:
     """Raw oracle for pullbacks: every commuting test span over the cospan,
-    with apex up to the bound, factors uniquely through the square's apex."""
+    with apex up to the bound, factors uniquely through the square's apex.
+
+    Computed by exact counting: every map m from the test apex into the
+    square's apex induces the test span (f∘m, g∘m), which commutes because
+    the square does.  So the requirement is that this assignment is
+    injective and hits every commuting test span.  The commuting spans
+    (u, v) are counted by bucketing each v by k∘v and summing the bucket of
+    h∘u over every u.  ``reference_pullback_by_universal_property`` in the
+    tests is the literal per-span quantification this is checked against.
+    """
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
     n_a, n_b, n_c = len(h_t), len(k_t), len(f_t)
     for size in range(max_apex_size + 1):
-        test = range(size)
+        induced: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+        for m in itertools.product(range(n_c), repeat=size):
+            key = (tuple(f_t[c] for c in m), tuple(g_t[c] for c in m))
+            if key in induced:
+                return False
+            induced.add(key)
+        right_keys: dict[tuple[int, ...], int] = {}
+        for v in itertools.product(range(n_b), repeat=size):
+            key_v = tuple(k_t[b] for b in v)
+            right_keys[key_v] = right_keys.get(key_v, 0) + 1
+        commuting = 0
         for u in itertools.product(range(n_a), repeat=size):
-            for v in itertools.product(range(n_b), repeat=size):
-                if any(h_t[u[t]] != k_t[v[t]] for t in test):
-                    continue
-                count = 0
-                for m in itertools.product(range(n_c), repeat=size):
-                    if all(f_t[m[t]] == u[t] and g_t[m[t]] == v[t] for t in test):
-                        count += 1
-                        if count > 1:
-                            break
-                if count != 1:
-                    return False
+            commuting += right_keys.get(tuple(h_t[a] for a in u), 0)
+        if commuting != len(induced):
+            return False
     return True
 
 

@@ -144,12 +144,13 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
     e = pushout_equivalence(r)
     total, inl, inr = coproduct(*s.feet)
     if not mutants.active():
-        if not is_equivalence(e):
+        try:
+            quotient = quotient_by_equivalence(total, e)
+        except NotEquivalenceError:
             raise InternalInvariantError(
                 "direct-pushout",
                 "block relation of a difunctional relation is not an equivalence",
-            )
-        quotient = quotient_by_equivalence(total, e)
+            ) from None
         square_of = CommutativeSquare
     else:
         quotient = quotient_by_generated(total, list(e.pairs()))
@@ -244,12 +245,13 @@ def pushout_epi_leg(s: Span) -> MalcevPushoutResult:
     a_set, b_set = s.feet
     r = span_to_relation(s)
     closure = union(Relation.diagonal(a_set), rel_compose(converse(r), r))
-    if not is_equivalence(closure):
+    try:
+        h = quotient_by_equivalence(a_set, closure)
+    except NotEquivalenceError:
         raise InternalInvariantError(
             "epi-leg-pushout",
             "1 u R°R of a difunctional relation is not an equivalence",
-        )
-    h = quotient_by_equivalence(a_set, closure)
+        ) from None
     landings: dict[str, set[str]] = {b: set() for b in b_set}
     for i, b in zip(s.left.table, s.right.values):
         landings[b].add(h.values[i])

@@ -8,7 +8,8 @@ oracle (``scripts/count_corpus.py``) before the build:
   total over all pairs up to 3: 241 (27 up to size 2);
 * set partitions by size 0..5: 1, 1, 2, 5, 15, 52;
 * commuting squares with all four sets of size at most 3: 74112, of which
-  5428 are pushouts (established by the exhaustive sweep itself and frozen).
+  5428 are pushouts and 4348 are pullbacks (established by the exhaustive
+  sweep itself and frozen).
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 """
@@ -25,6 +26,7 @@ from diexact.certificates import (
     is_pullback_square,
     is_pushout_square,
     is_stable_pushout,
+    pullback_by_universal_property,
     pushout_by_universal_property,
     stable_by_all_pullbacks,
 )
@@ -75,6 +77,7 @@ DIFUNCTIONAL_TOTAL_UP_TO_3 = 241
 BELL_NUMBERS = (1, 1, 2, 5, 15, 52)
 COMMUTING_SQUARES_UP_TO_3 = 74112
 PUSHOUT_SQUARES_UP_TO_3 = 5428
+PULLBACK_SQUARES_UP_TO_3 = 4348
 
 
 def verdict(number: int, ok: bool, message: str) -> None:
@@ -243,7 +246,7 @@ def _all_commuting_squares_up_to_3():
 
 def test_criterion_6_oracle_cross_validation_exhaustive():
     started = time.monotonic()
-    total = 0
+    total = pullbacks = 0
     pushout_squares = []
     for sq in _all_commuting_squares_up_to_3():
         total += 1
@@ -251,8 +254,12 @@ def test_criterion_6_oracle_cross_validation_exhaustive():
         assert fast == pushout_by_universal_property(sq, max_test_size=4)
         if fast:
             pushout_squares.append(sq)
+        fast_pullback = is_pullback_square(sq).ok
+        assert fast_pullback == pullback_by_universal_property(sq, max_apex_size=3)
+        pullbacks += fast_pullback
     assert total == COMMUTING_SQUARES_UP_TO_3
     assert len(pushout_squares) == PUSHOUT_SQUARES_UP_TO_3
+    assert pullbacks == PULLBACK_SQUARES_UP_TO_3
     for sq in pushout_squares:
         fiberwise, _ = is_stable_pushout(sq)
         assert fiberwise.ok == stable_by_all_pullbacks(sq, max_size=3)
@@ -260,8 +267,9 @@ def test_criterion_6_oracle_cross_validation_exhaustive():
     verdict(
         6,
         True,
-        f"canonical-comparison oracle agrees with the raw universal property "
-        f"on all {total} commuting squares (sizes <= 3), and fiberwise "
+        f"the canonical-comparison pushout oracle and the pairing-map pullback "
+        f"oracle agree with the raw universal properties on all {total} "
+        f"commuting squares (sizes <= 3; {pullbacks} pullbacks), and fiberwise "
         f"stability agrees with all base changes on all "
         f"{len(pushout_squares)} pushout squares, in {elapsed:.1f}s",
     )

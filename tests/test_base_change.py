@@ -17,6 +17,9 @@ from diexact.certificates import (
     _base_change_is_pushout,
     _tables,
     is_pushout_square,
+    pullback_by_universal_property,
+    pushout_by_universal_property,
+    pushout_by_universal_property_bruteforce,
     stable_by_all_pullbacks,
 )
 from diexact.errors import PreconditionError
@@ -137,12 +140,22 @@ class TestBaseChange:
             pull_square_back(sq, identity(fset("elsewhere")))
 
 
-@pytest.mark.parametrize("max_size", [0, 1])
-def test_all_pullbacks_requires_a_commuting_square(max_size):
+@pytest.mark.parametrize(
+    "validator",
+    [
+        pushout_by_universal_property,
+        pushout_by_universal_property_bruteforce,
+        pullback_by_universal_property,
+        stable_by_all_pullbacks,
+    ],
+    ids=lambda validator: validator.__name__,
+)
+@pytest.mark.parametrize("bound", [0, 1])
+def test_cross_validators_require_a_commuting_square(validator, bound):
     apex, a, b, d = fset("c1"), fset("a1"), fset("b1"), fset("d1", "d2")
     bad = CommutativeSquare._unchecked(
         Span(apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, b, ("b1",))),
         Cospan(SetFunction(a, d, ("d1",)), SetFunction(b, d, ("d2",))),
     )
     with pytest.raises(PreconditionError, match="square does not commute: apex element 'c1'"):
-        stable_by_all_pullbacks(bad, max_size=max_size)
+        validator(bad, bound)

@@ -11,6 +11,7 @@ from diexact.certificates import (
     is_pushout_square,
     is_stable_pushout,
     joint_epicity_verdict,
+    pullback_by_universal_property,
     pushout_by_universal_property,
     pushout_by_universal_property_bruteforce,
     recheck_certificate,
@@ -35,6 +36,7 @@ from diexact.fsets import (
 )
 from diexact.pushouts import malcev_pushout_direct
 from diexact.relations import Relation, tabulate
+from test_fsets import reference_pullback_by_universal_property
 
 
 def rel(source, target, *pairs):
@@ -250,12 +252,20 @@ class TestOracleCrossValidation:
         assert checked == 249  # frozen count of commuting squares with sizes <= 2
 
     def test_counting_matches_bruteforce_quantification(self):
-        for i, sq in enumerate(commuting_squares_up_to_two()):
-            if i % 7:  # thin out; the brute force is slow
-                continue
-            assert pushout_by_universal_property(
-                sq, max_test_size=2
-            ) == pushout_by_universal_property_bruteforce(sq, max_test_size=2)
+        for sq in commuting_squares_up_to_two():
+            for bound in (2, 3):
+                assert pushout_by_universal_property(
+                    sq, max_test_size=bound
+                ) == pushout_by_universal_property_bruteforce(sq, max_test_size=bound)
+
+    def test_pullback_counting_matches_the_literal_quantification(self):
+        pullbacks = 0
+        for sq in commuting_squares_up_to_two():
+            counted = pullback_by_universal_property(sq, max_apex_size=3)
+            assert counted == reference_pullback_by_universal_property(sq, 3), sq
+            assert counted == is_pullback_square(sq).ok, sq
+            pullbacks += counted
+        assert pullbacks == 74  # frozen count of pullback squares among the 249
 
     def test_fiberwise_stability_matches_all_pullbacks_small(self):
         checked = 0

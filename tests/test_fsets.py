@@ -223,6 +223,22 @@ class TestPullback:
         )
         assert not pullback_by_universal_property(doctored, max_apex_size=2)
 
+    def test_universal_property_fails_on_apex_listing_a_pair_twice(self):
+        h = table("ab", "x", {"a": "x", "b": "x"})
+        _, sq = pullback(Cospan(h, h))
+        # list the first pair under a second name: it now factors twice
+        bigger = FiniteSet(sq.span.apex.elements + ("again",))
+        doctored = CommutativeSquare(
+            Span(
+                bigger,
+                SetFunction(bigger, h.domain, sq.span.left.values + sq.span.left.values[:1]),
+                SetFunction(bigger, h.domain, sq.span.right.values + sq.span.right.values[:1]),
+            ),
+            sq.cospan,
+        )
+        assert not pullback_by_universal_property(doctored, max_apex_size=2)
+        assert not reference_pullback_by_universal_property(doctored, 2)
+
 
 class TestKernelPair:
     def test_mono_gives_diagonal(self):

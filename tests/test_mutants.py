@@ -1,5 +1,6 @@
-"""The mutant switch: activation scope and name checks; and one owner each
-for mutant names, generated element names and the text form of values."""
+"""The mutant switch: activation scope and name checks; one owner each for
+mutant names, generated element names and the text form of values; and
+cross-validators that call no oracle, construction or route."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,47 @@ def test_commutativity_culprit_is_spelled_once_in_fsets():
         and "has images" in node.value
     ]
     assert [name for name, _ in spelled] == ["fsets.py"]
+
+
+CROSS_VALIDATORS = (
+    "pushout_by_universal_property",
+    "pushout_by_universal_property_bruteforce",
+    "pullback_by_universal_property",
+    "stable_by_all_pullbacks",
+    "_base_change_is_pushout",
+)
+FAST_ORACLES = ("is_pushout_square", "is_pullback_square", "is_stable_pushout")
+
+
+def _top_level(module: str) -> list[ast.stmt]:
+    path = next(path for path in SOURCES if path.name == module)
+    return ast.parse(path.read_text(encoding="utf-8")).body
+
+
+def test_cross_validators_stay_assumption_free():
+    """The universal-property and base-change validators decide squares on
+    index tables alone: their bodies name no fast oracle and no function or
+    class of ``fsets``, ``relations`` or ``pushouts``, so they run no
+    construction and no route.  Parameter annotations are not bodies."""
+    forbidden = set(FAST_ORACLES)
+    for module in ("fsets.py", "relations.py", "pushouts.py"):
+        forbidden |= {
+            node.name
+            for node in _top_level(module)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+    bodies = {
+        node.name: node.body
+        for node in _top_level("certificates.py")
+        if isinstance(node, ast.FunctionDef) and node.name in CROSS_VALIDATORS
+    }
+    assert sorted(bodies) == sorted(CROSS_VALIDATORS)
+    named = [
+        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.func.attr)
+        for name, body in bodies.items()
+        for statement in body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name)
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
+    ]
+    assert [entry for entry in named if entry[2] in forbidden] == []

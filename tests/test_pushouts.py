@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import arbitrary_spans, malcev_spans, sized_sets
-from diexact import mutants
+from diexact import mutants, pushouts, relations
 from diexact.certificates import certify, is_pushout_square
 from diexact.enumeration import (
     all_equivalences,
@@ -15,6 +15,7 @@ from diexact.enumeration import (
     letters,
 )
 from diexact.errors import (
+    InternalInvariantError,
     NotEpiError,
     NotEquivalenceError,
     NotJointlyMonicError,
@@ -31,6 +32,7 @@ from diexact.fsets import (
     canonical_comparison,
     canonical_pushout,
     compose,
+    coproduct,
     fset,
     identity,
     image_factorization,
@@ -452,6 +454,56 @@ class TestResultInvariants:
         s = tabulate(graph_of(f))
         result = pushout_epi_leg(s)
         assert span_to_relation(kernel_pair(result.quotient)) == result.e
+
+
+class TestEquivalenceStages:
+    """Each route checks its relation is an equivalence once, inside
+    ``quotient_by_equivalence``, and reports a failure as its own stage."""
+
+    @pytest.fixture
+    def s(self):
+        return tabulate(rel("ab", "x", ("a", "x"), ("b", "x")))
+
+    def test_each_route_checks_one_relation_once(self, s, monkeypatch):
+        calls = []
+        check = relations.is_equivalence
+
+        def counted(e):
+            calls.append(e)
+            return check(e)
+
+        monkeypatch.setattr(relations, "is_equivalence", counted)
+        monkeypatch.setattr(pushouts, "is_equivalence", counted)
+        direct = malcev_pushout_direct(s)
+        assert calls == [direct.e]
+        calls.clear()
+        pushout_epi_leg(s)
+        assert len(calls) == 1
+
+    def test_direct_route_reports_a_doctored_block_relation(self, s, monkeypatch):
+        total = coproduct(*s.feet)[0]
+        monkeypatch.setattr(
+            pushouts, "pushout_equivalence", lambda r: Relation.empty(total, total)
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            malcev_pushout_direct(s)
+        assert caught.value.stage == "direct-pushout"
+        assert str(caught.value) == (
+            "[direct-pushout] block relation of a difunctional relation "
+            "is not an equivalence"
+        )
+
+    def test_epi_leg_route_reports_a_doctored_closure(self, s, monkeypatch):
+        monkeypatch.setattr(
+            pushouts, "union", lambda r, _: Relation.empty(r.source, r.target)
+        )
+        with pytest.raises(InternalInvariantError) as caught:
+            pushout_epi_leg(s)
+        assert caught.value.stage == "epi-leg-pushout"
+        assert str(caught.value) == (
+            "[epi-leg-pushout] 1 u R°R of a difunctional relation "
+            "is not an equivalence"
+        )
 
 
 class TestMalcevPushoutResultChecks:
