@@ -34,9 +34,9 @@ from .fsets import (
     canonical_comparison,
     compose,
     disagreement_text,
+    fiber_pairs,
     first_disagreement,
     kernel_pair,
-    pullback,
 )
 from .names import LEFT, RIGHT, pair_name, tagged
 from .relations import Relation, quotient_by_equivalence, span_to_relation
@@ -89,9 +89,9 @@ class PushoutCertificate:
 
     @property
     def fiber_reports(self) -> tuple[FiberReport, ...]:
-        if isinstance(self.is_stable.evidence, tuple):
-            return self.is_stable.evidence
-        return ()
+        """The per-fiber reports of a stable square; ``()`` otherwise, where
+        ``is_stable.evidence`` is a counterexample instead."""
+        return self.is_stable.evidence if self.is_stable.ok else ()
 
 
 def commutes_verdict(square: CommutativeSquare) -> Verdict:
@@ -106,9 +106,9 @@ def commutes_verdict(square: CommutativeSquare) -> Verdict:
 
 
 def _require_commuting(square: CommutativeSquare) -> None:
-    verdict = commutes_verdict(square)
-    if not verdict.ok:
-        raise PreconditionError(f"square does not commute: {verdict.detail}")
+    culprit = first_disagreement(square.span, square.cospan)
+    if culprit is not None:
+        raise PreconditionError(f"square does not commute: {disagreement_text(culprit)}")
 
 
 def is_pushout_square(square: CommutativeSquare) -> Verdict:
@@ -141,7 +141,7 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     """Pairing-map oracle: the apex must biject onto the pairs with equal
     images under the cospan."""
     _require_commuting(square)
-    pairs, _ = pullback(square.cospan)
+    pairs, _ = fiber_pairs(square.cospan.left, square.cospan.right)
     f, g = square.span.left, square.span.right
     names = tuple([pair_name(a, b) for a, b in zip(f.values, g.values)])
     seen: dict[str, str] = {}
@@ -153,14 +153,14 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
                 (seen[name], c, name),
             )
         seen[name] = c
-    missing = [p for p in pairs.apex if p not in seen]
+    missing = [p for p in pairs if p not in seen]
     if missing:
         return Verdict(
             False,
             f"pair {missing[0]} has equal images under the cospan but no apex element",
             missing[0],
         )
-    pairing = SetFunction(square.span.apex, pairs.apex, names)
+    pairing = SetFunction(square.span.apex, pairs, names)
     return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
 
 

@@ -146,7 +146,7 @@ def _pushout_without_basepoint_link(ps: PointedSpan) -> MalcevPushoutResult:
     return _block_quotient(s, mutated)
 
 
-def pointed_pullback(f: PointedMap, g: PointedMap) -> tuple[PointedSpan, PointedSet]:
+def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
     """Pullback in pointed sets: the underlying pullback pointed at the pair
     of basepoints."""
     if f.codomain != g.codomain:
@@ -155,7 +155,7 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> tuple[PointedSpan, Pointed
     apex = PointedSet(s.apex, pair_name(f.domain.basepoint, g.domain.basepoint))
     left = PointedMap(apex, f.domain, s.left)
     right = PointedMap(apex, g.domain, s.right)
-    return PointedSpan(apex, left, right), apex
+    return PointedSpan(apex, left, right)
 
 
 def zero_object() -> PointedSet:

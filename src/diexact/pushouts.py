@@ -5,7 +5,8 @@ Three independent construction routes live here:
 * ``malcev_pushout_direct``: quotient the tagged coproduct by the block
   equivalence built from the span's relation;
 * ``pushout_epi_leg``: when one leg is surjective, quotient the other foot
-  and induce the second leg through the coequalizer;
+  by ``1 u R°R`` and induce the second leg through the coequalizer; it
+  builds no coproduct and returns only its square;
 * ``malcev_pushout_decomposed``: the three-stage pipeline (epi-leg pushout,
   factorize, epi-leg pushout, mono amalgamation) pasted together.
 
@@ -53,7 +54,6 @@ from .relations import (
     assemble_block,
     converse,
     difunctionality_witness,
-    graph_of,
     is_equivalence,
     is_malcev_span,
     joint_monicity_witness,
@@ -66,10 +66,11 @@ from .relations import (
 
 @dataclass(frozen=True)
 class MalcevPushoutResult:
-    """A pushout square together with the data that produced it: the block
-    equivalence on the tagged coproduct and its quotient map.  Only ``e``,
-    ``quotient`` and ``square`` are stored; the legs ``h`` and ``k`` are
-    read off ``square.cospan``, and the span is ``square.span``."""
+    """The direct route's pushout square together with the data that
+    produced it: the block equivalence on the tagged coproduct and its
+    quotient map.  Only ``e``, ``quotient`` and ``square`` are stored; the
+    legs ``h`` and ``k`` are read off ``square.cospan``, and the span is
+    ``square.span``."""
 
     e: Relation
     quotient: SetFunction
@@ -232,13 +233,14 @@ def subobject_union(
     return induced, sq
 
 
-def pushout_epi_leg(s: Span) -> MalcevPushoutResult:
-    """Pushout of a Mal'cev span whose right leg is surjective.
+def pushout_epi_leg(s: Span) -> CommutativeSquare:
+    """Pushout square of a Mal'cev span whose right leg is surjective.
 
     Quotients the left foot by ``1 u R°R``, then induces the second leg by
     picking any preimage through the surjection; agreement across all
     preimage choices is asserted, not assumed, since it is exactly the
-    coequalizer argument being exercised.
+    coequalizer argument being exercised.  No relation on ``A + B`` is
+    involved, so only the square is returned.
     """
     require_malcev(s)
     require_epi(s.right, "right leg of an epi-leg pushout")
@@ -265,11 +267,7 @@ def pushout_epi_leg(s: Span) -> MalcevPushoutResult:
             )
         values.append(images[0])
     k = SetFunction(b_set, h.codomain, tuple(values))
-    square = CommutativeSquare(s, Cospan(h, k))
-    quotient = copair(h, k)
-    g = graph_of(quotient)
-    e = rel_compose(converse(g), g)
-    return MalcevPushoutResult(e=e, quotient=quotient, square=square)
+    return CommutativeSquare(s, Cospan(h, k))
 
 
 @dataclass(frozen=True)
@@ -334,7 +332,7 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
             "stage-1", "span against the surjective factor is not Mal'cev"
         )
     first = pushout_epi_leg(stage_one_span)
-    h1, f_prime = first.h, first.k
+    h1, f_prime = first.cospan.left, first.cospan.right
 
     if mutants.active(mutants.SKIP_MONO):
         f1_prime = identity(g1.codomain)
@@ -348,9 +346,8 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
             raise InternalInvariantError(
                 "stage-2", "span against the second surjective factor is not Mal'cev"
             )
-        second_result = pushout_epi_leg(stage_two_span)
-        h2, g2_prime = second_result.h, second_result.k
-        second = second_result.square
+        second = pushout_epi_leg(stage_two_span)
+        h2, g2_prime = second.cospan.left, second.cospan.right
         by_kernel_pair = is_kernel_pair_trivial(g2_prime)
         by_injectivity = is_mono(g2_prime)
         if by_kernel_pair != by_injectivity:
@@ -375,4 +372,4 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
         pasted = CommutativeSquare._unchecked(s, outer)
     else:
         pasted = CommutativeSquare(s, outer)
-    return DecompositionTrace(squares=(first.square, second, third), pasted=pasted)
+    return DecompositionTrace(squares=(first, second, third), pasted=pasted)

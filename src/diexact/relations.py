@@ -199,16 +199,12 @@ def difunctional_closure(r: Relation) -> Relation:
     """Least difunctional relation containing r, by iterating
     R <- R u R R° R to a fixpoint."""
     current = r
-    for _ in range(max(1, len(r.source) * len(r.target))):
+    for _ in range(len(r.source) * len(r.target) + 1):
         step = union(current, rel_compose(current, rel_compose(converse(current), current)))
         if step == current:
             return current
         current = step
-    if current != union(
-        current, rel_compose(current, rel_compose(converse(current), current))
-    ):
-        raise AssertionError("difunctional closure failed to converge")
-    return current
+    raise AssertionError("difunctional closure failed to converge")
 
 
 def is_reflexive(e: Relation) -> bool:

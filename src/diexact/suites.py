@@ -339,7 +339,7 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
             _corner_failures(failures, label, "direct", direct.square)
             _corner_failures(failures, label, "pasted", trace.pasted)
             if is_epi(s.right):
-                _corner_failures(failures, label, "epi-leg", pushout_epi_leg(s).square)
+                _corner_failures(failures, label, "epi-leg", pushout_epi_leg(s))
         except _CAUGHT as exc:
             failures.append(SuiteFailure(label, "construction", str(exc)))
     return SuiteReport("T2", "direct-vs-decomposed", len(corpus), tuple(failures))
@@ -463,14 +463,14 @@ def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
                         f"differs from the plain pushout corner {plain.corner}",
                     )
                 )
-            pulled, apex = pointed_pullback(result.h, result.k)
+            pulled_base = pointed_pullback(result.h, result.k).apex.basepoint
             expected_base = pair_name(base_a, base_b)
-            if apex.basepoint != expected_base:
+            if pulled_base != expected_base:
                 failures.append(
                     SuiteFailure(
                         label,
                         "pointed-pullback",
-                        f"pullback basepoint {apex.basepoint!r} is not {expected_base!r}",
+                        f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
                     )
                 )
         except _CAUGHT as exc:

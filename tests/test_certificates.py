@@ -75,6 +75,16 @@ def collapse_corner(square):
     )
 
 
+def non_commuting_square():
+    """Apex c goes to a1 one way round and to a2 the other."""
+    a = fset("a1", "a2")
+    apex = fset("c")
+    return CommutativeSquare._unchecked(
+        Span(apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, a, ("a2",))),
+        Cospan(identity(a), identity(a)),
+    )
+
+
 class TestPushoutOracle:
     @given(malcev_spans(max_size=3))
     def test_direct_outputs_are_pushouts(self, s):
@@ -92,12 +102,7 @@ class TestPushoutOracle:
         assert merged_pair[0] != merged_pair[1]
 
     def test_requires_commuting_square(self):
-        a = fset("a1", "a2")
-        apex = fset("c")
-        bad = CommutativeSquare._unchecked(
-            Span(apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, a, ("a2",))),
-            Cospan(identity(a), identity(a)),
-        )
+        bad = non_commuting_square()
         with pytest.raises(PreconditionError):
             is_pushout_square(bad)
 
@@ -184,17 +189,28 @@ class TestCertify:
         assert cert.is_stable.ok and cert.jointly_epic.ok
 
     def test_cascade_on_non_commuting_square(self):
-        a = fset("a1", "a2")
-        apex = fset("c")
-        bad = CommutativeSquare._unchecked(
-            Span(apex, SetFunction(apex, a, ("a1",)), SetFunction(apex, a, ("a2",))),
-            Cospan(identity(a), identity(a)),
-        )
+        bad = non_commuting_square()
         cert = certify(bad)
         assert not cert.ok
         assert not cert.commutes.ok
         assert "does not commute" in cert.is_pushout.detail
         assert cert.commutes.evidence == ("c", "a1", "a2")
+
+    def test_fiber_reports_of_a_stable_square(self):
+        cert = certify(matched_pairs_square())
+        assert cert.fiber_reports == cert.is_stable.evidence
+        assert [r.base_element for r in cert.fiber_reports] == list(cert.square.corner)
+
+    def test_no_fiber_reports_when_the_corner_merges_classes(self):
+        cert = certify(collapse_corner(matched_pairs_square()))
+        assert not cert.is_stable.ok
+        assert cert.is_stable.evidence == ("l:a", "l:b", "l:a")
+        assert cert.fiber_reports == ()
+
+    def test_no_fiber_reports_when_the_square_does_not_commute(self):
+        cert = certify(non_commuting_square())
+        assert cert.is_stable.evidence == ("c", "a1", "a2")
+        assert cert.fiber_reports == ()
 
     def test_verdicts_reproducible_from_witnesses(self):
         cert = certify(matched_pairs_square())

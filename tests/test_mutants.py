@@ -159,3 +159,31 @@ def test_cross_validators_stay_assumption_free():
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
     ]
     assert [entry for entry in named if entry[2] in forbidden] == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """Names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        (line, name)
+        for name, line in imported.items()
+        if name not in read and name != "annotations"
+    )
+
+
+def test_modules_read_every_name_they_import():
+    """Every module but the package root, whose imports are its re-exports,
+    reads each name it imports."""
+    unused = [
+        (path.name, line, name)
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unused == []

@@ -101,8 +101,8 @@ class TestPointedPullback:
         a, b = pointed(2), pointed(2)
         ps = pointed_span_from_relation(a, b, base_relation(a, b))
         result = pointed_malcev_pushout(ps)
-        pulled, apex = pointed_pullback(result.h, result.k)
-        assert apex.basepoint == f"({a.basepoint},{b.basepoint})"
+        pulled = pointed_pullback(result.h, result.k)
+        assert pulled.apex.basepoint == f"({a.basepoint},{b.basepoint})"
         from diexact.fsets import Cospan, pullback
 
         plain, _ = pullback(Cospan(result.h.function, result.k.function))

@@ -1,13 +1,14 @@
 """The construction routes: direct, epi-leg, amalgamation, decomposition."""
 
 import dataclasses
+import itertools
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import arbitrary_spans, malcev_spans, sized_sets
-from diexact import mutants, pushouts, relations
+from diexact import fsets, mutants, pushouts, relations
 from diexact.certificates import certify, is_pushout_square
 from diexact.enumeration import (
     all_equivalences,
@@ -21,6 +22,7 @@ from diexact.errors import (
     NotJointlyMonicError,
     NotMalcevError,
     NotMonoError,
+    PreconditionError,
 )
 from diexact.fsets import (
     CommutativeSquare,
@@ -35,7 +37,6 @@ from diexact.fsets import (
     coproduct,
     fset,
     identity,
-    image_factorization,
     inverse,
     is_epi,
     is_iso,
@@ -57,6 +58,7 @@ from diexact.pushouts import (
 )
 from diexact.relations import (
     Relation,
+    difunctional_closure,
     equivalence_classes,
     graph_of,
     span_to_relation,
@@ -289,12 +291,13 @@ class TestEpiLegPushout:
     def test_iso_leg(self):
         r = rel("ab", "xy", ("a", "y"), ("b", "x"))
         s = tabulate(r)
-        result = pushout_epi_leg(s)
-        assert is_iso(result.h)
+        square = pushout_epi_leg(s)
+        h, k = square.cospan.left, square.cospan.right
+        assert is_iso(h)
         g_inverse = inverse(
             SetFunction(s.apex, s.right.codomain, s.right.values)
         )
-        assert result.k == compose(result.h, compose(s.left, g_inverse))
+        assert k == compose(h, compose(s.left, g_inverse))
 
     def test_backwards_graph_of_epi(self):
         f = SetFunction.from_mapping(
@@ -303,10 +306,10 @@ class TestEpiLegPushout:
         )
         s = tabulate(graph_of(f))
         assert is_epi(s.right)
-        result = pushout_epi_leg(s)
-        assert len(result.corner) == len(f.codomain)
-        assert is_iso(result.k)
-        assert compose(result.k, f) == result.h
+        square = pushout_epi_leg(s)
+        assert len(square.corner) == len(f.codomain)
+        assert is_iso(square.cospan.right)
+        assert compose(square.cospan.right, f) == square.cospan.left
 
     def test_requires_epi_leg(self):
         r = rel("a", "xy", ("a", "x"))
@@ -321,9 +324,7 @@ class TestEpiLegPushout:
         )
         via_epi = pushout_epi_leg(tabulate(e))
         via_direct = coequalizer_via_pushout(e)
-        comparison = canonical_comparison(
-            via_direct.square, via_epi.square.cospan
-        )
+        comparison = canonical_comparison(via_direct.square, via_epi.cospan)
         assert is_iso(comparison)
 
     @given(malcev_spans(max_size=3))
@@ -332,13 +333,21 @@ class TestEpiLegPushout:
             return
         direct = malcev_pushout_direct(s)
         epi = pushout_epi_leg(s)
-        comparison = canonical_comparison(direct.square, epi.square.cospan)
+        assert epi.span == s
+        comparison = canonical_comparison(direct.square, epi.cospan)
         assert is_iso(comparison)
 
-    @given(malcev_spans(max_size=3))
-    def test_e_recovered_as_kernel_pair_of_quotient(self, s):
-        epi = pushout_epi_leg(span(s.left, image_factorization(s.right)[0]))
-        assert span_to_relation(kernel_pair(epi.quotient)) == epi.e
+    def test_builds_no_coproduct(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("the epi-leg route built a coproduct")
+
+        for module in (pushouts, fsets):
+            monkeypatch.setattr(module, "coproduct", refuse)
+            monkeypatch.setattr(module, "copair", refuse)
+        epi_spans = [s for _, s in exhaustive_malcev_spans(2) if is_epi(s.right)]
+        assert epi_spans
+        for s in epi_spans:
+            assert isinstance(pushout_epi_leg(s), CommutativeSquare)
 
 
 class TestDecomposition:
@@ -446,15 +455,6 @@ class TestResultInvariants:
         assert result.quotient("l:a") == result.h("a")
         assert result.quotient("r:x") == result.k("x")
 
-    def test_direct_equals_epi_leg_legs_relation(self):
-        # contract shared by both routes: E is the quotient's kernel pair
-        f = SetFunction.from_mapping(
-            fset("a1", "a2"), fset("b1"), {"a1": "b1", "a2": "b1"}
-        )
-        s = tabulate(graph_of(f))
-        result = pushout_epi_leg(s)
-        assert span_to_relation(kernel_pair(result.quotient)) == result.e
-
 
 class TestEquivalenceStages:
     """Each route checks its relation is an equivalence once, inside
@@ -540,3 +540,80 @@ class TestMalcevPushoutResultChecks:
                 Relation.diagonal(result.h.domain), result.quotient, result.square
             )
 
+
+# Names that look like generated ones: coproduct tags, pair names and their
+# punctuation, and the empty string.
+LOOKALIKE_NAMES = (
+    "", "a", "b", "l:a", "r:a", "l:", "(", ")", ",", "a,b", "(a,b)", "r:(a,b)",
+)
+element_names = st.one_of(
+    st.sampled_from(LOOKALIKE_NAMES), st.text(alphabet="ablr:(),", max_size=5)
+)
+
+
+@st.composite
+def spans_with_arbitrary_names(draw) -> Span:
+    """A jointly monic span whose apex and feet have arbitrary element
+    names, tabulating a relation that is difunctional about half the time."""
+    a, b = (
+        FiniteSet(tuple(draw(st.lists(element_names, max_size=3, unique=True))))
+        for _ in range(2)
+    )
+    r = Relation.from_pairs(
+        a, b, [cell for cell in itertools.product(a, b) if draw(st.booleans())]
+    )
+    if draw(st.booleans()):
+        r = difunctional_closure(r)
+    pairs = list(r.pairs())
+    apex_names = st.lists(
+        element_names, min_size=len(pairs), max_size=len(pairs), unique=True
+    )
+    apex = FiniteSet(tuple(draw(apex_names)))
+    left = SetFunction(apex, a, tuple(x for x, _ in pairs))
+    right = SetFunction(apex, b, tuple(y for _, y in pairs))
+    return Span(apex, left, right)
+
+
+def pair_name_clash() -> Span:
+    """A difunctional span whose fiber product has two pairs named
+    ``(x,y,z)``: the routes build its square, and ``certify`` refuses it."""
+    a, b, apex = fset("x,y", "x"), fset("z", "y,z"), fset("c1", "c2")
+    return Span(
+        apex, SetFunction(apex, a, ("x,y", "x")), SetFunction(apex, b, ("z", "y,z"))
+    )
+
+
+class TestNameSafety:
+    """Element names that look like generated ones never crash a route or
+    slip an uncertified square through: each route refuses the span with a
+    ``PreconditionError``, or returns a square that ``certify`` accepts or
+    refuses with the ``PreconditionError`` of a pair-name clash."""
+
+    ROUTES = {
+        "direct": lambda s: malcev_pushout_direct(s).square,
+        "decomposed": lambda s: malcev_pushout_decomposed(s).pasted,
+        "epi-leg": pushout_epi_leg,
+    }
+
+    @given(spans_with_arbitrary_names())
+    @example(pair_name_clash())
+    @settings(max_examples=200)
+    def test_each_route_refuses_or_certifies(self, s):
+        for name, route in self.ROUTES.items():
+            if name == "epi-leg" and not is_epi(s.right):
+                continue
+            try:
+                square = route(s)
+            except PreconditionError:
+                continue
+            try:
+                cert = certify(square)
+            except PreconditionError as refused:
+                assert "both get the element name" in str(refused), name
+                continue
+            assert cert.ok, name
+
+    def test_certify_names_a_pair_name_clash(self):
+        square = malcev_pushout_direct(pair_name_clash()).square
+        with pytest.raises(PreconditionError, match=r"both get the element name '\(x,y,z\)'"):
+            certify(square)
