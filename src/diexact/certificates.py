@@ -1,11 +1,14 @@
 """Verification oracles, machine-checkable certificates and the
 assumption-free cross-validators that check the oracles.
 
-The pushout oracle builds the canonical colimit and tests whether the
-comparison map onto the square's corner is a bijection; the pullback oracle
-tests whether the apex's pairing map onto the fiber-product pair set is a
-bijection; stability is decided fiberwise over the corner.  Each verdict
-stores enough evidence to re-check it without recomputing the construction.
+The pushout oracle forms the classes of A + B with one union-find over the
+legs' index tables and tests whether the comparison map from those classes
+onto the square's corner is a bijection; it builds no colimit, so it shares
+no code with the constructions.  The pullback oracle tests whether the
+apex's pairing map onto the fiber-product pair set is a bijection.
+Stability is decided fiberwise over the corner, each fiber's verdict read
+off the pushout oracle's classes.  Each verdict stores enough evidence to
+re-check it without recomputing the construction.
 
 The cross-validators at the bottom test the universal properties directly,
 on the legs' index tables over every test set up to a size bound, with no
@@ -30,8 +33,6 @@ from .fsets import (
     Cospan,
     FiniteSet,
     SetFunction,
-    Span,
-    canonical_comparison,
     compose,
     disagreement_text,
     fiber_pairs,
@@ -56,11 +57,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class FiberReport:
-    """The restriction of a square over one corner element, and whether that
-    restriction is itself a pushout."""
+    """A corner element, and whether the square restricted over it is itself
+    a pushout."""
 
     base_element: str
-    fiber_square: CommutativeSquare
     fiber_is_pushout: Verdict
 
 
@@ -111,29 +111,65 @@ def _require_commuting(square: CommutativeSquare) -> None:
         raise PreconditionError(f"square does not commute: {disagreement_text(culprit)}")
 
 
+def _tables(square: CommutativeSquare) -> tuple[tuple[int, ...], ...]:
+    """The four legs as index tables.  Callers check commutativity first,
+    which requires each span leg's codomain to be the domain of the cospan
+    leg it meets, so the indexes line up."""
+    return (
+        square.span.left.table,
+        square.span.right.table,
+        square.cospan.left.table,
+        square.cospan.right.table,
+    )
+
+
 def is_pushout_square(square: CommutativeSquare) -> Verdict:
-    """Canonical-construction oracle: build the canonical pushout of the
-    span and test whether the comparison onto the square's corner is a
-    bijection."""
+    """Index-table oracle: one union-find over A + B, linking ``f(c)`` with
+    ``g(c)`` for every apex element c, forms the classes the span
+    generates; the square is a pushout iff the comparison sending each
+    class to the corner image of its members (one image, as the square
+    commutes) is a bijection.
+
+    Each class is named by its least tagged member.  Every ``l:`` name sorts
+    before every ``r:`` name and each foot is sorted, so the node order,
+    A then B, is the name order: a class is met first at its least member,
+    and the classes are met in name order."""
     _require_commuting(square)
-    comparison = canonical_comparison(square, square.cospan)
-    seen: dict[str, str] = {}
-    for cls, image in zip(comparison.domain.elements, comparison.values):
-        if image in seen:
+    f_t, g_t, h_t, k_t = _tables(square)
+    parent = list(range(len(h_t) + len(k_t)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, j in zip(f_t, g_t):
+        parent[find(i)] = find(len(h_t) + j)
+    names = [tagged(LEFT, a) for a in square.cospan.left.domain]
+    names += [tagged(RIGHT, b) for b in square.cospan.right.domain]
+    corner = square.corner.elements
+    least: dict[int, int] = {}
+    seen: dict[int, str] = {}
+    for node, d in enumerate(h_t + k_t):
+        if least.setdefault(find(node), node) != node:
+            continue
+        if d in seen:
             return Verdict(
                 False,
-                f"corner merges the distinct pushout classes {seen[image]!r} "
-                f"and {cls!r} at {image!r}",
-                (seen[image], cls, image),
+                f"corner merges the distinct pushout classes {seen[d]!r} "
+                f"and {names[node]!r} at {corner[d]!r}",
+                (seen[d], names[node], corner[d]),
             )
-        seen[image] = cls
-    unreached = [d for d in square.corner if d not in seen]
+        seen[d] = names[node]
+    unreached = [x for d, x in enumerate(corner) if d not in seen]
     if unreached:
         return Verdict(
             False,
             f"corner element {unreached[0]!r} is not reached from the span",
             unreached[0],
         )
+    classes = FiniteSet(tuple(seen.values()))
+    comparison = SetFunction(classes, square.corner, tuple(corner[d] for d in seen))
     return Verdict(True, "comparison with the canonical pushout is a bijection", comparison)
 
 
@@ -164,27 +200,11 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
 
 
-def _fiber_square(square: CommutativeSquare, d: str) -> CommutativeSquare:
-    h, k = square.cospan.left, square.cospan.right
-    f, g = square.span.left, square.span.right
-    at = square.corner.index(d)
-    a_fiber = FiniteSet(tuple(a for a, t in zip(h.domain, h.table) if t == at))
-    b_fiber = FiniteSet(tuple(b for b, t in zip(k.domain, k.table) if t == at))
-    over = [h.table[i] == at for i in f.table]
-    c_fiber = FiniteSet(tuple(c for c, keep in zip(f.domain, over) if keep))
-    base = FiniteSet((d,))
-    f_d = SetFunction(c_fiber, a_fiber, tuple(v for v, keep in zip(f.values, over) if keep))
-    g_d = SetFunction(c_fiber, b_fiber, tuple(v for v, keep in zip(g.values, over) if keep))
-    h_d = SetFunction(a_fiber, base, tuple(d for _ in a_fiber))
-    k_d = SetFunction(b_fiber, base, tuple(d for _ in b_fiber))
-    return CommutativeSquare(Span(c_fiber, f_d, g_d), Cospan(h_d, k_d))
-
-
 def is_stable_pushout(
     square: CommutativeSquare,
 ) -> tuple[Verdict, tuple[FiberReport, ...]]:
-    """Fiberwise stability: restrict the square over each corner element and
-    require every restriction to be a pushout.
+    """Fiberwise stability: the square restricted over each corner element
+    must be a pushout.
 
     Pulling the square back along any map into the corner yields the
     disjoint union of these fiber squares, and a disjoint union of pushout
@@ -195,23 +215,24 @@ def is_stable_pushout(
     gate = is_pushout_square(square)
     if not gate.ok:
         raise PreconditionError(f"stability requires a pushout: {gate.detail}")
-    reports = []
-    for d in square.corner:
-        fiber = _fiber_square(square, d)
-        reports.append(FiberReport(d, fiber, is_pushout_square(fiber)))
-    reports_t = tuple(reports)
-    for report in reports_t:
-        if not report.fiber_is_pushout.ok:
-            return (
-                Verdict(
-                    False,
-                    f"fiber over {report.base_element!r} is not a pushout: "
-                    f"{report.fiber_is_pushout.detail}",
-                    report,
-                ),
-                reports_t,
-            )
-    return Verdict(True, "every corner fiber is a pushout", reports_t), reports_t
+    return _fiber_verdicts(gate.evidence)
+
+
+def _fiber_verdicts(
+    comparison: SetFunction,
+) -> tuple[Verdict, tuple[FiberReport, ...]]:
+    """The fiber verdicts of a pushout, read off its comparison.
+
+    The classes of A + B never cross fibers, so the fiber over d is a
+    pushout exactly when one class lies over d.  The comparison of a
+    pushout is a bijection onto the corner, so every fiber has one class:
+    in Set, colimits are universal."""
+    over = dict(zip(comparison.values, comparison.domain.elements))
+    reports = tuple(
+        FiberReport(d, Verdict(True, f"one class, {over[d]!r}, lies over {d!r}", over[d]))
+        for d in comparison.codomain
+    )
+    return Verdict(True, "every corner fiber is a pushout", reports), reports
 
 
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
@@ -242,7 +263,7 @@ def certify(square: CommutativeSquare) -> PushoutCertificate:
         po = is_pushout_square(square)
         pb = is_pullback_square(square)
         if po.ok:
-            stable, _ = is_stable_pushout(square)
+            stable, _ = _fiber_verdicts(po.evidence)
         else:
             stable = Verdict(
                 False, f"not a pushout, so not a stable one: {po.detail}", po.evidence
@@ -308,18 +329,6 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
 
 # ---------------------------------------------------------------------------
 # Assumption-free cross-validators.
-
-
-def _tables(square: CommutativeSquare) -> tuple[tuple[int, ...], ...]:
-    """The four legs as index tables.  Callers check commutativity first,
-    which requires each span leg's codomain to be the domain of the cospan
-    leg it meets, so the indexes line up."""
-    return (
-        square.span.left.table,
-        square.span.right.table,
-        square.cospan.left.table,
-        square.cospan.right.table,
-    )
 
 
 def pushout_by_universal_property(

@@ -30,7 +30,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import mutants
 from .errors import (
     CompositionError,
     InternalInvariantError,
@@ -303,20 +302,19 @@ def fiber_pairs(
     )
 
 
-def pullback(cospan_: Cospan) -> tuple[Span, CommutativeSquare]:
-    """Canonical pullback: pairs with equal images, named ``"(a,b)"``."""
+def pullback(cospan_: Cospan) -> Span:
+    """Canonical pullback span: pairs with equal images, named ``"(a,b)"``.
+    It commutes with the cospan by construction."""
     h, k = cospan_.left, cospan_.right
     apex, parts = fiber_pairs(h, k)
     proj_a = SetFunction(apex, h.domain, tuple([a for a, _ in parts]))
     proj_b = SetFunction(apex, k.domain, tuple([b for _, b in parts]))
-    s = Span(apex, proj_a, proj_b)
-    return s, CommutativeSquare(s, cospan_)
+    return Span(apex, proj_a, proj_b)
 
 
 def kernel_pair(f: SetFunction) -> Span:
     """Pullback of f against itself: all pairs with the same image."""
-    s, _ = pullback(Cospan(f, f))
-    return s
+    return pullback(Cospan(f, f))
 
 
 def is_kernel_pair_trivial(f: SetFunction) -> bool:
@@ -358,13 +356,10 @@ def quotient_by_partition(
     return SetFunction(a, target, tuple(names[x] for x in a))
 
 
-def generated_partition(
-    elements: Sequence[str],
-    pairs: Iterable[tuple[str, str]],
-) -> list[tuple[str, ...]]:
-    """Partition into the classes of the equivalence the pairs generate
-    (union-find: the reflexive-symmetric-transitive closure)."""
-    parent = {x: x for x in elements}
+def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[str, str]]) -> SetFunction:
+    """Quotient by the equivalence the pairs generate (union-find: the
+    reflexive-symmetric-transitive closure)."""
+    parent = {x: x for x in a}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -377,36 +372,9 @@ def generated_partition(
         if ru != rv:
             parent[ru] = rv
     classes: dict[str, list[str]] = {}
-    for x in elements:
-        classes.setdefault(find(x), []).append(x)
-    return [tuple(sorted(block)) for block in classes.values()]
-
-
-def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[str, str]]) -> SetFunction:
-    """Quotient by the equivalence the pairs generate.
-
-    Under the nonsymmetric-closure mutant the "classes" need not partition
-    the set; each element is then sent to the least name of its
-    forward-closure, which is exactly the deliberately wrong behaviour the
-    suites must catch.
-    """
-    if not mutants.active(mutants.NONSYMMETRIC):
-        return quotient_by_partition(a, generated_partition(a.elements, pairs))
-    succ: dict[str, set[str]] = {x: {x} for x in a}
-    for u, v in pairs:
-        succ[u].add(v)
-    names = {}
     for x in a:
-        reach, frontier = {x}, [x]
-        while frontier:
-            y = frontier.pop()
-            for z in succ[y]:
-                if z not in reach:
-                    reach.add(z)
-                    frontier.append(z)
-        names[x] = min(reach)
-    target = FiniteSet(tuple(sorted(set(names.values()))))
-    return SetFunction(a, target, tuple(names[x] for x in a))
+        classes.setdefault(find(x), []).append(x)
+    return quotient_by_partition(a, classes.values())
 
 
 def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
@@ -424,9 +392,9 @@ def canonical_pushout(span_: Span) -> CommutativeSquare:
     """Pushout of an arbitrary span: quotient of the tagged coproduct by the
     equivalence generated by ``l:left(c) ~ r:right(c)``.
 
-    This is the raw colimit used by the verification oracles; the certified
-    constructions never call it.  The nonsymmetric-closure mutant skips the
-    commutativity check.
+    This is the unmutated reference colimit for the suites' corner checks,
+    the CLI's AGREEMENT line and the sampled squares of ``enumeration``; the
+    certified constructions and the verification oracles never call it.
     """
     a_set, b_set = span_.feet
     total, inl, inr = coproduct(a_set, b_set)
@@ -435,12 +403,7 @@ def canonical_pushout(span_: Span) -> CommutativeSquare:
         for i, j in zip(span_.left.table, span_.right.table)
     ]
     q = quotient_by_generated(total, gens)
-    h = compose(q, inl)
-    k = compose(q, inr)
-    cospan_ = Cospan(h, k)
-    if mutants.active(mutants.NONSYMMETRIC):
-        return CommutativeSquare._unchecked(span_, cospan_)
-    return CommutativeSquare(span_, cospan_)
+    return CommutativeSquare(span_, Cospan(compose(q, inl), compose(q, inr)))
 
 
 def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:

@@ -151,7 +151,7 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
     of basepoints."""
     if f.codomain != g.codomain:
         raise PreconditionError("pointed pullback needs a common codomain")
-    s, _ = pullback(Cospan(f.function, g.function))
+    s = pullback(Cospan(f.function, g.function))
     apex = PointedSet(s.apex, pair_name(f.domain.basepoint, g.domain.basepoint))
     left = PointedMap(apex, f.domain, s.left)
     right = PointedMap(apex, g.domain, s.right)

@@ -10,10 +10,11 @@ Three independent construction routes live here:
 * ``malcev_pushout_decomposed``: the three-stage pipeline (epi-leg pushout,
   factorize, epi-leg pushout, mono amalgamation) pasted together.
 
-The routes share no colimit code with the verification oracles, so that
-oracle verdicts about them are meaningful.  The sabotage sites of the
-mutation-sensitivity suites ask ``mutants.active``; no mutant is active in
-normal operation.
+The routes share no colimit code with the verification oracles, which
+decide squares on index tables, so that oracle verdicts about them are
+meaningful.  The sabotage sites of the mutation-sensitivity suites ask
+``mutants.active``, here and in ``pointed``, and so plant defects only in
+constructions; no mutant is active in normal operation.
 """
 
 from __future__ import annotations
@@ -139,8 +140,12 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
     relation of r, a relation between the span's feet, and read both legs
     off the quotient.
 
-    Under any mutant the quotient is by the equivalence the pairs of the
-    block relation generate, and the square is left unchecked.
+    Under any mutant the square is left unchecked, and the quotient is by
+    the equivalence the pairs of the block relation generate.  Under
+    nonsymmetric-closure it is by their forward closure instead, with the
+    R° block (each link from B back to A) dropped: each element goes to the
+    least element it reaches, so an element of B never reaches the ``l:``
+    name of its class, and the legs disagree on the apex.
     """
     e = pushout_equivalence(r)
     total, inl, inr = coproduct(*s.feet)
@@ -153,6 +158,16 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
                 "block relation of a difunctional relation is not an equivalence",
             ) from None
         square_of = CommutativeSquare
+    elif mutants.active(mutants.NONSYMMETRIC):
+        right = set(inr.values)
+        one_way = [(x, y) for x, y in e.pairs() if x not in right or y in right]
+        least = {x: x for x in total}
+        for _ in total:  # a shortest path has fewer links than A + B has elements
+            for x, y in one_way:
+                least[x] = min(least[x], least[y])
+        names = tuple(least.values())
+        quotient = SetFunction(total, FiniteSet(tuple(set(names))), names)
+        square_of = CommutativeSquare._unchecked
     else:
         quotient = quotient_by_generated(total, list(e.pairs()))
         square_of = CommutativeSquare._unchecked
@@ -223,7 +238,7 @@ def subobject_union(
     require_mono(n, "second subobject")
     if m.codomain != n.codomain:
         raise ValueError("subobjects must live in the same set")
-    intersection, _ = pullback(Cospan(m, n))
+    intersection = pullback(Cospan(m, n))
     sq = mono_span_pushout(span(intersection.left, intersection.right))
     induced = mediating_map(sq, Cospan(m, n))
     if not is_mono(induced):

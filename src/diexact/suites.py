@@ -356,7 +356,7 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
             result = malcev_pushout_direct(s)
             _certificate_failures(failures, label, certify(result.square))
             _e_structure_failures(failures, label, result)
-            recovered_span, _ = pullback(result.square.cospan)
+            recovered_span = pullback(result.square.cospan)
             recovered = span_to_relation(recovered_span)
             original = span_to_relation(s)
             if recovered != original:

@@ -162,7 +162,7 @@ def test_criterion_4_coproducts_and_effective_equivalences():
     for m in range(5):
         for n in range(5):
             result = coproduct_via_pushout(letters("a", m), letters("b", n))
-            meet, _ = pullback(result.square.cospan)
+            meet = pullback(result.square.cospan)
             assert len(meet.apex) == 0
             stable, _ = is_stable_pushout(result.square)
             assert stable.ok
@@ -194,7 +194,7 @@ def test_criterion_5_negative_control():
     assert r.holds(qa, qb) and r.holds(qa, qb2) and r.holds(qa2, qb)
     assert not r.holds(qa2, qb2)
     raw = canonical_pushout(s)
-    recovered, _ = pullback(raw.cospan)
+    recovered = pullback(raw.cospan)
     ok = (
         len(raw.corner) == 1
         and is_pushout_square(raw).ok

@@ -1,5 +1,10 @@
 """Command-line behaviour: reports, exit codes, witnesses, determinism."""
 
+import contextlib
+import io
+import random
+import re
+
 import pytest
 
 from diexact import mutants
@@ -200,3 +205,63 @@ def test_mutant_help_says_what_catches_drop_ror(command, capsys):
     assert done.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "drop-RoR-block" in text and "T1b and D" in text
+
+
+FUZZ_SEEDS = (
+    MATCHED_PAIRS,
+    NON_DIFUNCTIONAL,
+    NON_JOINTLY_MONIC_SPAN,
+    POINTED_WEDGE,
+    "set A = {a1, a2, a3}\nrel E : A -|> A = {(a1,a1), (a2,a2), (a3,a3), (a1,a2), (a2,a1)}\n",
+    "set C = {c1, c2}\nset A = {a1, a2}\nset B = {b1}\n"
+    "fun f : C -> A = {c1 |-> a1, c2 |-> a2}\nfun g : C -> B = {c1 |-> b1, c2 |-> b1}\n"
+    "span S = <f, g>\n",
+)
+FUZZ_ALPHABET = "{}()<>,=|-:#*' _\nabcfgpxAB12"
+
+
+def _fuzzed(rng, text):
+    """One or two random edits: drop or insert a character, repeat or drop
+    a line, or (as often as the others together) put one element name
+    where another stood."""
+    for _ in range(rng.randint(1, 2)):
+        lines = text.splitlines(keepends=True)
+        edit = rng.randrange(8)
+        if edit == 0 and text:
+            at = rng.randrange(len(text))
+            text = text[:at] + text[at + 1 :]
+        elif edit == 1:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + rng.choice(FUZZ_ALPHABET) + text[at:]
+        elif edit == 2 and lines:
+            at = rng.randrange(len(lines))
+            text = "".join(lines[: at + 1] + lines[at:])
+        elif edit == 3 and lines:
+            at = rng.randrange(len(lines))
+            text = "".join(lines[:at] + lines[at + 1 :])
+        else:
+            found = list(re.finditer(r"\b[a-z]\d\b", text))
+            if found:
+                old, new = rng.choice(found), rng.choice(found).group()
+                text = text[: old.start()] + new + text[old.end() :]
+    return text
+
+
+def test_fuzzed_documents_end_with_a_documented_exit_code(monkeypatch):
+    """Seeded edits of the test documents, each run through ``pushout`` with
+    every method, end with an exit code 0-4 and raise nothing."""
+    rng = random.Random(20121)
+    codes = {}
+    for i in range(300):
+        doc = _fuzzed(rng, FUZZ_SEEDS[i % len(FUZZ_SEEDS)])
+        for method in ("direct", "decomposed", "both"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["pushout", "--method", method])
+            except Exception as exc:  # a traceback is the failure sought here
+                pytest.fail(f"--method {method} raised {exc!r} on {doc!r}")
+            assert code in range(5), (method, doc)
+            codes[code] = codes.get(code, 0) + 1
+    assert {0, 2, 3} <= set(codes), codes

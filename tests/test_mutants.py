@@ -1,6 +1,7 @@
-"""The mutant switch: activation scope and name checks; one owner each for
-mutant names, generated element names and the text form of values; and
-cross-validators that call no oracle, construction or route."""
+"""The mutant switch: activation scope and name checks; mutants that plant
+defects in constructions only; one owner each for mutant names, generated
+element names and the text form of values; cross-validators that call no
+oracle, construction or route; and fast oracles that build no colimit."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,10 @@ from pathlib import Path
 import pytest
 
 from diexact import mutants
+from diexact.certificates import is_pushout_square
+from diexact.enumeration import exhaustive_malcev_spans
+from diexact.fsets import canonical_pushout
+from diexact.pushouts import malcev_pushout_direct
 from diexact.suites import SuiteConfig, suite_certificates
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "diexact").glob("*.py"))
@@ -36,6 +41,54 @@ def test_direct_suite_call_runs_under_its_config_mutant():
     config = SuiteConfig(max_size=2, exhaustive=True, mutant=mutants.DROP_ROR)
     assert suite_certificates(config).failures
     assert not mutants.active()
+
+
+def test_nonsymmetric_closure_changes_the_direct_square():
+    """The mutant sabotages the direct route itself: some small span gets a
+    different square from it than without the mutant."""
+    changed = []
+    for label, s in exhaustive_malcev_spans(2):
+        square = malcev_pushout_direct(s).square
+        with mutants.enabled(mutants.NONSYMMETRIC):
+            if malcev_pushout_direct(s).square != square:
+                changed.append(label)
+    assert changed
+
+
+@pytest.mark.parametrize("mutant", mutants.KNOWN)
+def test_mutants_leave_the_reference_and_the_oracle_alone(mutant):
+    """Under every mutant, the reference colimit and the pushout oracle's
+    verdict on an unmutated square are what they are without it."""
+    corpus = [s for _, s in exhaustive_malcev_spans(2)]
+    squares = [malcev_pushout_direct(s).square for s in corpus]
+    expected = [(canonical_pushout(s), is_pushout_square(q)) for s, q in zip(corpus, squares)]
+    with mutants.enabled(mutant):
+        got = [(canonical_pushout(s), is_pushout_square(q)) for s, q in zip(corpus, squares)]
+    assert got == expected
+
+
+def test_only_constructions_ask_for_a_mutant():
+    """``mutants.active`` is read in ``pushouts`` and ``pointed`` alone, so
+    no oracle, reference colimit or cross-validator can be mutated."""
+    asking = sorted(
+        {
+            path.name
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "active"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "mutants"
+            )
+            or (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("mutants")
+                and any(alias.name == "active" for alias in node.names)
+            )
+        }
+    )
+    assert asking == ["pointed.py", "pushouts.py"]
 
 
 def _function_parameters(tree):
@@ -159,6 +212,47 @@ def test_cross_validators_stay_assumption_free():
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute))
     ]
     assert [entry for entry in named if entry[2] in forbidden] == []
+
+
+COLIMIT_BUILDERS = ("coproduct", "copair", "mediating_map")
+
+
+def test_fast_oracles_build_no_colimit():
+    """The fast oracles, and every function of ``certificates`` they reach,
+    build no colimit: they name no coproduct, copair, quotient, canonical
+    construction or mediating map, so they share no colimit code with the
+    routes."""
+    functions = {
+        node.name: node
+        for node in _top_level("certificates.py")
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), list(FAST_ORACLES)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [
+            node.id
+            for statement in functions[name].body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and node.id in functions
+        ]
+    named = [
+        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for name in sorted(reached)
+        for statement in functions[name].body
+        for node in ast.walk(statement)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    assert "_fiber_verdicts" in reached
+    assert [
+        entry
+        for entry in named
+        if entry[2] in COLIMIT_BUILDERS
+        or entry[2].startswith(("quotient_by_", "canonical_"))
+    ] == []
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:

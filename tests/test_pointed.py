@@ -105,7 +105,7 @@ class TestPointedPullback:
         assert pulled.apex.basepoint == f"({a.basepoint},{b.basepoint})"
         from diexact.fsets import Cospan, pullback
 
-        plain, _ = pullback(Cospan(result.h.function, result.k.function))
+        plain = pullback(Cospan(result.h.function, result.k.function))
         assert pulled.underlying.apex == plain.apex
 
 

@@ -118,7 +118,7 @@ class TestDirectPushout:
         result = malcev_pushout_direct(tabulate(r))
         assert len(result.corner) == 2
         assert equivalence_classes(result.e) == [("l:a", "r:x"), ("l:b", "r:y")]
-        recovered, _ = pullback(result.square.cospan)
+        recovered = pullback(result.square.cospan)
         assert span_to_relation(recovered) == r
 
     def test_diagonal_span_gives_isos(self):
@@ -165,7 +165,7 @@ class TestDirectPushout:
         raw = canonical_pushout(tabulate(r))
         assert len(raw.corner) == 1
         assert is_pushout_square(raw).ok
-        recovered, _ = pullback(raw.cospan)
+        recovered = pullback(raw.cospan)
         assert len(recovered.apex) == 4 and len(raw.span.apex) == 3
 
 
@@ -177,7 +177,7 @@ class TestCoproductViaPushout:
     def test_singletons_disjoint(self):
         result = coproduct_via_pushout(fset("a"), fset("b"))
         assert len(result.corner) == 2
-        meet, _ = pullback(result.square.cospan)
+        meet = pullback(result.square.cospan)
         assert len(meet.apex) == 0
 
     def test_sizes_add_and_injections_mono(self):

@@ -385,7 +385,7 @@ class TestMalcevSpan:
 
         if h.codomain != k.codomain:
             return
-        s, _ = pullback(Cospan(h, k))
+        s = pullback(Cospan(h, k))
         assert is_malcev_span(s)
 
     def test_non_difunctional_tabulation_is_not_malcev(self):
