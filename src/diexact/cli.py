@@ -202,12 +202,21 @@ def cmd_pushout(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _agreement_verdict(value: Span, direct_square: CommutativeSquare) -> Verdict:
+    """Both corners compared with the reference colimit; a comparison that
+    refuses a route's square is reported against that route's corner."""
+    refused = (PreconditionError, InternalInvariantError)
     try:
         trace = malcev_pushout_decomposed(value)
-        to_direct = canonical_comparison(direct_square, direct_square.cospan)
-        to_pasted = canonical_comparison(trace.pasted, trace.pasted.cospan)
-    except (PreconditionError, InternalInvariantError) as exc:
+    except refused as exc:
         return Verdict(False, f"decomposed construction failed: {exc}")
+    try:
+        to_direct = canonical_comparison(direct_square, direct_square.cospan)
+    except refused as exc:
+        return Verdict(False, f"direct corner is not canonical: {exc}")
+    try:
+        to_pasted = canonical_comparison(trace.pasted, trace.pasted.cospan)
+    except refused as exc:
+        return Verdict(False, f"decomposed corner is not canonical: {exc}")
     if not is_iso(to_direct):
         return Verdict(False, f"direct corner is not canonical: {to_direct!r}")
     if not is_iso(to_pasted):

@@ -26,6 +26,7 @@ no such name themselves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -147,6 +148,19 @@ def compose(g: SetFunction, f: SetFunction) -> SetFunction:
     _require_composable(g, f)
     values = g.values
     return SetFunction(f.domain, g.codomain, tuple([values[i] for i in f.table]))
+
+
+def is_composite(outer: SetFunction, g: SetFunction, f: SetFunction) -> bool:
+    """Whether ``outer`` equals g after f, decided on index tables: no
+    composite is built, but feet that do not match raise the
+    ``CompositionError`` of ``compose``."""
+    _require_composable(g, f)
+    g_t = g.table
+    return (
+        outer.domain == f.domain
+        and outer.codomain == g.codomain
+        and outer.table == tuple([g_t[i] for i in f.table])
+    )
 
 
 def _require_composable(g: SetFunction, f: SetFunction) -> None:
@@ -323,8 +337,14 @@ def is_kernel_pair_trivial(f: SetFunction) -> bool:
     return kp.left.table == kp.right.table
 
 
+@functools.lru_cache(maxsize=128)  # coproducts kept, one per pair of feet
 def coproduct(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, SetFunction, SetFunction]:
-    """Tagged disjoint union with injections; tags ``l:`` and ``r:``."""
+    """Tagged disjoint union with injections; tags ``l:`` and ``r:``.
+
+    Memoized on its feet: the routes, ``copair``, ``assemble_block`` and
+    ``canonical_pushout`` ask for the same coproduct many times, and all
+    three returned values are immutable, so equal feet share one build.
+    """
     left = tuple([tagged(LEFT, x) for x in a.elements])
     right = tuple([tagged(RIGHT, x) for x in b.elements])
     total = FiniteSet(left + right)

@@ -40,6 +40,7 @@ from .fsets import (
     coproduct,
     identity,
     image_factorization,
+    is_composite,
     is_kernel_pair_trivial,
     is_mono,
     mediating_map,
@@ -301,15 +302,14 @@ class DecompositionTrace:
 
     def __post_init__(self) -> None:
         first, second, third = self.squares
-        if compose(second.span.left, self.g1) != self.pasted.span.right:
+        if not is_composite(self.pasted.span.right, second.span.left, self.g1):
             raise ValueError("factorization does not recompose the original leg")
-        if compose(third.span.left, second.span.right) != first.cospan.right:
+        if not is_composite(first.cospan.right, third.span.left, second.span.right):
             raise ValueError("second factorization does not recompose the induced leg")
-        expected_left = compose(third.cospan.left, first.cospan.left)
-        expected_right = compose(third.cospan.right, second.cospan.left)
-        if (
-            self.pasted.cospan.left != expected_left
-            or self.pasted.cospan.right != expected_right
+        outer = self.pasted.cospan
+        if not (
+            is_composite(outer.left, third.cospan.left, first.cospan.left)
+            and is_composite(outer.right, third.cospan.right, second.cospan.left)
         ):
             raise ValueError("outer rectangle does not equal the pasted cospan")
 

@@ -223,13 +223,20 @@ def is_transitive(e: Relation) -> bool:
 
 
 def is_equivalence(e: Relation) -> bool:
-    """Reflexive, symmetric and transitive.
+    """Reflexive, symmetric and transitive, decided on rows.
 
-    Symmetry is checked explicitly: a reflexive difunctional endo-relation
-    need not be symmetric as a relation (only the span reading identifies a
-    relation with its converse), and the quotient construction needs it.
+    e is an equivalence exactly when every row holds its own bit and every
+    member j of a row has that same row: then j relates back to i (the row
+    of j holds i), and whatever j relates to, i relates to.  Each distinct
+    row is checked once, against the rows of its members, so no converse or
+    composite is built.  A reflexive difunctional endo-relation need not be
+    symmetric as a relation, so the test covers symmetry too.
     """
-    return is_reflexive(e) and is_symmetric(e) and is_transitive(e)
+    _require_endo(e)
+    rows = e.rows
+    return all(row >> i & 1 for i, row in enumerate(rows)) and all(
+        rows[j] == row for row in set(rows) for j in _bits(row)
+    )
 
 
 def _require_endo(e: Relation) -> None:

@@ -6,6 +6,9 @@ span corpus) and two exercise the pointed layer.  Instance order, sampling
 and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
+T2 and D of one run share one span corpus, built once per configuration,
+and T2 compares every route's corner with one reference colimit per span.
+
 Each suite runs with ``SuiteConfig.mutant`` enabled (see ``mutants``);
 every mutant must make at least one suite fail with an element-level
 witness, which is how the suites themselves are tested for teeth.
@@ -30,11 +33,13 @@ from .enumeration import (
 from .errors import InternalInvariantError, PreconditionError
 from .fsets import (
     CommutativeSquare,
-    canonical_comparison,
+    Span,
+    canonical_pushout,
     coproduct,
     is_epi,
     is_iso,
     kernel_pair,
+    mediating_map,
     pair_name,
     pullback,
 )
@@ -298,23 +303,35 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
     return SuiteReport("T1b", "equivalence-coequalizers", total, tuple(failures))
 
 
-def _span_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
-    corpus: list[tuple[str, object]] = list(
-        exhaustive_malcev_spans(config.exhaustive_bound)
-    )
+@functools.lru_cache(maxsize=1)
+def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
+    """The labelled spans of T2 and D, built once per configuration.
+
+    ``enumeration`` asks for no mutant, so the corpus does not depend on
+    the one the configuration names.
+    """
+    corpus = list(exhaustive_malcev_spans(config.exhaustive_bound))
     rng = random.Random(config.seed)
     for i in range(config.samples):
         label, s = random_malcev_span(rng, config.max_size)
         corpus.append((f"sample#{i} {label}", s))
-    return corpus
+    return tuple(corpus)
 
 
 def _corner_failures(
-    failures: list[SuiteFailure], label: str, route: str, square: CommutativeSquare
+    failures: list[SuiteFailure],
+    label: str,
+    route: str,
+    canon: CommutativeSquare,
+    square: CommutativeSquare,
 ) -> None:
-    """The comparison from a route's square onto its own corner must be a
-    bijection."""
-    comparison = canonical_comparison(square, square.cospan)
+    """The comparison from the span's reference colimit ``canon`` onto a
+    route's own corner must exist and be a bijection."""
+    try:
+        comparison = mediating_map(canon, square.cospan)
+    except _CAUGHT as exc:
+        failures.append(SuiteFailure(label, f"{route}-corner", str(exc)))
+        return
     if not is_iso(comparison):
         failures.append(
             SuiteFailure(
@@ -336,10 +353,11 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
         try:
             direct = malcev_pushout_direct(s)
             trace = malcev_pushout_decomposed(s)
-            _corner_failures(failures, label, "direct", direct.square)
-            _corner_failures(failures, label, "pasted", trace.pasted)
+            canon = canonical_pushout(s)
+            _corner_failures(failures, label, "direct", canon, direct.square)
+            _corner_failures(failures, label, "pasted", canon, trace.pasted)
             if is_epi(s.right):
-                _corner_failures(failures, label, "epi-leg", pushout_epi_leg(s))
+                _corner_failures(failures, label, "epi-leg", canon, pushout_epi_leg(s))
         except _CAUGHT as exc:
             failures.append(SuiteFailure(label, "construction", str(exc)))
     return SuiteReport("T2", "direct-vs-decomposed", len(corpus), tuple(failures))

@@ -152,6 +152,19 @@ class TestPushoutCommand:
         assert code == 1
         assert "PUSHOUT: false" in out
 
+    def test_refused_direct_corner_is_reported_against_that_corner(self, tmp_path, capsys):
+        """The decomposed route succeeds; the comparison refuses the direct
+        square, which does not commute under the mutant."""
+        path = write(tmp_path, "r.txt", MATCHED_PAIRS)
+        assert main(["pushout", "--mutant", "nonsymmetric-closure", path]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [
+            "AGREEMENT: false",
+            "    counterexample: direct corner is not canonical: candidate cospan "
+            "does not commute with the span: apex element '(a1,b1)' has images "
+            "'l:a1' and 'r:b1'",
+        ]
+
     def test_mutant_ends_with_its_command(self, tmp_path, capsys):
         refused = write(tmp_path, "bad.txt", NON_DIFUNCTIONAL)
         assert main(["pushout", "--mutant", "skip-mono-check", refused]) == 3

@@ -281,3 +281,30 @@ def test_modules_read_every_name_they_import():
         for line, name in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _package_imports(module: str) -> set[str]:
+    """The modules of the package that ``module`` imports."""
+    tree = ast.parse((SOURCES[0].parent / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                imported.add(node.module)
+            else:
+                imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_the_span_corpus_asks_for_no_mutant():
+    """T2 and D share one corpus per configuration, whatever its mutant; so
+    ``enumeration`` and every module it reaches are neither the mutant
+    switch nor a module that asks it."""
+    reached, todo = set(), ["enumeration"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo += _package_imports(module)
+    assert "fsets" in reached
+    assert reached.isdisjoint({"mutants", "pushouts", "pointed"})

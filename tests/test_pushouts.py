@@ -414,6 +414,18 @@ def widened(square: CommutativeSquare) -> CommutativeSquare:
     )
 
 
+def renamed_corner(square: CommutativeSquare) -> CommutativeSquare:
+    """The same square with every corner element renamed: the legs keep
+    their index tables but land in another set."""
+    corner = square.corner
+    renamed = FiniteSet(tuple("z" + x for x in corner))
+    rename = SetFunction(corner, renamed, renamed.elements)
+    return CommutativeSquare(
+        square.span,
+        Cospan(compose(rename, square.cospan.left), compose(rename, square.cospan.right)),
+    )
+
+
 class TestDecompositionTraceChecks:
     @pytest.fixture
     def trace(self):
@@ -446,6 +458,37 @@ class TestDecompositionTraceChecks:
             ValueError, match="outer rectangle does not equal the pasted cospan"
         ):
             DecompositionTrace(trace.squares, widened(trace.pasted))
+
+    # The checks compare index tables; a map with the right table into a
+    # renamed set must still fail them.
+
+    def test_original_leg_into_a_renamed_foot_fails(self, trace):
+        pasted = trace.pasted
+        foot = pasted.span.right.codomain
+        renamed = FiniteSet(tuple("z" + x for x in foot))
+        right = SetFunction(pasted.span.apex, renamed, ["z" + x for x in pasted.span.right.values])
+        k = SetFunction(renamed, pasted.corner, pasted.cospan.right.values)
+        doctored = CommutativeSquare(
+            Span(pasted.span.apex, pasted.span.left, right), Cospan(pasted.cospan.left, k)
+        )
+        assert right.table == pasted.span.right.table
+        with pytest.raises(
+            ValueError, match="factorization does not recompose the original leg"
+        ):
+            DecompositionTrace(trace.squares, doctored)
+
+    def test_induced_leg_into_a_renamed_corner_fails(self, trace):
+        first, second, third = trace.squares
+        with pytest.raises(
+            ValueError, match="second factorization does not recompose the induced leg"
+        ):
+            DecompositionTrace((renamed_corner(first), second, third), trace.pasted)
+
+    def test_pasted_cospan_into_a_renamed_corner_fails(self, trace):
+        with pytest.raises(
+            ValueError, match="outer rectangle does not equal the pasted cospan"
+        ):
+            DecompositionTrace(trace.squares, renamed_corner(trace.pasted))
 
 
 class TestResultInvariants:

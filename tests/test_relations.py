@@ -37,6 +37,7 @@ from diexact.relations import (
     is_malcev_span,
     is_reflexive,
     is_symmetric,
+    is_transitive,
     leq,
     malcev_factorization_exists,
     quotient_by_equivalence,
@@ -45,6 +46,20 @@ from diexact.relations import (
     tabulate,
     union,
 )
+
+
+@st.composite
+def near_equivalences(draw, max_size: int = 5) -> Relation:
+    """An equivalence on up to ``max_size`` elements, from drawn block
+    labels, with up to three drawn cells flipped."""
+    carrier = draw(sized_sets("a", max_size=max_size))
+    block = {x: draw(st.integers(0, 2)) for x in carrier}
+    cells = {(x, y) for x in carrier for y in carrier if block[x] == block[y]}
+    if len(carrier):
+        point = st.sampled_from(carrier.elements)
+        for flip in draw(st.lists(st.tuples(point, point), max_size=3)):
+            cells ^= {flip}
+    return Relation.from_pairs(carrier, carrier, cells)
 
 
 def rel(source, target, *pairs):
@@ -349,6 +364,21 @@ class TestEquivalence:
     def test_quotient_of_diagonal_is_iso(self):
         a = fset("p", "q", "r")
         assert is_iso(quotient_by_equivalence(a, Relation.diagonal(a)))
+
+    def test_row_test_matches_the_three_laws_on_every_small_endo_relation(self):
+        checked = 0
+        for size in range(4):
+            carrier = letters("a", size)
+            for e in all_relations(carrier, carrier):
+                laws = is_reflexive(e) and is_symmetric(e) and is_transitive(e)
+                assert is_equivalence(e) == laws, e
+                checked += 1
+        assert checked == 531
+
+    @given(near_equivalences())
+    def test_row_test_matches_the_three_laws(self, e):
+        laws = is_reflexive(e) and is_symmetric(e) and is_transitive(e)
+        assert is_equivalence(e) == laws
 
     def test_equivalences_are_reflexive_difunctional_up_to_size_4(self):
         for size in range(5):

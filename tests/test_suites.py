@@ -1,7 +1,12 @@
-"""Suite aggregation: corpus sizes, report rendering, mutation detection."""
+"""Suite aggregation: corpus sizes, report rendering, mutation detection,
+and how often a run builds its shared objects."""
+
+import dataclasses
+import sys
 
 import pytest
 
+from diexact import enumeration, fsets, mutants, suites
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
 from diexact.suites import (
     RunReport,
@@ -15,6 +20,7 @@ from diexact.suites import (
     suite_equivalences,
     theorem_suites,
 )
+from test_pushouts import widened
 
 
 class TestConfig:
@@ -90,3 +96,80 @@ class TestMutants:
         )
         failing = {s.name for s in report.suites if s.failures}
         assert {"T1b", "D"} <= failing
+
+
+class TestCornerChecks:
+    @pytest.mark.parametrize(
+        "mutant, count, check",
+        [(mutants.NONSYMMETRIC, 18, "direct-corner"), (mutants.SKIP_MONO, 4, "pasted-corner")],
+    )
+    def test_a_refused_square_fails_its_own_corner(self, mutant, count, check):
+        report = suite_agreement(SuiteConfig(max_size=2, exhaustive=True, mutant=mutant))
+        assert len(report.failures) == count
+        assert {f.check for f in report.failures} == {check}
+        assert all(
+            f.witness.startswith("candidate cospan does not commute with the span: ")
+            for f in report.failures
+        )
+
+    def test_a_refused_corner_leaves_the_other_corners_checked(self, monkeypatch):
+        """Under nonsymmetric-closure the direct square is refused; an
+        epi-leg square with one corner element too many is still caught."""
+        route = suites.pushout_epi_leg
+        monkeypatch.setattr(suites, "pushout_epi_leg", lambda s: widened(route(s)))
+        report = suite_agreement(SuiteConfig(max_size=1, mutant=mutants.NONSYMMETRIC))
+        label = "|A|=1,|B|=1 #1 R={(a1,b1)}"
+        checks = [f.check for f in report.failures if f.instance == label]
+        assert checks == ["direct-corner", "epi-leg-corner"]
+
+
+def _calls(functions, run):
+    """Run ``run()`` and count the calls made to each function, however the
+    caller looks it up."""
+    names = {function.__code__: function.__name__ for function in functions}
+    counts = dict.fromkeys(names.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+class TestSharedObjects:
+    def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
+        config = SuiteConfig(max_size=2, samples=20, seed=2024)
+        suites._span_corpus.cache_clear()
+        report, counts = _calls(
+            (fsets.canonical_pushout, enumeration.random_malcev_span),
+            lambda: run_all_suites(config),
+        )
+        t2 = next(s for s in report.suites if s.name == "T2")
+        assert counts == {"canonical_pushout": t2.total, "random_malcev_span": 20}
+
+    def test_corpus_is_built_once_per_configuration(self):
+        config = SuiteConfig(max_size=2, samples=3, seed=5)
+        corpus = suites._span_corpus(config)
+        assert suites._span_corpus(config) is corpus
+        other = suites._span_corpus(dataclasses.replace(config, seed=6))
+        assert other != corpus and suites._span_corpus(config) == corpus
+
+    @pytest.mark.parametrize("mutant", KNOWN_MUTANTS)
+    def test_corpus_does_not_depend_on_the_mutant(self, mutant):
+        config = SuiteConfig(max_size=2, samples=5, seed=9)
+        plain = suites._span_corpus(config)
+        with mutants.enabled(mutant):
+            mutated = suites._span_corpus(dataclasses.replace(config, mutant=mutant))
+        assert mutated == plain
+
+    def test_coproduct_is_built_once_per_pair_of_feet(self):
+        fsets.coproduct.cache_clear()
+        run_all_suites(SuiteConfig(max_size=2, samples=5, seed=4))
+        info = fsets.coproduct.cache_info()
+        assert info.maxsize == 128
+        assert info.misses == info.currsize < info.hits
