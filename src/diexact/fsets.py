@@ -20,8 +20,9 @@ Naming conventions for constructed elements:
 
 The text of pair names and coproduct tags is spelled only in ``names``;
 constructed elements get their names from ``pair_name``, ``coproduct`` and
-``quotient_by_partition``, and other modules call those functions and spell
-no such name themselves.
+the quotients (``quotient_by_partition`` here, ``quotient_by_equivalence``
+in ``relations``, which reuses a least member's name), and other modules
+call those functions and spell no such name themselves.
 """
 
 from __future__ import annotations

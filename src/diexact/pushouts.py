@@ -10,6 +10,11 @@ Three independent construction routes live here:
 * ``malcev_pushout_decomposed``: the three-stage pipeline (epi-leg pushout,
   factorize, epi-leg pushout, mono amalgamation) pasted together.
 
+``pushout_epi_leg`` is ``require_malcev`` followed by the epi-leg body,
+``_epi_leg_square``.  The decomposed route calls that body directly for its
+two epi-leg stages, after its own ``is_malcev_span`` check of each stage
+span, so no stage span has its Mal'cev precondition decided twice.
+
 The routes share no colimit code with the verification oracles, which
 decide squares on index tables, so that oracle verdicts about them are
 meaningful.  The sabotage sites of the mutation-sensitivity suites ask
@@ -259,6 +264,13 @@ def pushout_epi_leg(s: Span) -> CommutativeSquare:
     involved, so only the square is returned.
     """
     require_malcev(s)
+    return _epi_leg_square(s)
+
+
+def _epi_leg_square(s: Span) -> CommutativeSquare:
+    """The epi-leg route after its Mal'cev precondition, which the caller
+    has decided: ``pushout_epi_leg`` by ``require_malcev``, the decomposed
+    route by its own stage checks."""
     require_epi(s.right, "right leg of an epi-leg pushout")
     a_set, b_set = s.feet
     r = span_to_relation(s)
@@ -346,7 +358,7 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
         raise InternalInvariantError(
             "stage-1", "span against the surjective factor is not Mal'cev"
         )
-    first = pushout_epi_leg(stage_one_span)
+    first = _epi_leg_square(stage_one_span)
     h1, f_prime = first.cospan.left, first.cospan.right
 
     if mutants.active(mutants.SKIP_MONO):
@@ -361,7 +373,7 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
             raise InternalInvariantError(
                 "stage-2", "span against the second surjective factor is not Mal'cev"
             )
-        second = pushout_epi_leg(stage_two_span)
+        second = _epi_leg_square(stage_two_span)
         h2, g2_prime = second.cospan.left, second.cospan.right
         by_kernel_pair = is_kernel_pair_trivial(g2_prime)
         by_injectivity = is_mono(g2_prime)

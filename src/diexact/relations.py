@@ -22,7 +22,6 @@ from .fsets import (
     coproduct,
     pair_name,
     pair_set,
-    quotient_by_partition,
 )
 
 
@@ -246,29 +245,23 @@ def _require_endo(e: Relation) -> None:
         )
 
 
-def equivalence_classes(e: Relation) -> list[tuple[str, ...]]:
-    """The blocks of an equivalence relation, each sorted, in order of least
-    member."""
-    if not is_equivalence(e):
-        raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
-    seen: set[str] = set()
-    blocks = []
-    names = e.source.elements
-    for a, row in zip(names, e.rows):
-        if a in seen:
-            continue
-        block = tuple(names[j] for j in _bits(row))
-        seen.update(block)
-        blocks.append(block)
-    return blocks
-
-
 def quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
     """Surjection onto the classes of e, each class named by its least
-    member.  Coequalizes the two projections of e."""
+    member.  Coequalizes the two projections of e.
+
+    The classes of an equivalence are its distinct rows (Riguet), so each
+    element's class is named by the element at the lowest set bit of its
+    row, which is the least member since carriers are sorted.  The classes
+    are the elements that name their own, already in order.
+    """
     if e.source != a or e.target != a:
         raise PreconditionError(f"relation is not an endo-relation on {a}")
-    return quotient_by_partition(a, equivalence_classes(e))
+    if not is_equivalence(e):
+        raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
+    names = a.elements
+    least = [(row & -row).bit_length() - 1 for row in e.rows]
+    corner = FiniteSet(tuple([names[i] for i, j in enumerate(least) if i == j]))
+    return SetFunction(a, corner, tuple([names[j] for j in least]))
 
 
 def joint_monicity_witness(s: Span) -> tuple[str, str, tuple[str, str]] | None:

@@ -6,8 +6,9 @@ span corpus) and two exercise the pointed layer.  Instance order, sampling
 and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
-T2 and D of one run share one span corpus, built once per configuration,
-and T2 compares every route's corner with one reference colimit per span.
+T2 and D of one run share one span corpus and the direct route's result
+for each of its spans, both built once per configuration; T2 compares every
+route's corner with one reference colimit per span.
 
 Each suite runs with ``SuiteConfig.mutant`` enabled (see ``mutants``);
 every mutant must make at least one suite fail with an element-level
@@ -318,6 +319,22 @@ def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
     return tuple(corpus)
 
 
+@functools.lru_cache(maxsize=1)
+def _direct_results(config: SuiteConfig) -> tuple[MalcevPushoutResult | Exception, ...]:
+    """The direct route's result for each span of the corpus, in corpus
+    order, or the error the span raised; built once per configuration, under
+    its mutant, for T2 and D, which re-raise a stored error in their own
+    ``try``."""
+    results: list[MalcevPushoutResult | Exception] = []
+    with mutants.enabled(config.mutant):
+        for _, s in _span_corpus(config):
+            try:
+                results.append(malcev_pushout_direct(s))
+            except _CAUGHT as exc:
+                results.append(exc)
+    return tuple(results)
+
+
 def _corner_failures(
     failures: list[SuiteFailure],
     label: str,
@@ -349,9 +366,10 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
     construction where it applies)."""
     failures: list[SuiteFailure] = []
     corpus = _span_corpus(config)
-    for label, s in corpus:
+    for (label, s), direct in zip(corpus, _direct_results(config)):
         try:
-            direct = malcev_pushout_direct(s)
+            if isinstance(direct, Exception):
+                raise direct
             trace = malcev_pushout_decomposed(s)
             canon = canonical_pushout(s)
             _corner_failures(failures, label, "direct", canon, direct.square)
@@ -369,9 +387,10 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
     E-structure and pullback-recovery facts behind it."""
     failures: list[SuiteFailure] = []
     corpus = _span_corpus(config)
-    for label, s in corpus:
+    for (label, s), result in zip(corpus, _direct_results(config)):
         try:
-            result = malcev_pushout_direct(s)
+            if isinstance(result, Exception):
+                raise result
             _certificate_failures(failures, label, certify(result.square))
             _e_structure_failures(failures, label, result)
             recovered_span = pullback(result.square.cospan)

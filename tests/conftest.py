@@ -1,17 +1,29 @@
-"""Shared hypothesis strategies for sets, functions, relations and spans."""
+"""Shared hypothesis strategies for sets, functions, relations and spans,
+and a fixture that clears the suites' memos before each test."""
 
 from __future__ import annotations
 
 import itertools
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
+from diexact import suites
 from diexact.fsets import FiniteSet, SetFunction, Span, span
 from diexact.relations import Relation, difunctional_closure, tabulate
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def fresh_suite_memos():
+    """Clear the suites' per-configuration memos before each test, so that
+    no test reads a corpus or direct result built under another test's
+    monkeypatch."""
+    suites._span_corpus.cache_clear()
+    suites._direct_results.cache_clear()
 
 
 def sized_sets(prefix: str, min_size: int = 0, max_size: int = 3) -> st.SearchStrategy[FiniteSet]:

@@ -1,7 +1,8 @@
 """The mutant switch: activation scope and name checks; mutants that plant
 defects in constructions only; one owner each for mutant names, generated
 element names and the text form of values; cross-validators that call no
-oracle, construction or route; and fast oracles that build no colimit."""
+oracle, construction or route; fast oracles that build no colimit; and
+suites and routes that repeat no construction."""
 
 import ast
 from pathlib import Path
@@ -308,3 +309,39 @@ def test_the_span_corpus_asks_for_no_mutant():
             todo += _package_imports(module)
     assert "fsets" in reached
     assert reached.isdisjoint({"mutants", "pushouts", "pointed"})
+
+
+ROUTES = ("malcev_pushout_direct", "malcev_pushout_decomposed", "pushout_epi_leg")
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(
+        node
+        for node in _top_level(module)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
+def test_d_builds_no_route_result_of_its_own():
+    """``suite_certificates`` names no construction route: it reads the
+    direct results that T2 reads too."""
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(_function("suites.py", "suite_certificates"))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert "_direct_results" in named
+    assert named.isdisjoint(ROUTES)
+
+
+def test_the_decomposed_route_calls_the_epi_leg_body():
+    """``malcev_pushout_decomposed`` checks each stage span itself, so it
+    calls the epi-leg body and not ``pushout_epi_leg``, which would decide
+    the Mal'cev precondition again."""
+    called = [
+        node.func.id
+        for node in ast.walk(_function("pushouts.py", "malcev_pushout_decomposed"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert "pushout_epi_leg" not in called
+    assert called.count("_epi_leg_square") == 2

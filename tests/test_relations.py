@@ -18,11 +18,12 @@ from conftest import (
 from diexact.enumeration import (
     all_equivalences,
     all_relations,
+    exhaustive_malcev_spans,
     letters,
     random_malcev_span,
 )
 from diexact.errors import CompositionError, NotEquivalenceError, PreconditionError
-from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso
+from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso, quotient_by_partition
 from diexact.pushouts import pushout_equivalence
 from diexact.relations import (
     Relation,
@@ -46,6 +47,22 @@ from diexact.relations import (
     tabulate,
     union,
 )
+
+
+def reference_classes(e: Relation) -> list[tuple[str, ...]]:
+    """The blocks of an equivalence relation, each sorted, in order of least
+    member, read pair by pair: the reference partition for the row quotient
+    of ``quotient_by_equivalence``."""
+    if not is_equivalence(e):
+        raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
+    seen: set[str] = set()
+    blocks = []
+    for a in e.source:
+        if a not in seen:
+            block = tuple(b for b in e.target if e.holds(a, b))
+            seen.update(block)
+            blocks.append(block)
+    return blocks
 
 
 @st.composite
@@ -358,8 +375,9 @@ class TestEquivalence:
 
     def test_quotient_requires_equivalence(self):
         r = rel("12", "12", ("1", "1"), ("2", "2"), ("1", "2"))
-        with pytest.raises(NotEquivalenceError):
+        with pytest.raises(NotEquivalenceError) as refused:
             quotient_by_equivalence(r.source, r)
+        assert str(refused.value) == "relation is not an equivalence: {(1,1), (1,2), (2,2)}"
 
     def test_quotient_of_diagonal_is_iso(self):
         a = fset("p", "q", "r")
@@ -379,6 +397,35 @@ class TestEquivalence:
     def test_row_test_matches_the_three_laws(self, e):
         laws = is_reflexive(e) and is_symmetric(e) and is_transitive(e)
         assert is_equivalence(e) == laws
+
+    def test_row_quotient_matches_the_partition_quotient_up_to_size_5(self):
+        checked = 0
+        for size in range(6):
+            carrier = letters("a", size)
+            for label, e in all_equivalences(carrier):
+                expected = quotient_by_partition(carrier, reference_classes(e))
+                assert quotient_by_equivalence(carrier, e) == expected, label
+                checked += 1
+        assert checked == 76
+
+    def test_row_quotient_matches_on_every_block_equivalence_of_t2(self):
+        """The block equivalences of the spans T2 checks at ``--max-size 2
+        --exhaustive``."""
+        corpus = list(exhaustive_malcev_spans(2))
+        assert len(corpus) == 27
+        for label, s in corpus:
+            e = pushout_equivalence(span_to_relation(s))
+            expected = quotient_by_partition(e.source, reference_classes(e))
+            assert quotient_by_equivalence(e.source, e) == expected, label
+
+    def test_quotient_refuses_a_relation_that_is_not_endo_on_its_set(self):
+        a = fset("a")
+        not_endo = rel("a", "xy", ("a", "x"))
+        for a_set, r in ((a, not_endo), (fset("x", "y"), Relation.diagonal(a))):
+            with pytest.raises(PreconditionError) as refused:
+                quotient_by_equivalence(a_set, r)
+            assert type(refused.value) is PreconditionError
+            assert str(refused.value) == f"relation is not an endo-relation on {a_set}"
 
     def test_equivalences_are_reflexive_difunctional_up_to_size_4(self):
         for size in range(5):
@@ -486,9 +533,7 @@ class TestBlockRelation:
         r = rel("ab", "xy", ("a", "x"), ("b", "y"))
         e = pushout_equivalence(r)
         assert is_equivalence(e)
-        from diexact.relations import equivalence_classes
-
-        assert equivalence_classes(e) == [("l:a", "r:x"), ("l:b", "r:y")]
+        assert reference_classes(e) == [("l:a", "r:x"), ("l:b", "r:y")]
 
     def test_assembly_matches_blockwise_matrix_arithmetic(self):
         r = rel("ab", "xy", ("a", "x"), ("b", "x"))

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from diexact import enumeration, fsets, mutants, suites
+from diexact import certificates, enumeration, fsets, mutants, pushouts, relations, suites
+from diexact.enumeration import exhaustive_malcev_spans
+from diexact.errors import InternalInvariantError
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
 from diexact.suites import (
     RunReport,
@@ -144,13 +146,45 @@ def _calls(functions, run):
 class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
-        suites._span_corpus.cache_clear()
         report, counts = _calls(
             (fsets.canonical_pushout, enumeration.random_malcev_span),
             lambda: run_all_suites(config),
         )
         t2 = next(s for s in report.suites if s.name == "T2")
         assert counts == {"canonical_pushout": t2.total, "random_malcev_span": 20}
+
+    def test_t2_and_d_share_one_direct_pushout_per_span(self):
+        """Each T2 span gets one direct pushout, which D reads too; P1 makes
+        two per instance (the pointed route and the transfer check), T1a
+        and T1b one each."""
+        config = SuiteConfig(max_size=2, samples=20, seed=2024)
+        report, counts = _calls(
+            (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
+        )
+        total = {s.name: s.total for s in report.suites}
+        assert counts["malcev_pushout_direct"] == (
+            total["T2"] + 2 * total["P1"] + total["T1a"] + total["T1b"]
+        )
+
+    def test_the_decomposed_route_decides_the_malcev_precondition_once(self):
+        """One witness search for the span and one composite test per stage
+        span; the epi-leg stages do not decide it again."""
+        for label, s in exhaustive_malcev_spans(2):
+            _, counts = _calls(
+                (relations.difunctionality_witness, relations.is_difunctional),
+                lambda: pushouts.malcev_pushout_decomposed(s),
+            )
+            assert counts == {"difunctionality_witness": 1, "is_difunctional": 2}, label
+
+    def test_direct_results_are_built_once_per_configuration(self):
+        config = SuiteConfig(max_size=2, samples=3, seed=5)
+        results = suites._direct_results(config)
+        assert suites._direct_results(config) is results
+        assert len(results) == len(suites._span_corpus(config))
+        other = suites._direct_results(dataclasses.replace(config, seed=6))
+        assert other != results
+        rebuilt = suites._direct_results(config)
+        assert rebuilt is not results and rebuilt == results
 
     def test_corpus_is_built_once_per_configuration(self):
         config = SuiteConfig(max_size=2, samples=3, seed=5)
@@ -173,3 +207,32 @@ class TestSharedObjects:
         info = fsets.coproduct.cache_info()
         assert info.maxsize == 128
         assert info.misses == info.currsize < info.hits
+
+
+class TestSharedDirectErrors:
+    """A span the direct route refuses is a ``construction`` failure in T2
+    and in D alike, and both suites still check every other span."""
+
+    def test_a_refused_span_fails_once_in_each_suite(self, monkeypatch):
+        config = SuiteConfig(max_size=2, exhaustive=True)
+        corpus = suites._span_corpus(config)
+        label, refused = corpus[len(corpus) // 2]
+        route = suites.malcev_pushout_direct
+
+        def refusing(s):
+            if s == refused:
+                raise InternalInvariantError("direct-pushout", "refused on purpose")
+            return route(s)
+
+        monkeypatch.setattr(suites, "malcev_pushout_direct", refusing)
+        expected = (
+            SuiteFailure(label, "construction", "[direct-pushout] refused on purpose"),
+        )
+        t2, decomposed = _calls(
+            (pushouts.malcev_pushout_decomposed,), lambda: suite_agreement(config)
+        )
+        d, certified = _calls((certificates.certify,), lambda: suite_certificates(config))
+        assert t2.failures == expected and d.failures == expected
+        assert t2.total == d.total == len(corpus) == 27
+        assert decomposed == {"malcev_pushout_decomposed": len(corpus) - 1}
+        assert certified == {"certify": len(corpus) - 1}
