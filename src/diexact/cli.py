@@ -13,6 +13,7 @@ the construction itself.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import IO
 
@@ -39,6 +40,7 @@ from .relations import Relation, is_jointly_monic, span_to_relation, tabulate
 from .suites import SuiteConfig, run_all_suites
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diexact",
@@ -98,11 +100,14 @@ class UsageError(Exception):
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """A file's text, or standard input's, decoded as strict UTF-8."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path != "-":
+            with open(path, "r", encoding="utf-8") as handle:
+                return handle.read()
+        if hasattr(sys.stdin, "buffer"):
+            return sys.stdin.buffer.read().decode("utf-8")
+        return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise UsageError(f"cannot read {path}: {reason}") from None

@@ -10,6 +10,11 @@ Grammar (one declaration per line; blank lines and ``#`` comments ignored):
 
 Element names are nonempty strings over ``[A-Za-z0-9_*']``; parentheses,
 commas and the ``l:`` / ``r:`` prefixes are reserved for generated names.
+A ``rel`` pair list is comma-separated items, each blank or one pair
+``(a,b)`` with whitespace around it and its parts.  A ``)`` that closes
+nothing is refused as ``unbalanced parenthesis in pair list``, else the
+first item (cut at the commas outside parentheses) that is neither blank
+nor a pair as ``expected a pair like (a,b), got '<item>'``.
 A document's kind is that of its last declaration; a span whose three
 carriers all carry ``point`` declarations is a pointed span, and an
 endo-relation that happens to be an equivalence is reported as one.
@@ -33,7 +38,9 @@ _POINT = re.compile(r"point\s+(\S+)\s*=\s*(\S+)$")
 _FUN = re.compile(r"fun\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*=\s*\{(.*)\}$")
 _REL = re.compile(r"rel\s+(\S+)\s*:\s*(\S+)\s*-\|>\s*(\S+)\s*=\s*\{(.*)\}$")
 _SPAN = re.compile(r"span\s+(\S+)\s*=\s*<\s*(\S+)\s*,\s*(\S+)\s*>$")
-_PAIR = re.compile(r"\(\s*([A-Za-z0-9_*']+)\s*,\s*([A-Za-z0-9_*']+)\s*\)$")
+_PAIR = re.compile(r"\(\s*([A-Za-z0-9_*']+)\s*,\s*([A-Za-z0-9_*']+)\s*\)")
+_SEPARATORS = re.compile(r"[\s,]*")
+_COMMA = re.compile(r"\s*,[\s,]*")
 
 
 @dataclass(frozen=True)
@@ -76,32 +83,32 @@ def _split_items(body: str) -> list[str]:
 
 
 def _split_pairs(body: str, line: int) -> list[tuple[str, str]]:
-    depth = 0
-    current = ""
-    chunks = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parenthesis in pair list", line)
-        if ch == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-        else:
-            current += ch
-    chunks.append(current)
+    """The pairs of a ``rel`` body, found by one scan for pairs: only commas
+    and whitespace may lie around them, and a comma between two pairs."""
     pairs = []
-    for chunk in chunks:
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        match = _PAIR.match(chunk)
-        if not match:
-            raise ParseError(f"expected a pair like (a,b), got {chunk!r}", line)
-        pairs.append((match.group(1), match.group(2)))
+    gap, end = _SEPARATORS, 0
+    for match in _PAIR.finditer(body):
+        if not gap.fullmatch(body, end, match.start()):
+            raise _pair_list_error(body, line)
+        pairs.append(match.group(1, 2))
+        gap, end = _COMMA, match.end()
+    if not _SEPARATORS.fullmatch(body, end):
+        raise _pair_list_error(body, line)
     return pairs
+
+
+def _pair_list_error(body: str, line: int) -> ParseError:
+    """Why ``_split_pairs`` refused the body, in the module docstring's words."""
+    depth, cuts = 0, [-1]
+    for at, ch in enumerate(body):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            return ParseError("unbalanced parenthesis in pair list", line)
+        if ch == "," and depth == 0:
+            cuts.append(at)
+    items = (body[i + 1 : j].strip() for i, j in zip(cuts, cuts[1:] + [len(body)]))
+    bad = next(c for c in items if c and not _PAIR.fullmatch(c))
+    return ParseError(f"expected a pair like (a,b), got {bad!r}", line)
 
 
 class _Env:

@@ -20,9 +20,9 @@ Naming conventions for constructed elements:
 
 The text of pair names and coproduct tags is spelled only in ``names``;
 constructed elements get their names from ``pair_name``, ``coproduct`` and
-the quotients (``quotient_by_partition`` here, ``quotient_by_equivalence``
-in ``relations``, which reuses a least member's name), and other modules
-call those functions and spell no such name themselves.
+the quotients (``quotient_by_*`` here and in ``relations``, which name a
+class by its least member), and other modules call those functions and
+spell no such name themselves.
 """
 
 from __future__ import annotations
@@ -377,25 +377,25 @@ def quotient_by_partition(
     return SetFunction(a, target, tuple(names[x] for x in a))
 
 
-def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[str, str]]) -> SetFunction:
-    """Quotient by the equivalence the pairs generate (union-find: the
-    reflexive-symmetric-transitive closure)."""
-    parent = {x: x for x in a}
+def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[int, int]]) -> SetFunction:
+    """Quotient by the equivalence the index pairs generate: a union-find
+    over the positions of a, each class linked to its lowest position.  a
+    is sorted, so that position is the least member, which names the class
+    as in ``quotient_by_partition``; the classes are a partition by
+    construction, so none is checked."""
+    parent = list(range(len(a)))
 
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    classes: dict[str, list[str]] = {}
-    for x in a:
-        classes.setdefault(find(x), []).append(x)
-    return quotient_by_partition(a, classes.values())
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    names = tuple([a.elements[find(i)] for i in range(len(a))])
+    return SetFunction(a, FiniteSet(tuple(set(names))), names)
 
 
 def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
@@ -411,7 +411,8 @@ def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
 
 def canonical_pushout(span_: Span) -> CommutativeSquare:
     """Pushout of an arbitrary span: quotient of the tagged coproduct by the
-    equivalence generated by ``l:left(c) ~ r:right(c)``.
+    equivalence generated by ``l:left(c) ~ r:right(c)``, given by their
+    positions in the coproduct.  The square is checked to commute.
 
     This is the unmutated reference colimit for the suites' corner checks,
     the CLI's AGREEMENT line and the sampled squares of ``enumeration``; the
@@ -419,11 +420,9 @@ def canonical_pushout(span_: Span) -> CommutativeSquare:
     """
     a_set, b_set = span_.feet
     total, inl, inr = coproduct(a_set, b_set)
-    gens = [
-        (inl.values[i], inr.values[j])
-        for i, j in zip(span_.left.table, span_.right.table)
-    ]
-    q = quotient_by_generated(total, gens)
+    left, right = inl.table, inr.table
+    links = zip(span_.left.table, span_.right.table)
+    q = quotient_by_generated(total, [(left[i], right[j]) for i, j in links])
     return CommutativeSquare(span_, Cospan(compose(q, inl), compose(q, inr)))
 
 

@@ -34,7 +34,7 @@ from .pushouts import (
     malcev_pushout_direct,
     require_malcev,
 )
-from .relations import Relation, difunctional_closure, span_to_relation, tabulate
+from .relations import Relation, difunctional_closure, tabulate
 
 BASEPOINT = "*"
 
@@ -137,9 +137,8 @@ def pointed_malcev_pushout(ps: PointedSpan) -> PointedPushoutResult:
 
 def _pushout_without_basepoint_link(ps: PointedSpan) -> MalcevPushoutResult:
     s = ps.underlying
-    require_malcev(s)
+    r = require_malcev(s)
     base_pair = (ps.left.codomain.basepoint, ps.right.codomain.basepoint)
-    r = span_to_relation(s)
     mutated = Relation.from_pairs(
         r.source, r.target, (p for p in r.pairs() if p != base_pair)
     )

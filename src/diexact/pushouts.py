@@ -105,14 +105,17 @@ class MalcevPushoutResult:
         return self.quotient.codomain
 
 
-def require_malcev(s: Span) -> None:
-    """Raise with an element-level witness unless the span is Mal'cev."""
+def require_malcev(s: Span) -> Relation:
+    """Raise with an element-level witness unless the span is Mal'cev;
+    return the span's relation, which the check decided on."""
     jm = joint_monicity_witness(s)
     if jm is not None:
         raise NotJointlyMonicError(*jm)
-    witness = difunctionality_witness(span_to_relation(s))
+    r = span_to_relation(s)
+    witness = difunctionality_witness(r)
     if witness is not None:
         raise NotMalcevError(witness)
+    return r
 
 
 def pushout_equivalence(r: Relation) -> Relation:
@@ -137,8 +140,7 @@ def malcev_pushout_direct(s: Span) -> MalcevPushoutResult:
     those claims are verified by the certification oracles, never assumed
     here.
     """
-    require_malcev(s)
-    return _block_quotient(s, span_to_relation(s))
+    return _block_quotient(s, require_malcev(s))
 
 
 def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
@@ -175,7 +177,9 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
         quotient = SetFunction(total, FiniteSet(tuple(set(names))), names)
         square_of = CommutativeSquare._unchecked
     else:
-        quotient = quotient_by_generated(total, list(e.pairs()))
+        n = len(total)
+        links = [(i, j) for i, row in enumerate(e.rows) for j in range(n) if row >> j & 1]
+        quotient = quotient_by_generated(total, links)
         square_of = CommutativeSquare._unchecked
     square = square_of(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
     return MalcevPushoutResult(e=e, quotient=quotient, square=square)

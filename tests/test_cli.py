@@ -2,13 +2,19 @@
 
 import contextlib
 import io
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from diexact import mutants
-from diexact.cli import main
+from diexact.cli import _build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 MATCHED_PAIRS = """\
 set A = {a1, a2}
@@ -68,6 +74,26 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_fresh(args, stdin=b""):
+    """``python -m diexact`` in a new process, on the checkout's package."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "diexact", *args],
+        input=stdin,
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def run_here(args):
+    """``main(args)`` in this process: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestPushoutCommand:
@@ -139,6 +165,17 @@ class TestPushoutCommand:
         assert err.startswith("error: cannot read ") and path in err
         assert len(err.splitlines()) == 1
 
+    def test_invalid_utf8_is_a_usage_error_on_stdin_and_in_a_file(self, tmp_path):
+        data = b"set A = {a\xff}\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        reason = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        for name, stdin in (("-", data), (str(path), b"")):
+            done = run_fresh(["pushout", name], stdin)
+            assert done.returncode == 2
+            assert done.stdout == b""
+            assert done.stderr.decode() == f"error: cannot read {name}: {reason}\n"
+
     def test_mutant_flag_breaks_verdicts(self, tmp_path, capsys):
         code = main(
             [
@@ -172,6 +209,33 @@ class TestPushoutCommand:
         capsys.readouterr()
         assert main(["pushout", write(tmp_path, "r.txt", MATCHED_PAIRS)]) == 0
         assert capsys.readouterr().out == MATCHED_PAIRS_REPORT
+
+
+class TestOneParser:
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--method", "decomposed"], []),
+            (["--mutant", "nonsymmetric-closure"], []),
+            ([], ["--image-first", "--method", "direct"]),
+        ],
+    )
+    def test_each_call_prints_what_a_fresh_process_prints(self, tmp_path, first, second):
+        """The one parser carries no flag from one ``main`` call into the
+        next."""
+        path = write(tmp_path, "r.txt", MATCHED_PAIRS)
+        for flags in (first, second):
+            args = ["pushout", *flags, path]
+            fresh = run_fresh(args)
+            code, out, err = run_here(args)
+            assert (code, out, err) == (
+                fresh.returncode,
+                fresh.stdout.decode(),
+                fresh.stderr.decode(),
+            )
 
 
 class TestSuiteCommand:

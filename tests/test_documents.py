@@ -1,9 +1,13 @@
 """Input-format parsing, kind resolution, and render round trips."""
 
+import re
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from diexact.cli import main
-from diexact.documents import parse_document, render_document
+from diexact.documents import _split_pairs, parse_document, render_document
 from diexact.errors import ParseError
 from diexact.fsets import FiniteSet, Span
 from diexact.pointed import PointedSpan
@@ -202,6 +206,119 @@ class TestParseErrors:
     def test_empty_document(self):
         with pytest.raises(ParseError, match="no declarations"):
             parse_document("# nothing here\n")
+
+
+_REFERENCE_PAIR = re.compile(r"\(\s*([A-Za-z0-9_*']+)\s*,\s*([A-Za-z0-9_*']+)\s*\)$")
+
+
+def reference_split_pairs(body: str, line: int) -> list[tuple[str, str]]:
+    """The pair-list grammar as a character walk: split at the commas
+    outside parentheses, refuse a ``)`` that closes nothing before looking
+    at any item, skip blank items, and refuse the first item that is not
+    one pair."""
+    depth = 0
+    current = ""
+    chunks = []
+    for ch in body:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced parenthesis in pair list", line)
+        if ch == "," and depth == 0:
+            chunks.append(current)
+            current = ""
+        else:
+            current += ch
+    chunks.append(current)
+    pairs = []
+    for chunk in chunks:
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        match = _REFERENCE_PAIR.match(chunk)
+        if not match:
+            raise ParseError(f"expected a pair like (a,b), got {chunk!r}", line)
+        pairs.append((match.group(1), match.group(2)))
+    return pairs
+
+
+def _outcome(split, body: str):
+    try:
+        return split(body, 7)
+    except ParseError as exc:
+        return str(exc)
+
+
+PAIR_LIST_TOKENS = (
+    "(", ")", ",", " ", "\t", "\u3000", "\u00a0", "a", "b1", "*", "'", ":",
+    "(a,b)", "( a , b )", "(x1,y')", "(a,b", "a,b)", "((", "))", ",,",
+)
+
+
+class TestPairList:
+    """The pair list of a ``rel`` line: exact refusal texts, and agreement
+    with the character walk ``reference_split_pairs``."""
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("(a,b)), (c,d)", "unbalanced parenthesis in pair list"),
+            ("x, (a,b))", "unbalanced parenthesis in pair list"),
+            (")(a,b)(", "unbalanced parenthesis in pair list"),
+            ("((a,b))", "expected a pair like (a,b), got '((a,b))'"),
+            ("(a,b)(c,d)", "expected a pair like (a,b), got '(a,b)(c,d)'"),
+            ("a,x", "expected a pair like (a,b), got 'a'"),
+            ("(a,b", "expected a pair like (a,b), got '(a,b'"),
+            ("(a,b), (c,d, (e,f)", "expected a pair like (a,b), got '(c,d, (e,f)'"),
+            ("(a,b),\u00a0x\u3000", "expected a pair like (a,b), got 'x'"),
+            ("(a:b,c)", "expected a pair like (a,b), got '(a:b,c)'"),
+        ],
+    )
+    def test_refusal_texts(self, body, message):
+        for split in (_split_pairs, reference_split_pairs):
+            assert _outcome(split, body) == f"line 7: {message}"
+
+    def test_refusal_names_the_rel_line(self):
+        text = "set A = {a}\nset B = {x}\n\nrel R : A -|> B = {(a,x)(a,x)}\n"
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert err.value.line == 4
+        assert str(err.value) == "line 4: expected a pair like (a,b), got '(a,x)(a,x)'"
+
+    @pytest.mark.parametrize(
+        "body, pairs",
+        [
+            ("", []),
+            (" , ,, ", []),
+            (",(a,b),,( c ,d ),", [("a", "b"), ("c", "d")]),
+            ("(a,b),", [("a", "b")]),
+            ("\u3000(a,\u00a0b)\u2003,\u2009(c\t,d)", [("a", "b"), ("c", "d")]),
+            ("(*,x'),(*,x')", [("*", "x'"), ("*", "x'")]),
+        ],
+    )
+    def test_accepted_lists(self, body, pairs):
+        assert _split_pairs(body, 1) == pairs
+        assert reference_split_pairs(body, 1) == pairs
+
+    @settings(max_examples=2000)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from(PAIR_LIST_TOKENS), max_size=14).map("".join),
+            st.text(alphabet="(),ab1 \t\u00a0\u3000:", max_size=24),
+        )
+    )
+    def test_agrees_with_the_character_walk(self, body):
+        assert _outcome(_split_pairs, body) == _outcome(reference_split_pairs, body)
+
+    def test_long_line_and_its_last_pair(self):
+        pairs = [(f"a{i}", f"b{j}") for i in range(200) for j in range(100)]
+        body = ", ".join(f"({a},{b})" for a, b in pairs)
+        assert _split_pairs(body, 3) == pairs
+        with pytest.raises(ParseError) as err:
+            _split_pairs(body[:-1], 3)
+        assert str(err.value) == "line 3: expected a pair like (a,b), got '(a199,b99'"
 
 
 class TestRendering:

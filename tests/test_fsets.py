@@ -34,6 +34,7 @@ from diexact.fsets import (
     mediating_map,
     pair_name,
     pullback,
+    quotient_by_generated,
     quotient_by_partition,
     span,
 )
@@ -321,6 +322,72 @@ class TestQuotient:
                 m for m in all_functions(q.codomain, x) if compose(m, q) == candidate
             ]
             assert len(factorizations) == (1 if coequalizes else 0)
+
+
+def reference_generated_classes(a, pairs):
+    """The classes the name pairs generate on a: a union-find keyed on
+    names, each class in the order of a."""
+    parent = {x: x for x in a}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        parent[find(u)] = find(v)
+    classes = {}
+    for x in a:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def set_partitions(items):
+    """Every partition of the list, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[first], *partition]
+        for at in range(len(partition)):
+            yield partition[:at] + [[first, *partition[at]]] + partition[at + 1 :]
+
+
+# Names whose sorted order is not their order of writing, tagged as in a
+# coproduct.
+NAMES = ("r:b", "l:x10", "l:x2", "r:a", "l:*", "r:(a,b)")
+
+
+class TestQuotientByGenerated:
+    """Index pairs against the name-keyed reference and
+    ``quotient_by_partition``."""
+
+    def test_every_partition_of_small_sets(self):
+        count = 0
+        for n in range(6):
+            a = FiniteSet(NAMES[:n])
+            for blocks in set_partitions(list(range(n))):
+                # Link each block's members to the next, last member first.
+                pairs = [(j, i) for block in blocks for i, j in zip(block, block[1:])][::-1]
+                named = [[a.elements[i] for i in block] for block in blocks]
+                q = quotient_by_generated(a, pairs)
+                assert q == quotient_by_partition(a, named)
+                as_names = [(a.elements[i], a.elements[j]) for i, j in pairs]
+                assert q == quotient_by_partition(a, reference_generated_classes(a, as_names))
+                count += 1
+        assert count == 1 + 1 + 2 + 5 + 15 + 52
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_random_pair_lists(self, data):
+        n = data.draw(st.integers(0, len(NAMES)))
+        index = st.integers(0, n - 1) if n else st.nothing()
+        pairs = data.draw(st.lists(st.tuples(index, index), max_size=3 * n))
+        a = FiniteSet(NAMES[:n])
+        as_names = [(a.elements[i], a.elements[j]) for i, j in pairs]
+        expected = quotient_by_partition(a, reference_generated_classes(a, as_names))
+        assert quotient_by_generated(a, pairs) == expected
 
 
 class TestImageFactorization:

@@ -1,8 +1,9 @@
 """The mutant switch: activation scope and name checks; mutants that plant
 defects in constructions only; one owner each for mutant names, generated
 element names and the text form of values; cross-validators that call no
-oracle, construction or route; fast oracles that build no colimit; and
-suites and routes that repeat no construction."""
+oracle, construction or route; fast oracles that build no colimit;
+suites and routes that repeat no construction; and the calls the traced
+benchmark swaps, which stay bare-name calls."""
 
 import ast
 from pathlib import Path
@@ -345,3 +346,64 @@ def test_the_decomposed_route_calls_the_epi_leg_body():
     ]
     assert "pushout_epi_leg" not in called
     assert called.count("_epi_leg_square") == 2
+
+
+def _bare_calls(module: str, functions: tuple[str, ...]) -> list[str]:
+    """The names called as bare names in the given top-level functions."""
+    return [
+        node.func.id
+        for name in functions
+        for node in ast.walk(_function(module, name))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+
+
+def _module_names(module: str) -> set[str]:
+    """The names a module binds at its top level by import or ``def``."""
+    names = set()
+    for node in _top_level(module):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, functions, pinned",
+    [
+        (
+            "cli.py",
+            ("cmd_pushout", "_agreement_verdict"),
+            {
+                "parse_document": 1,
+                "malcev_pushout_direct": 1,
+                "malcev_pushout_decomposed": 2,
+                "canonical_comparison": 2,
+                "certify": 1,
+                "render_certificate": 1,
+            },
+        ),
+        (
+            "suites.py",
+            ("run_all_suites", "theorem_suites", "pointed_diexact_suite"),
+            {
+                "suite_coproducts": 1,
+                "suite_equivalences": 1,
+                "suite_agreement": 1,
+                "suite_certificates": 1,
+                "suite_zero_object": 1,
+                "suite_pointed_pushouts": 1,
+            },
+        ),
+    ],
+)
+def test_traced_calls_are_bare_names_of_the_module(module, functions, pinned):
+    """The traced benchmark times these calls by swapping the module
+    attribute the caller looks each one up by, so each stays a call of a
+    bare name that the module binds at its top level, made as often as
+    pinned here; a call through another name, or one more or fewer, would
+    move or lose its time."""
+    called = _bare_calls(module, functions)
+    assert {name: called.count(name) for name in pinned} == pinned
+    assert set(pinned) <= _module_names(module)

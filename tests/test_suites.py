@@ -117,8 +117,8 @@ class TestCornerChecks:
     def test_a_refused_corner_leaves_the_other_corners_checked(self, monkeypatch):
         """Under nonsymmetric-closure the direct square is refused; an
         epi-leg square with one corner element too many is still caught."""
-        route = suites.pushout_epi_leg
-        monkeypatch.setattr(suites, "pushout_epi_leg", lambda s: widened(route(s)))
+        route = suites._epi_leg_square
+        monkeypatch.setattr(suites, "_epi_leg_square", lambda s: widened(route(s)))
         report = suite_agreement(SuiteConfig(max_size=1, mutant=mutants.NONSYMMETRIC))
         label = "|A|=1,|B|=1 #1 R={(a1,b1)}"
         checks = [f.check for f in report.failures if f.instance == label]
@@ -175,6 +175,37 @@ class TestSharedObjects:
                 lambda: pushouts.malcev_pushout_decomposed(s),
             )
             assert counts == {"difunctionality_witness": 1, "is_difunctional": 2}, label
+
+    def test_the_direct_route_builds_the_span_relation_once(self):
+        """``require_malcev`` returns the relation it decided on, and the
+        direct route quotients by that relation."""
+        for label, s in exhaustive_malcev_spans(2):
+            _, counts = _calls(
+                (relations.span_to_relation,), lambda: pushouts.malcev_pushout_direct(s)
+            )
+            assert counts == {"span_to_relation": 1}, label
+
+    def test_each_route_call_decides_the_malcev_precondition_once(self):
+        """A run decides the precondition once per direct and decomposed
+        pushout; T2's epi-leg corners do not decide it again."""
+        config = SuiteConfig(max_size=2, samples=20, seed=2024)
+        routes = (
+            pushouts.malcev_pushout_direct,
+            pushouts.malcev_pushout_decomposed,
+            pushouts.pushout_epi_leg,
+            pushouts._epi_leg_square,
+        )
+        report, counts = _calls(
+            (pushouts.require_malcev,) + routes, lambda: run_all_suites(config)
+        )
+        t2 = next(s for s in report.suites if s.name == "T2")
+        assert counts["pushout_epi_leg"] == 0
+        assert counts["malcev_pushout_decomposed"] == t2.total
+        epi = sum(fsets.is_epi(s.right) for _, s in suites._span_corpus(config))
+        assert counts["_epi_leg_square"] == 2 * t2.total + epi
+        assert counts["require_malcev"] == (
+            counts["malcev_pushout_direct"] + counts["malcev_pushout_decomposed"]
+        )
 
     def test_direct_results_are_built_once_per_configuration(self):
         config = SuiteConfig(max_size=2, samples=3, seed=5)
