@@ -105,6 +105,8 @@ def _read_input(path: str) -> str:
         if path != "-":
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
+        if sys.stdin is None:
+            raise OSError("standard input is closed")
         if hasattr(sys.stdin, "buffer"):
             return sys.stdin.buffer.read().decode("utf-8")
         return sys.stdin.read()
@@ -118,8 +120,6 @@ def _verdict_lines(name: str, verdict: Verdict, witness_label: str) -> list[str]
     if verdict.ok:
         if isinstance(verdict.evidence, SetFunction):
             lines.append(f"    {witness_label}: {verdict.evidence!r}")
-        elif verdict.evidence is not None and witness_label:
-            lines.append(f"    {witness_label}: {verdict.detail}")
     else:
         lines.append(f"    counterexample: {verdict.detail}")
     return lines

@@ -187,12 +187,21 @@ def parse_document(text: str) -> Document:
             source_set = env.get_set(match.group(2), line_no)
             target_set = env.get_set(match.group(3), line_no)
             pairs = _split_pairs(match.group(4), line_no)
-            for a, b in pairs:
-                if a not in source_set:
-                    raise ParseError(f"{a!r} is not in set {match.group(2)!r}", line_no)
-                if b not in target_set:
-                    raise ParseError(f"{b!r} is not in set {match.group(3)!r}", line_no)
-            value = Relation.from_pairs(source_set, target_set, pairs)
+            try:
+                value = Relation.from_pairs(source_set, target_set, pairs)
+            except KeyError:
+                # Word the refusal by the first pair, source before target,
+                # that names an element outside its set.
+                for a, b in pairs:
+                    if a not in source_set:
+                        raise ParseError(
+                            f"{a!r} is not in set {match.group(2)!r}", line_no
+                        ) from None
+                    if b not in target_set:
+                        raise ParseError(
+                            f"{b!r} is not in set {match.group(3)!r}", line_no
+                        ) from None
+                raise
             last = env.declare("relation", name, value, line_no)
         elif match := _SPAN.match(line):
             name = _check_identifier(match.group(1), line_no)
@@ -267,37 +276,3 @@ def _pointed_span(value: Span, env: _Env) -> PointedSpan | None:
     except ValueError as exc:
         raise ParseError(f"span is not pointed: {exc}", env.last_line) from None
     return PointedSpan(apex, left, right)
-
-
-def render_document(doc: Document) -> str:
-    """Canonical text for a document; parsing the result reproduces it."""
-    set_names: dict[FiniteSet, str] = {}
-    fun_names: dict[SetFunction, str] = {}
-    lines = []
-    points = dict(doc.points)
-    for decl in doc.declarations:
-        if decl.kind == "set":
-            set_names[decl.value] = decl.name
-            lines.append(f"set {decl.name} = {decl.value!r}")
-            if decl.name in points:
-                lines.append(f"point {decl.name} = {points[decl.name]}")
-        elif decl.kind == "function":
-            fun_names.setdefault(decl.value, decl.name)
-            value: SetFunction = decl.value
-            lines.append(
-                f"fun {decl.name} : {set_names[value.domain]} -> "
-                f"{set_names[value.codomain]} = {value!r}"
-            )
-        elif decl.kind == "relation":
-            rel: Relation = decl.value
-            lines.append(
-                f"rel {decl.name} : {set_names[rel.source]} -|> "
-                f"{set_names[rel.target]} = {rel!r}"
-            )
-        elif decl.kind == "span":
-            value_span: Span = decl.value
-            lines.append(
-                f"span {decl.name} = <{fun_names[value_span.left]}, "
-                f"{fun_names[value_span.right]}>"
-            )
-    return "\n".join(lines) + "\n"

@@ -20,9 +20,10 @@ Naming conventions for constructed elements:
 
 The text of pair names and coproduct tags is spelled only in ``names``;
 constructed elements get their names from ``pair_name``, ``coproduct`` and
-the quotients (``quotient_by_*`` here and in ``relations``, which name a
-class by its least member), and other modules call those functions and
-spell no such name themselves.
+the two quotients, ``quotient_by_generated`` here (index pairs, one
+union-find) and ``quotient_by_equivalence`` in ``relations`` (bitmask
+rows), each of which names a class by its least member; other modules call
+those functions and spell no such name themselves.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     CompositionError,
@@ -364,25 +365,11 @@ def copair(f: SetFunction, g: SetFunction) -> SetFunction:
     return SetFunction(total, f.codomain, f.values + g.values)
 
 
-def quotient_by_partition(
-    a: FiniteSet, blocks: Iterable[Sequence[str]]
-) -> SetFunction:
-    """Surjection onto the set of blocks, each named by its least member."""
-    block_list = [tuple(sorted(block)) for block in blocks]
-    seen = [x for block in block_list for x in block]
-    if sorted(seen) != list(a.elements):
-        raise ValueError(f"blocks do not partition {a}")
-    names = {x: block[0] for block in block_list for x in block}
-    target = FiniteSet(tuple(sorted({block[0] for block in block_list})))
-    return SetFunction(a, target, tuple(names[x] for x in a))
-
-
 def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[int, int]]) -> SetFunction:
     """Quotient by the equivalence the index pairs generate: a union-find
     over the positions of a, each class linked to its lowest position.  a
-    is sorted, so that position is the least member, which names the class
-    as in ``quotient_by_partition``; the classes are a partition by
-    construction, so none is checked."""
+    is sorted, so that position is the least member, which names the class;
+    the classes are a partition by construction, so none is checked."""
     parent = list(range(len(a)))
 
     def find(i: int) -> int:

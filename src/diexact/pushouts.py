@@ -48,10 +48,7 @@ from .fsets import (
     is_composite,
     is_kernel_pair_trivial,
     is_mono,
-    mediating_map,
-    pullback,
     quotient_by_generated,
-    quotient_by_partition,
     require_epi,
     require_mono,
     span,
@@ -73,24 +70,24 @@ from .relations import (
 
 @dataclass(frozen=True)
 class MalcevPushoutResult:
-    """The direct route's pushout square together with the data that
-    produced it: the block equivalence on the tagged coproduct and its
-    quotient map.  Only ``e``, ``quotient`` and ``square`` are stored; the
-    legs ``h`` and ``k`` are read off ``square.cospan``, and the span is
-    ``square.span``."""
+    """The direct route's pushout square together with the block
+    equivalence on the tagged coproduct that produced it.  Only ``e`` and
+    ``square`` are stored: the legs ``h`` and ``k`` are read off
+    ``square.cospan``, the quotient map is their copairing, the corner is
+    ``square.corner`` and the span is ``square.span``."""
 
     e: Relation
-    quotient: SetFunction
     square: CommutativeSquare
 
     def __post_init__(self) -> None:
-        legs = copair(self.h, self.k)
-        if self.quotient.domain != legs.domain:
-            raise ValueError("quotient must be defined on the tagged coproduct")
-        if self.quotient != legs:
-            raise ValueError("legs must be the quotient composed with the injections")
-        if self.e.source != legs.domain or self.e.target != legs.domain:
+        total, _, _ = coproduct(*self.square.span.feet)
+        if self.e.source != total or self.e.target != total:
             raise ValueError("e must be an endo-relation on the tagged coproduct")
+
+    @property
+    def quotient(self) -> SetFunction:
+        """The map out of the tagged coproduct that restricts to h and k."""
+        return copair(self.h, self.k)
 
     @property
     def h(self) -> SetFunction:
@@ -102,7 +99,7 @@ class MalcevPushoutResult:
 
     @property
     def corner(self) -> FiniteSet:
-        return self.quotient.codomain
+        return self.square.corner
 
 
 def require_malcev(s: Span) -> Relation:
@@ -182,7 +179,7 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
         quotient = quotient_by_generated(total, links)
         square_of = CommutativeSquare._unchecked
     square = square_of(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
-    return MalcevPushoutResult(e=e, quotient=quotient, square=square)
+    return MalcevPushoutResult(e=e, square=square)
 
 
 def coproduct_via_pushout(a: FiniteSet, b: FiniteSet) -> MalcevPushoutResult:
@@ -212,9 +209,11 @@ def mono_span_pushout(s: Span) -> CommutativeSquare:
 
     Each element of the left foot hit by the apex is glued onto the right
     image of its unique preimage; everything else stays separate.  The glue
-    relies on the left leg being injective, which is why the pipeline's mono
-    obligations are load-bearing: the skip-mono-check mutant removes them
-    and exposes wrong corners downstream.
+    is one index link per glued left position, quotiented by
+    ``quotient_by_generated``, so each class is named by its least member.
+    The glue relies on the left leg being injective, which is why the
+    pipeline's mono obligations are load-bearing: the skip-mono-check mutant
+    removes them and exposes wrong corners downstream.
     """
     if not mutants.active(mutants.SKIP_MONO):
         require_mono(s.left, "left leg of a mono-span pushout")
@@ -223,39 +222,14 @@ def mono_span_pushout(s: Span) -> CommutativeSquare:
     glued: dict[int, int] = {}
     for i, j in zip(s.left.table, s.right.table):
         # The first preimage wins: under skip-mono-check the left leg may
-        # repeat a value, and gluing it once keeps the blocks a partition.
+        # repeat a value, and gluing it once keeps its other images apart.
         glued.setdefault(i, j)
-    blocks = [[y] for y in inr.values]
-    for i, x in enumerate(inl.values):
-        if i in glued:
-            blocks[glued[i]].append(x)
-        else:
-            blocks.append([x])
-    q = quotient_by_partition(total, blocks)
+    left, right = inl.table, inr.table
+    q = quotient_by_generated(total, [(left[i], right[j]) for i, j in glued.items()])
     cospan = Cospan(compose(q, inl), compose(q, inr))
     if mutants.active(mutants.SKIP_MONO):
         return CommutativeSquare._unchecked(s, cospan)
     return CommutativeSquare(s, cospan)
-
-
-def subobject_union(
-    m: SetFunction, n: SetFunction
-) -> tuple[SetFunction, CommutativeSquare]:
-    """Union of two subobjects of a common set: intersect, amalgamate, and
-    induce the inclusion of the amalgam.  Returns the induced injection and
-    the amalgamation square."""
-    require_mono(m, "first subobject")
-    require_mono(n, "second subobject")
-    if m.codomain != n.codomain:
-        raise ValueError("subobjects must live in the same set")
-    intersection = pullback(Cospan(m, n))
-    sq = mono_span_pushout(span(intersection.left, intersection.right))
-    induced = mediating_map(sq, Cospan(m, n))
-    if not is_mono(induced):
-        raise InternalInvariantError(
-            "subobject-union", "induced map of a mono amalgamation is not injective"
-        )
-    return induced, sq
 
 
 def pushout_epi_leg(s: Span) -> CommutativeSquare:

@@ -10,7 +10,6 @@ no public positional constructor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -139,10 +138,6 @@ def leq(r: Relation, s: Relation) -> bool:
     """Pointwise containment r <= s."""
     _require_parallel(r, s)
     return not any(x & ~y for x, y in zip(r.rows, s.rows))
-
-
-def graph_of(f: SetFunction) -> Relation:
-    return Relation._of_rows(f.domain, f.codomain, tuple([1 << j for j in f.table]))
 
 
 def span_to_relation(s: Span) -> Relation:
@@ -281,25 +276,6 @@ def is_jointly_monic(s: Span) -> bool:
 def is_malcev_span(s: Span) -> bool:
     """Jointly monic with a difunctional underlying relation."""
     return is_jointly_monic(s) and is_difunctional(span_to_relation(s))
-
-
-def malcev_factorization_exists(s: Span) -> bool:
-    """Equivalent criterion via the triple-pullback factorization: for every
-    chain c1, c2, c3 with right(c1) = right(c2) and left(c2) = left(c3),
-    some apex element pairs left(c1) with right(c3).
-
-    Kept independent of the composite route ``R R° R <= R``; the two must
-    agree on jointly monic spans (and the definition requires joint
-    monicity first).
-    """
-    if not is_jointly_monic(s):
-        return False
-    images = {(s.left(c), s.right(c)) for c in s.apex}
-    for c1, c2, c3 in itertools.product(s.apex, repeat=3):
-        if s.right(c1) == s.right(c2) and s.left(c2) == s.left(c3):
-            if (s.left(c1), s.right(c3)) not in images:
-                return False
-    return True
 
 
 def assemble_block(

@@ -1,9 +1,11 @@
 """Shared hypothesis strategies for sets, functions, relations and spans,
-and a fixture that clears the suites' memos before each test."""
+the references that several test modules build on, and a fixture that
+clears the suites' memos before each test."""
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Sequence
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +14,24 @@ from hypothesis import settings
 from diexact import suites
 from diexact.fsets import FiniteSet, SetFunction, Span, span
 from diexact.relations import Relation, difunctional_closure, tabulate
+
+def graph_of(f: SetFunction) -> Relation:
+    """The relation holding at each (x, f(x))."""
+    return Relation.from_pairs(f.domain, f.codomain, zip(f.domain, f.values))
+
+
+def quotient_by_partition(a: FiniteSet, blocks: Iterable[Sequence[str]]) -> SetFunction:
+    """Surjection onto the set of blocks, each named by its least member:
+    the name-based reference for ``quotient_by_generated`` and
+    ``quotient_by_equivalence``."""
+    block_list = [tuple(sorted(block)) for block in blocks]
+    seen = [x for block in block_list for x in block]
+    if sorted(seen) != list(a.elements):
+        raise ValueError(f"blocks do not partition {a}")
+    names = {x: block[0] for block in block_list for x in block}
+    target = FiniteSet(tuple(sorted({block[0] for block in block_list})))
+    return SetFunction(a, target, tuple(names[x] for x in a))
+
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

@@ -176,6 +176,19 @@ class TestPushoutCommand:
             assert done.stdout == b""
             assert done.stderr.decode() == f"error: cannot read {name}: {reason}\n"
 
+    def test_closed_standard_input_is_a_usage_error(self):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "diexact", "pushout", "-"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+            preexec_fn=lambda: os.close(0),  # the child starts with fd 0 closed
+        )
+        assert done.returncode == 2
+        assert done.stdout == b""
+        assert done.stderr.decode() == "error: cannot read -: standard input is closed\n"
+
     def test_mutant_flag_breaks_verdicts(self, tmp_path, capsys):
         code = main(
             [

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 
 from diexact.cli import main
-from diexact.documents import _split_pairs, parse_document, render_document
+from diexact.documents import Document, _split_pairs, parse_document
 from diexact.errors import ParseError
-from diexact.fsets import FiniteSet, Span
+from diexact.fsets import FiniteSet, SetFunction, Span
 from diexact.pointed import PointedSpan
+from diexact.relations import Relation
 
 SPAN_DOC = """\
 set C = {c1, c2}
@@ -110,6 +111,23 @@ class TestParseErrors:
     def test_partial_function(self):
         with pytest.raises(ParseError, match="total"):
             parse_document("set A = {a, b}\nset B = {x}\nfun f : A -> B = {a |-> x}")
+
+    @pytest.mark.parametrize(
+        "pairs, refusal",
+        [
+            ("(a,x), (z,x)", "'z' is not in set 'A'"),
+            ("(a,x), (a,y)", "'y' is not in set 'B'"),
+            ("(a,y), (z,x)", "'y' is not in set 'B'"),
+            ("(z,y), (a,x)", "'z' is not in set 'A'"),
+        ],
+    )
+    def test_pair_outside_its_sets_is_refused_in_list_order_source_first(
+        self, pairs, refusal
+    ):
+        text = "set A = {a}\nset B = {x}\nrel R : A -|> B = {" + pairs + "}"
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert str(err.value) == f"line 3: {refusal}"
 
     def test_bad_pair_syntax(self):
         with pytest.raises(ParseError, match="pair"):
@@ -319,6 +337,40 @@ class TestPairList:
         with pytest.raises(ParseError) as err:
             _split_pairs(body[:-1], 3)
         assert str(err.value) == "line 3: expected a pair like (a,b), got '(a199,b99'"
+
+
+def render_document(doc: Document) -> str:
+    """Canonical text for a document; parsing the result reproduces it."""
+    set_names: dict[FiniteSet, str] = {}
+    fun_names: dict[SetFunction, str] = {}
+    lines = []
+    points = dict(doc.points)
+    for decl in doc.declarations:
+        if decl.kind == "set":
+            set_names[decl.value] = decl.name
+            lines.append(f"set {decl.name} = {decl.value!r}")
+            if decl.name in points:
+                lines.append(f"point {decl.name} = {points[decl.name]}")
+        elif decl.kind == "function":
+            fun_names.setdefault(decl.value, decl.name)
+            value: SetFunction = decl.value
+            lines.append(
+                f"fun {decl.name} : {set_names[value.domain]} -> "
+                f"{set_names[value.codomain]} = {value!r}"
+            )
+        elif decl.kind == "relation":
+            rel: Relation = decl.value
+            lines.append(
+                f"rel {decl.name} : {set_names[rel.source]} -|> "
+                f"{set_names[rel.target]} = {rel!r}"
+            )
+        elif decl.kind == "span":
+            value_span: Span = decl.value
+            lines.append(
+                f"span {decl.name} = <{fun_names[value_span.left]}, "
+                f"{fun_names[value_span.right]}>"
+            )
+    return "\n".join(lines) + "\n"
 
 
 class TestRendering:

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import arbitrary_spans, functions, sized_sets
+from conftest import arbitrary_spans, functions, graph_of, quotient_by_partition, sized_sets
 from diexact.errors import CompositionError, PreconditionError
 from diexact.fsets import (
     CommutativeSquare,
@@ -35,11 +35,10 @@ from diexact.fsets import (
     pair_name,
     pullback,
     quotient_by_generated,
-    quotient_by_partition,
     span,
 )
 from diexact.certificates import pullback_by_universal_property
-from diexact.relations import graph_of, span_to_relation
+from diexact.relations import span_to_relation
 
 
 def table(domain, codomain, mapping):

@@ -2,8 +2,9 @@
 defects in constructions only; one owner each for mutant names, generated
 element names and the text form of values; cross-validators that call no
 oracle, construction or route; fast oracles that build no colimit;
-suites and routes that repeat no construction; and the calls the traced
-benchmark swaps, which stay bare-name calls."""
+suites and routes that repeat no construction; the calls the traced
+benchmark swaps, which stay bare-name calls; and no definition in the
+package without a program caller."""
 
 import ast
 from pathlib import Path
@@ -17,7 +18,8 @@ from diexact.fsets import canonical_pushout
 from diexact.pushouts import malcev_pushout_direct
 from diexact.suites import SuiteConfig, suite_certificates
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "diexact").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "diexact").glob("*.py"))
 
 
 def test_exception_inside_enabled_leaves_nothing_active():
@@ -407,3 +409,54 @@ def test_traced_calls_are_bare_names_of_the_module(module, functions, pinned):
     called = _bare_calls(module, functions)
     assert {name: called.count(name) for name in pinned} == pinned
     assert set(pinned) <= _module_names(module)
+
+
+# Definitions that no program code names, each kept for its public callers.
+UNCALLED = {
+    "fset": "the shorthand constructor of the tests and the README's examples",
+    "pushout_epi_leg": "the public epi-leg route; the program calls its body, _epi_leg_square",
+    "recheck_certificate": "re-checks a certificate from its evidence, for library callers",
+    "Relation.empty": "a public relation constructor beside diagonal",
+    "Relation.full": "a public relation constructor beside diagonal",
+}
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """The top-level functions and classes of a module, and the methods of
+    its classes other than the dunder methods the language calls."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                f"{node.name}.{member.name}"
+                for member in node.body
+                if isinstance(member, ast.FunctionDef)
+                and not (member.name.startswith("__") and member.name.endswith("__"))
+            ]
+    return defined
+
+
+def test_every_definition_has_a_program_caller():
+    """Each function, class and method of the package is named, as a name
+    or an attribute, by the package's own modules (not the re-exports of
+    ``__init__``), ``scripts/`` or ``perfbench/``; code that only tests call
+    belongs in the tests.  The few exceptions are listed with a reason, and
+    each is still defined and still uncalled."""
+    callers = [path for path in SOURCES if path.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    named = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    defined = [
+        name
+        for path in SOURCES
+        for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    uncalled = [name for name in defined if name.rpartition(".")[2] not in named]
+    assert sorted(uncalled) == sorted(UNCALLED)

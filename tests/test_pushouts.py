@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import arbitrary_spans, malcev_spans, sized_sets
+from conftest import arbitrary_spans, graph_of, malcev_spans, sized_sets
 from diexact import fsets, mutants, pushouts, relations
 from diexact.certificates import certify, is_pushout_square
 from diexact.enumeration import (
@@ -34,6 +34,7 @@ from diexact.fsets import (
     canonical_comparison,
     canonical_pushout,
     compose,
+    copair,
     coproduct,
     fset,
     identity,
@@ -42,7 +43,9 @@ from diexact.fsets import (
     is_iso,
     is_mono,
     kernel_pair,
+    mediating_map,
     pullback,
+    require_mono,
     span,
 )
 from diexact.pushouts import (
@@ -54,12 +57,11 @@ from diexact.pushouts import (
     malcev_pushout_direct,
     mono_span_pushout,
     pushout_epi_leg,
-    subobject_union,
 )
 from diexact.relations import (
     Relation,
     difunctional_closure,
-    graph_of,
+    quotient_by_equivalence,
     span_to_relation,
     tabulate,
 )
@@ -94,6 +96,22 @@ def reference_amalgamation(s: Span) -> Cospan:
     into_left = SetFunction(x_set, corner, tuple(name_of[f"l:{x}"] for x in x_set))
     into_right = SetFunction(y_set, corner, tuple(name_of[f"r:{y}"] for y in y_set))
     return Cospan(into_left, into_right)
+
+
+def subobject_union(m: SetFunction, n: SetFunction) -> tuple[SetFunction, CommutativeSquare]:
+    """Union of two subobjects of a common set: intersect, amalgamate with
+    ``mono_span_pushout``, and induce the inclusion of the amalgam with
+    ``mediating_map``.  Returns the induced injection and the amalgamation
+    square."""
+    require_mono(m, "first subobject")
+    require_mono(n, "second subobject")
+    if m.codomain != n.codomain:
+        raise ValueError("subobjects must live in the same set")
+    intersection = pullback(Cospan(m, n))
+    sq = mono_span_pushout(span(intersection.left, intersection.right))
+    induced = mediating_map(sq, Cospan(m, n))
+    assert is_mono(induced), "induced map of a mono amalgamation is not injective"
+    return induced, sq
 
 
 @st.composite
@@ -253,6 +271,21 @@ class TestMonoAmalgamation:
     def test_matches_hand_built_reference_without_mono_check(self, s):
         with mutants.enabled(mutants.SKIP_MONO):
             assert mono_span_pushout(s).cospan == reference_amalgamation(s)
+
+    def test_matches_hand_built_reference_on_every_small_span_without_mono_check(self):
+        """Every span with apex and feet of size at most 2, injective or
+        not: the first preimage of each left element still wins."""
+        sets = [FiniteSet(tuple(f"{p}{i}" for i in range(n))) for p in "cab" for n in range(3)]
+        apexes, lefts, rights = sets[:3], sets[3:6], sets[6:]
+        checked = 0
+        with mutants.enabled(mutants.SKIP_MONO):
+            for apex, a, b in itertools.product(apexes, lefts, rights):
+                for left in all_functions(apex, a):
+                    for right in all_functions(apex, b):
+                        s = span(left, right)
+                        assert mono_span_pushout(s).cospan == reference_amalgamation(s), s
+                        checked += 1
+        assert checked == 9 + 9 + 25  # (sum of |foot|^|apex| over feet)^2 per apex size
 
 
 class TestSubobjectUnion:
@@ -550,38 +583,26 @@ class TestEquivalenceStages:
 
 
 class TestMalcevPushoutResultChecks:
-    """Each check of ``MalcevPushoutResult`` fires on a doctored input."""
+    """``MalcevPushoutResult`` stores ``e`` and the square, and its one
+    check fires on a doctored input."""
 
     @pytest.fixture
     def result(self):
         return malcev_pushout_direct(tabulate(rel("ab", "xy", ("a", "x"), ("b", "y"))))
 
-    def test_stores_e_quotient_and_square_only(self, result):
-        assert [f.name for f in dataclasses.fields(result)] == ["e", "quotient", "square"]
+    def test_stores_e_and_square_only(self, result):
+        assert [f.name for f in dataclasses.fields(result)] == ["e", "square"]
         assert (result.h, result.k) == (result.square.cospan.left, result.square.cospan.right)
-
-    def test_quotient_on_the_wrong_domain(self, result):
-        with pytest.raises(
-            ValueError, match="quotient must be defined on the tagged coproduct"
-        ):
-            MalcevPushoutResult(result.e, result.h, result.square)
-
-    def test_quotient_disagreeing_with_a_leg(self, result):
-        q = result.quotient
-        swapped = SetFunction(q.domain, q.codomain, q.values[::-1])
-        assert swapped != q
-        with pytest.raises(
-            ValueError, match="legs must be the quotient composed with the injections"
-        ):
-            MalcevPushoutResult(result.e, swapped, result.square)
+        assert result.quotient == copair(result.h, result.k)
+        total, _, _ = coproduct(*result.square.span.feet)
+        assert result.quotient == quotient_by_equivalence(total, result.e)
+        assert result.corner == result.square.corner
 
     def test_e_not_on_the_tagged_coproduct(self, result):
         with pytest.raises(
             ValueError, match="e must be an endo-relation on the tagged coproduct"
         ):
-            MalcevPushoutResult(
-                Relation.diagonal(result.h.domain), result.quotient, result.square
-            )
+            MalcevPushoutResult(Relation.diagonal(result.h.domain), result.square)
 
 
 # Names that look like generated ones: coproduct tags, pair names and their

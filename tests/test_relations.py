@@ -11,7 +11,9 @@ from conftest import (
     arbitrary_spans,
     difunctional_relations_st,
     functions,
+    graph_of,
     malcev_spans,
+    quotient_by_partition,
     relations,
     sized_sets,
 )
@@ -23,7 +25,7 @@ from diexact.enumeration import (
     random_malcev_span,
 )
 from diexact.errors import CompositionError, NotEquivalenceError, PreconditionError
-from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso, quotient_by_partition
+from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso
 from diexact.pushouts import pushout_equivalence
 from diexact.relations import (
     Relation,
@@ -31,7 +33,6 @@ from diexact.relations import (
     converse,
     difunctional_closure,
     difunctionality_witness,
-    graph_of,
     is_difunctional,
     is_equivalence,
     is_jointly_monic,
@@ -40,7 +41,6 @@ from diexact.relations import (
     is_symmetric,
     is_transitive,
     leq,
-    malcev_factorization_exists,
     quotient_by_equivalence,
     rel_compose,
     span_to_relation,
@@ -97,6 +97,25 @@ def reference_witness(r):
                     if r.holds(a, b2) and not r.holds(a2, b2):
                         return (a, b, a2, b2)
     return None
+
+
+def malcev_factorization_exists(s: Span) -> bool:
+    """Equivalent criterion via the triple-pullback factorization: for every
+    chain c1, c2, c3 with right(c1) = right(c2) and left(c2) = left(c3),
+    some apex element pairs left(c1) with right(c3).
+
+    Kept independent of the composite route ``R R° R <= R``; the two must
+    agree on jointly monic spans (and the definition requires joint
+    monicity first).
+    """
+    if not is_jointly_monic(s):
+        return False
+    images = {(s.left(c), s.right(c)) for c in s.apex}
+    for c1, c2, c3 in itertools.product(s.apex, repeat=3):
+        if s.right(c1) == s.right(c2) and s.left(c2) == s.left(c3):
+            if (s.left(c1), s.right(c3)) not in images:
+                return False
+    return True
 
 
 def rows_equal_or_disjoint(r):
