@@ -6,9 +6,10 @@ legs' index tables and tests whether the comparison map from those classes
 onto the square's corner is a bijection; it builds no colimit, so it shares
 no code with the constructions.  The pullback oracle tests whether the
 apex's pairing map onto the fiber-product pair set is a bijection.
-Stability is decided fiberwise over the corner, each fiber's verdict read
-off the pushout oracle's classes.  Each verdict stores enough evidence to
-re-check it without recomputing the construction.
+Stability is decided fiberwise over the corner, and its evidence is the
+pushout oracle's comparison: one class of A + B lies over each corner
+element.  Each verdict stores enough evidence to re-check it without
+recomputing the construction.
 
 The cross-validators at the bottom test the universal properties directly,
 on the legs' index tables over every test set up to a size bound, with no
@@ -25,6 +26,7 @@ base change up to a size bound.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -56,17 +58,10 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class FiberReport:
-    """A corner element, and whether the square restricted over it is itself
-    a pushout."""
-
-    base_element: str
-    fiber_is_pushout: Verdict
-
-
-@dataclass(frozen=True)
 class PushoutCertificate:
-    """All verdicts about one square, with witnesses."""
+    """All verdicts about one square, with witnesses.  A true ``is_stable``
+    holds the same comparison as ``is_pushout``: its codomain is the corner,
+    and each corner element has one class over it."""
 
     square: CommutativeSquare
     commutes: Verdict
@@ -86,12 +81,6 @@ class PushoutCertificate:
                 self.jointly_epic.ok,
             )
         )
-
-    @property
-    def fiber_reports(self) -> tuple[FiberReport, ...]:
-        """The per-fiber reports of a stable square; ``()`` otherwise, where
-        ``is_stable.evidence`` is a counterexample instead."""
-        return self.is_stable.evidence if self.is_stable.ok else ()
 
 
 def commutes_verdict(square: CommutativeSquare) -> Verdict:
@@ -200,39 +189,28 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
 
 
-def is_stable_pushout(
-    square: CommutativeSquare,
-) -> tuple[Verdict, tuple[FiberReport, ...]]:
+def is_stable_pushout(square: CommutativeSquare) -> tuple[Verdict, SetFunction]:
     """Fiberwise stability: the square restricted over each corner element
-    must be a pushout.
+    must be a pushout.  Returns the verdict and its evidence, the pushout
+    oracle's comparison.
 
     Pulling the square back along any map into the corner yields the
     disjoint union of these fiber squares, and a disjoint union of pushout
     squares over their coproduct is again a pushout, so fiberwise suffices
     for stability under all pullbacks.  That reduction is itself
-    cross-validated by ``stable_by_all_pullbacks``.
+    cross-validated by ``stable_by_all_pullbacks``.  The classes of A + B
+    never cross fibers, so the fiber over d is a pushout exactly when one
+    class lies over d, and the comparison of a pushout, a bijection onto the
+    corner, says that of every d: in Set, colimits are universal.
     """
     gate = is_pushout_square(square)
     if not gate.ok:
         raise PreconditionError(f"stability requires a pushout: {gate.detail}")
-    return _fiber_verdicts(gate.evidence)
+    return _stable(gate.evidence), gate.evidence
 
 
-def _fiber_verdicts(
-    comparison: SetFunction,
-) -> tuple[Verdict, tuple[FiberReport, ...]]:
-    """The fiber verdicts of a pushout, read off its comparison.
-
-    The classes of A + B never cross fibers, so the fiber over d is a
-    pushout exactly when one class lies over d.  The comparison of a
-    pushout is a bijection onto the corner, so every fiber has one class:
-    in Set, colimits are universal."""
-    over = dict(zip(comparison.values, comparison.domain.elements))
-    reports = tuple(
-        FiberReport(d, Verdict(True, f"one class, {over[d]!r}, lies over {d!r}", over[d]))
-        for d in comparison.codomain
-    )
-    return Verdict(True, "every corner fiber is a pushout", reports), reports
+def _stable(comparison: SetFunction) -> Verdict:
+    return Verdict(True, "every corner fiber is a pushout", comparison)
 
 
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
@@ -263,7 +241,7 @@ def certify(square: CommutativeSquare) -> PushoutCertificate:
         po = is_pushout_square(square)
         pb = is_pullback_square(square)
         if po.ok:
-            stable, _ = _fiber_verdicts(po.evidence)
+            stable = _stable(po.evidence)
         else:
             stable = Verdict(
                 False, f"not a pushout, so not a stable one: {po.detail}", po.evidence
@@ -284,7 +262,12 @@ def certify(square: CommutativeSquare) -> PushoutCertificate:
 
 def recheck_certificate(cert: PushoutCertificate) -> bool:
     """Re-establish every true verdict from its stored evidence alone, with
-    no reconstruction of canonical colimits."""
+    no reconstruction of canonical colimits.
+
+    A true PULLBACK needs a true COMMUTES, so each pair the pairing names
+    lies in the fiber product; the pairing is injective, and it has as many
+    elements as the fiber product, Σ over a of |k⁻¹(h(a))|, so it is onto.
+    A true STABILITY needs a true PUSHOUT with the same comparison."""
     square = cert.square
     if cert.commutes.ok:
         composite = cert.commutes.evidence
@@ -304,7 +287,7 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
             return False
     if cert.is_pullback.ok:
         pairing = cert.is_pullback.evidence
-        if not isinstance(pairing, SetFunction):
+        if not cert.commutes.ok or not isinstance(pairing, SetFunction):
             return False
         if len(set(pairing.values)) != len(pairing.values):
             return False
@@ -312,13 +295,12 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
         expected = tuple(pair_name(a, b) for a, b in zip(f.values, g.values))
         if pairing.domain != square.span.apex or pairing.values != expected:
             return False
+        _, _, h_t, k_t = _tables(square)
+        over = Counter(k_t)
+        if len(pairing.values) != sum(over[d] for d in h_t):
+            return False
     if cert.is_stable.ok:
-        reports = cert.is_stable.evidence
-        if not isinstance(reports, tuple):
-            return False
-        if {r.base_element for r in reports} != set(square.corner.elements):
-            return False
-        if not all(r.fiber_is_pushout.ok for r in reports):
+        if not cert.is_pushout.ok or cert.is_stable.evidence != cert.is_pushout.evidence:
             return False
     if cert.jointly_epic.ok:
         cover = dict(cert.jointly_epic.evidence)

@@ -141,8 +141,8 @@ def render_certificate(
     stable = certificate.is_stable
     lines.append(f"STABILITY: {'true' if stable.ok else 'false'}")
     if stable.ok:
-        for report in certificate.fiber_reports:
-            lines.append(f"    fiber {report.base_element}: pushout")
+        for d in stable.evidence.codomain:
+            lines.append(f"    fiber {d}: pushout")
     else:
         lines.append(f"    counterexample: {stable.detail}")
     epi = certificate.jointly_epic

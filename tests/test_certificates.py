@@ -1,10 +1,14 @@
 """Verification oracles, certificates, and oracle cross-validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 
 from conftest import malcev_spans
+from diexact import suites
 from diexact.certificates import (
+    Verdict,
     certify,
     effectiveness_check,
     is_pullback_square,
@@ -20,6 +24,7 @@ from diexact.certificates import (
 from diexact.enumeration import all_equivalences, letters
 from diexact.errors import PreconditionError
 from diexact.fsets import (
+    EMPTY,
     CommutativeSquare,
     Cospan,
     FiniteSet,
@@ -36,6 +41,7 @@ from diexact.fsets import (
 )
 from diexact.pushouts import malcev_pushout_direct
 from diexact.relations import Relation, tabulate
+from diexact.suites import SuiteConfig
 from test_fsets import reference_pullback_by_universal_property
 
 
@@ -72,6 +78,25 @@ def collapse_corner(square):
             compose(collapse, square.cospan.left),
             compose(collapse, square.cospan.right),
         ),
+    )
+
+
+def coproduct_square_onto(p, q):
+    """The empty span under {a} and {b}, with a sent to p and b to q."""
+    a, b = fset("a"), fset("b")
+    corner = fset(*sorted({p, q}))
+    return CommutativeSquare(
+        span(SetFunction(EMPTY, a, ()), SetFunction(EMPTY, b, ())),
+        Cospan(SetFunction(a, corner, (p,)), SetFunction(b, corner, (q,))),
+    )
+
+
+def both_legs_onto_p_square():
+    """{c} -> {a}, {b} -> {p, q}, both legs onto p."""
+    c, a, b, corner = fset("c"), fset("a"), fset("b"), fset("p", "q")
+    return CommutativeSquare(
+        span(SetFunction(c, a, ("a",)), SetFunction(c, b, ("b",))),
+        Cospan(SetFunction(a, corner, ("p",)), SetFunction(b, corner, ("p",))),
     )
 
 
@@ -134,11 +159,11 @@ class TestPullbackOracle:
 class TestStabilityOracle:
     @given(malcev_spans(max_size=3))
     def test_direct_outputs_are_stable(self, s):
-        verdict, reports = is_stable_pushout(malcev_pushout_direct(s).square)
+        square = malcev_pushout_direct(s).square
+        verdict, comparison = is_stable_pushout(square)
         assert verdict.ok
-        assert {r.base_element for r in reports} == set(
-            malcev_pushout_direct(s).corner.elements
-        )
+        assert verdict.evidence == comparison == is_pushout_square(square).evidence
+        assert comparison.codomain == square.corner
 
     def test_collapse_square_is_stable(self):
         c = fset("a", "b")
@@ -148,8 +173,8 @@ class TestStabilityOracle:
             span(identity(c), collapse),
             Cospan(collapse, identity(target)),
         )
-        verdict, reports = is_stable_pushout(sq)
-        assert verdict.ok and len(reports) == 1
+        verdict, comparison = is_stable_pushout(sq)
+        assert verdict.ok and comparison.values == ("x",)
 
     def test_rejects_non_pushout(self):
         with pytest.raises(PreconditionError):
@@ -196,21 +221,22 @@ class TestCertify:
         assert "does not commute" in cert.is_pushout.detail
         assert cert.commutes.evidence == ("c", "a1", "a2")
 
-    def test_fiber_reports_of_a_stable_square(self):
+    def test_stability_evidence_is_the_pushout_comparison(self):
         cert = certify(matched_pairs_square())
-        assert cert.fiber_reports == cert.is_stable.evidence
-        assert [r.base_element for r in cert.fiber_reports] == list(cert.square.corner)
+        assert cert.is_stable.ok
+        assert cert.is_stable.evidence is cert.is_pushout.evidence
+        assert cert.is_stable.evidence.codomain == cert.square.corner
 
-    def test_no_fiber_reports_when_the_corner_merges_classes(self):
+    def test_stability_false_when_the_corner_merges_classes(self):
         cert = certify(collapse_corner(matched_pairs_square()))
         assert not cert.is_stable.ok
         assert cert.is_stable.evidence == ("l:a", "l:b", "l:a")
-        assert cert.fiber_reports == ()
+        assert cert.is_stable.detail.startswith("not a pushout, so not a stable one: ")
 
-    def test_no_fiber_reports_when_the_square_does_not_commute(self):
+    def test_stability_false_when_the_square_does_not_commute(self):
         cert = certify(non_commuting_square())
+        assert not cert.is_stable.ok
         assert cert.is_stable.evidence == ("c", "a1", "a2")
-        assert cert.fiber_reports == ()
 
     def test_verdicts_reproducible_from_witnesses(self):
         cert = certify(matched_pairs_square())
@@ -226,6 +252,53 @@ class TestCertify:
         )
         tampered = dataclasses.replace(cert, is_pushout=dataclasses.replace(cert.is_pushout, evidence=wrong))
         assert not recheck_certificate(tampered)
+
+    def test_recheck_refuses_a_forged_stability(self):
+        """Both legs onto p leave q unreached, so the square is no pushout.
+        Neither a true STABILITY taken from a stable square with the same
+        corner, nor one that claims the corner's identity, rechecks."""
+        cert = certify(both_legs_onto_p_square())
+        assert not cert.is_pushout.ok and not cert.is_stable.ok
+        borrowed = certify(coproduct_square_onto("p", "q")).is_stable
+        claimed = Verdict(True, "every corner fiber is a pushout", identity(cert.square.corner))
+        for forged in (borrowed, claimed):
+            assert forged.evidence.codomain == cert.square.corner
+            assert not recheck_certificate(dataclasses.replace(cert, is_stable=forged))
+
+    def test_recheck_refuses_a_stability_with_other_evidence(self):
+        cert = certify(matched_pairs_square())
+        other = cert.is_stable.evidence
+        swapped = SetFunction(other.domain, other.codomain, other.values[::-1])
+        forged = dataclasses.replace(cert.is_stable, evidence=swapped)
+        assert not recheck_certificate(dataclasses.replace(cert, is_stable=forged))
+
+    def test_recheck_refuses_a_forged_pullback(self):
+        """Empty apex over a and b sent to one point: the pair (a,b) of the
+        fiber product has no apex element, whatever the pairing claims."""
+        cert = certify(coproduct_square_onto("p", "p"))
+        assert cert.commutes.ok and not cert.is_pullback.ok
+        forged = Verdict(True, "apex tabulates the cospan's fiber product", identity(EMPTY))
+        assert not recheck_certificate(dataclasses.replace(cert, is_pullback=forged))
+
+    def test_recheck_refuses_a_pullback_of_a_non_commuting_square(self):
+        cert = certify(non_commuting_square())
+        pairing = SetFunction(cert.square.span.apex, fset("(a1,a2)"), ("(a1,a2)",))
+        forged = Verdict(True, "apex tabulates the cospan's fiber product", pairing)
+        assert not recheck_certificate(dataclasses.replace(cert, is_pullback=forged))
+
+    def test_every_suite_certificate_rechecks(self, monkeypatch):
+        built = []
+
+        def certify_and_keep(square):
+            built.append(certify(square))
+            return built[-1]
+
+        monkeypatch.setattr(suites, "certify", certify_and_keep)
+        config = SuiteConfig(max_size=3, samples=300, seed=42)
+        assert suites.suite_certificates(config).passed
+        assert suites.suite_pointed_pushouts(config).passed
+        assert len(built) > 300
+        assert all(recheck_certificate(cert) for cert in built)
 
 
 def commuting_squares_up_to_two():

@@ -250,7 +250,9 @@ def test_fast_oracles_build_no_colimit():
         for node in ast.walk(statement)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    assert "_fiber_verdicts" in reached
+    assert "is_pushout_square" in {
+        node.id for node in ast.walk(functions["is_stable_pushout"]) if isinstance(node, ast.Name)
+    }
     assert [
         entry
         for entry in named
