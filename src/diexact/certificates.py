@@ -267,7 +267,9 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
     A true PULLBACK needs a true COMMUTES, so each pair the pairing names
     lies in the fiber product; the pairing is injective, and it has as many
     elements as the fiber product, Σ over a of |k⁻¹(h(a))|, so it is onto.
-    A true STABILITY needs a true PUSHOUT with the same comparison."""
+    A true STABILITY needs a true PUSHOUT with the same comparison.  A true
+    JOINT-EPI names, for each corner element d, an element of A + B that a
+    leg sends to d, read off the legs' values."""
     square = cert.square
     if cert.commutes.ok:
         composite = cert.commutes.evidence
@@ -303,8 +305,13 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
         if not cert.is_pushout.ok or cert.is_stable.evidence != cert.is_pushout.evidence:
             return False
     if cert.jointly_epic.ok:
-        cover = dict(cert.jointly_epic.evidence)
-        if set(cover) != set(square.corner.elements):
+        h, k = square.cospan.left, square.cospan.right
+        image = {tagged(LEFT, a): d for a, d in zip(h.domain, h.values)}
+        image.update((tagged(RIGHT, b), d) for b, d in zip(k.domain, k.values))
+        cover = cert.jointly_epic.evidence
+        if any(image.get(src) != d for d, src in cover):
+            return False
+        if {d for d, _ in cover} != set(square.corner.elements):
             return False
     return True
 

@@ -10,9 +10,14 @@ T2 and D of one run share one span corpus and the direct route's result
 for each of its spans, both built once per configuration; T2 compares every
 route's corner with one reference colimit per span.
 
-Each suite runs with ``SuiteConfig.mutant`` enabled (see ``mutants``);
-every mutant must make at least one suite fail with an element-level
-witness, which is how the suites themselves are tested for teeth.
+Every suite but P0 is a labelled corpus plus one generator of the
+(check, witness) pairs an instance fails, run by the one loop ``_run``.
+``_run`` enables ``SuiteConfig.mutant`` (see ``mutants``), counts the
+instances, records a failure per pair and turns an error raised while
+checking an instance into a ``construction`` failure.  P0 checks the
+zero-object facts, which no mutant touches, and enables none.  Every mutant
+must make at least one suite fail with an element-level witness, which is
+how the suites themselves are tested for teeth.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterable, Iterator
 
 from . import mutants
 from .certificates import PushoutCertificate, certify, effectiveness_check
@@ -162,22 +167,37 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _under_mutant(
-    suite: Callable[[SuiteConfig], SuiteReport]
-) -> Callable[[SuiteConfig], SuiteReport]:
-    """Run the suite with its configuration's mutant enabled."""
-
-    @functools.wraps(suite)
-    def run(config: SuiteConfig) -> SuiteReport:
-        with mutants.enabled(config.mutant):
-            return suite(config)
-
-    return run
+Checks = Iterator[tuple[str, str]]  # one instance's failed (check, witness) pairs
 
 
-def _certificate_failures(
-    failures: list[SuiteFailure], label: str, cert: PushoutCertificate
-) -> None:
+def _run(
+    config: SuiteConfig,
+    name: str,
+    description: str,
+    instances: Iterable[tuple[str, Checks]],
+) -> SuiteReport:
+    """The one instance loop of every suite but P0: with the configuration's
+    mutant enabled, count each labelled instance and record one failure per
+    (check, witness) its checks yield.  The checks are a generator, so they
+    run here; an error they raise keeps the failures already yielded and
+    adds a ``construction`` failure after them."""
+
+    def caught(checks: Checks) -> Checks:
+        try:
+            yield from checks
+        except _CAUGHT as exc:
+            yield "construction", str(exc)
+
+    failures: list[SuiteFailure] = []
+    total = 0
+    with mutants.enabled(config.mutant):
+        for label, checks in instances:
+            total += 1
+            failures += (SuiteFailure(label, check, witness) for check, witness in caught(checks))
+    return SuiteReport(name, description, total, tuple(failures))
+
+
+def _certificate_failures(cert: PushoutCertificate) -> Checks:
     named = (
         ("commutes", cert.commutes),
         ("pushout", cert.is_pushout),
@@ -187,7 +207,7 @@ def _certificate_failures(
     )
     for check, verdict in named:
         if not verdict.ok:
-            failures.append(SuiteFailure(label, f"certificate:{check}", verdict.detail))
+            yield f"certificate:{check}", verdict.detail
 
 
 def _first_violation(r: Relation, s: Relation) -> str:
@@ -203,104 +223,63 @@ def _first_difference(r: Relation, s: Relation) -> str:
     return _first_violation(r, s) or _first_violation(s, r)
 
 
-def _e_structure_failures(
-    failures: list[SuiteFailure], label: str, result: MalcevPushoutResult
-) -> None:
+def _e_structure_failures(result: MalcevPushoutResult) -> Checks:
     """The block equivalence must be reflexive, symmetric, transitive, and
     recovered as the kernel pair of its quotient."""
     e = result.e
     if not is_reflexive(e):
         missing = next(x for x in e.source if not e.holds(x, x))
-        failures.append(
-            SuiteFailure(label, "e:reflexive", f"{pair_name(missing, missing)} missing")
-        )
+        yield "e:reflexive", f"{pair_name(missing, missing)} missing"
     if not is_symmetric(e):
-        failures.append(
-            SuiteFailure(label, "e:symmetric", _first_violation(e, converse(e)))
-        )
+        yield "e:symmetric", _first_violation(e, converse(e))
     if not is_transitive(e):
-        failures.append(
-            SuiteFailure(
-                label,
-                "e:transitive",
-                f"EE holds at {_first_violation(rel_compose(e, e), e)} but E does not",
-            )
-        )
+        where = _first_violation(rel_compose(e, e), e)
+        yield "e:transitive", f"EE holds at {where} but E does not"
     recovered = span_to_relation(kernel_pair(result.quotient))
     if recovered != e:
-        extra = _first_difference(recovered, e)
-        failures.append(
-            SuiteFailure(
-                label,
-                "e:kernel-pair-recovery",
-                f"kernel pair of the quotient differs from E at {extra}",
-            )
-        )
+        where = _first_difference(recovered, e)
+        yield "e:kernel-pair-recovery", f"kernel pair of the quotient differs from E at {where}"
 
 
-@_under_mutant
 def suite_coproducts(config: SuiteConfig) -> SuiteReport:
     """Empty-apex pushouts: corner equals the tagged coproduct and the
     square is a disjoint (pullback) stable pushout."""
-    failures: list[SuiteFailure] = []
-    total = 0
-    for m in range(config.max_size + 1):
-        for n in range(config.max_size + 1):
-            label = f"coproduct |A|={m},|B|={n}"
-            total += 1
-            try:
-                result = coproduct_via_pushout(letters("a", m), letters("b", n))
-                expected, _, _ = coproduct(letters("a", m), letters("b", n))
-                if result.corner != expected:
-                    failures.append(
-                        SuiteFailure(
-                            label,
-                            "corner",
-                            f"corner {result.corner} differs from coproduct {expected}",
-                        )
-                    )
-                _certificate_failures(failures, label, certify(result.square))
-            except _CAUGHT as exc:
-                failures.append(SuiteFailure(label, "construction", str(exc)))
-    return SuiteReport("T1a", "coproducts-disjoint-stable", total, tuple(failures))
+
+    def checks(m: int, n: int) -> Checks:
+        result = coproduct_via_pushout(letters("a", m), letters("b", n))
+        expected, _, _ = coproduct(letters("a", m), letters("b", n))
+        if result.corner != expected:
+            yield "corner", f"corner {result.corner} differs from coproduct {expected}"
+        yield from _certificate_failures(certify(result.square))
+
+    sizes = range(config.max_size + 1)
+    instances = ((f"coproduct |A|={m},|B|={n}", checks(m, n)) for m in sizes for n in sizes)
+    return _run(config, "T1a", "coproducts-disjoint-stable", instances)
 
 
-@_under_mutant
 def suite_equivalences(config: SuiteConfig) -> SuiteReport:
     """Equivalence relations pushed out along their tabulations: the legs
     coincide, the quotient is effective, and E is recovered."""
-    failures: list[SuiteFailure] = []
-    total = 0
-    for size in range(config.max_size + 1):
-        carrier = letters("a", size)
-        for partition_label, e in all_equivalences(carrier):
-            label = f"|A|={size} {partition_label}"
-            total += 1
-            try:
-                result = coequalizer_via_pushout(e)
-                if result.h != result.k:
-                    failures.append(
-                        SuiteFailure(label, "legs", "pushout legs differ on a reflexive span")
-                    )
-                if not effectiveness_check(e):
-                    failures.append(
-                        SuiteFailure(label, "effectiveness", "quotient kernel pair differs from E")
-                    )
-                recovered = span_to_relation(kernel_pair(result.h))
-                if recovered != e:
-                    where = _first_difference(recovered, e)
-                    failures.append(
-                        SuiteFailure(
-                            label,
-                            "leg-kernel-pair",
-                            f"kernel pair of the common leg differs from E at {where}",
-                        )
-                    )
-                _e_structure_failures(failures, label, result)
-                _certificate_failures(failures, label, certify(result.square))
-            except _CAUGHT as exc:
-                failures.append(SuiteFailure(label, "construction", str(exc)))
-    return SuiteReport("T1b", "equivalence-coequalizers", total, tuple(failures))
+
+    def checks(e: Relation) -> Checks:
+        result = coequalizer_via_pushout(e)
+        if result.h != result.k:
+            yield "legs", "pushout legs differ on a reflexive span"
+        if not effectiveness_check(e):
+            yield "effectiveness", "quotient kernel pair differs from E"
+        recovered = span_to_relation(kernel_pair(result.h))
+        if recovered != e:
+            where = _first_difference(recovered, e)
+            yield "leg-kernel-pair", f"kernel pair of the common leg differs from E at {where}"
+        yield from _e_structure_failures(result)
+        yield from _certificate_failures(certify(result.square))
+
+    instances = (
+        (f"|A|={size} {partition_label}", checks(e))
+        for size in range(config.max_size + 1)
+        for partition_label, e in all_equivalences(letters("a", size))
+    )
+    return _run(config, "T1b", "equivalence-coequalizers", instances)
 
 
 @functools.lru_cache(maxsize=1)
@@ -322,8 +301,9 @@ def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
 def _direct_results(config: SuiteConfig) -> tuple[MalcevPushoutResult | Exception, ...]:
     """The direct route's result for each span of the corpus, in corpus
     order, or the error the span raised; built once per configuration, under
-    its mutant, for T2 and D, which re-raise a stored error in their own
-    ``try``."""
+    its mutant, for T2 and D, whose checks re-raise a stored error inside
+    ``_run``'s ``try``.  T2 and D build their instances, and so call this,
+    before ``_run`` enables the mutant, which is why it enables it itself."""
     results: list[MalcevPushoutResult | Exception] = []
     with mutants.enabled(config.mutant):
         for _, s in _span_corpus(config):
@@ -335,78 +315,63 @@ def _direct_results(config: SuiteConfig) -> tuple[MalcevPushoutResult | Exceptio
 
 
 def _corner_failures(
-    failures: list[SuiteFailure],
-    label: str,
-    route: str,
-    canon: CommutativeSquare,
-    square: CommutativeSquare,
-) -> None:
+    route: str, canon: CommutativeSquare, square: CommutativeSquare
+) -> Checks:
     """The comparison from the span's reference colimit ``canon`` onto a
     route's own corner must exist and be a bijection."""
     try:
         comparison = mediating_map(canon, square.cospan)
     except _CAUGHT as exc:
-        failures.append(SuiteFailure(label, f"{route}-corner", str(exc)))
+        yield f"{route}-corner", str(exc)
         return
     if not is_iso(comparison):
-        failures.append(
-            SuiteFailure(
-                label,
-                f"{route}-corner",
-                f"comparison onto the {route} corner is not bijective: {comparison!r}",
-            )
+        yield (
+            f"{route}-corner",
+            f"comparison onto the {route} corner is not bijective: {comparison!r}",
         )
 
 
-@_under_mutant
 def suite_agreement(config: SuiteConfig) -> SuiteReport:
     """Direct block-equivalence pushouts agree, up to the unique comparison
     isomorphism, with the decomposed pipeline and, where it applies, with
     the epi-leg body, which skips the precondition the direct route passed."""
-    failures: list[SuiteFailure] = []
-    corpus = _span_corpus(config)
-    for (label, s), direct in zip(corpus, _direct_results(config)):
-        try:
-            if isinstance(direct, Exception):
-                raise direct
-            trace = malcev_pushout_decomposed(s)
-            canon = canonical_pushout(s)
-            _corner_failures(failures, label, "direct", canon, direct.square)
-            _corner_failures(failures, label, "pasted", canon, trace.pasted)
-            if is_epi(s.right):
-                _corner_failures(failures, label, "epi-leg", canon, _epi_leg_square(s))
-        except _CAUGHT as exc:
-            failures.append(SuiteFailure(label, "construction", str(exc)))
-    return SuiteReport("T2", "direct-vs-decomposed", len(corpus), tuple(failures))
+
+    def checks(s: Span, direct: MalcevPushoutResult | Exception) -> Checks:
+        if isinstance(direct, Exception):
+            raise direct
+        trace = malcev_pushout_decomposed(s)
+        canon = canonical_pushout(s)
+        yield from _corner_failures("direct", canon, direct.square)
+        yield from _corner_failures("pasted", canon, trace.pasted)
+        if is_epi(s.right):
+            yield from _corner_failures("epi-leg", canon, _epi_leg_square(s))
+
+    corpus = zip(_span_corpus(config), _direct_results(config))
+    instances = ((label, checks(s, direct)) for (label, s), direct in corpus)
+    return _run(config, "T2", "direct-vs-decomposed", instances)
 
 
-@_under_mutant
 def suite_certificates(config: SuiteConfig) -> SuiteReport:
     """Full certification of every corpus span's direct pushout, plus the
     E-structure and pullback-recovery facts behind it."""
-    failures: list[SuiteFailure] = []
-    corpus = _span_corpus(config)
-    for (label, s), result in zip(corpus, _direct_results(config)):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            _certificate_failures(failures, label, certify(result.square))
-            _e_structure_failures(failures, label, result)
-            recovered_span = pullback(result.square.cospan)
-            recovered = span_to_relation(recovered_span)
-            original = span_to_relation(s)
-            if recovered != original:
-                where = _first_difference(recovered, original)
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "pullback-recovery",
-                        f"pullback of the legs differs from the span's relation at {where}",
-                    )
-                )
-        except _CAUGHT as exc:
-            failures.append(SuiteFailure(label, "construction", str(exc)))
-    return SuiteReport("D", "malcev-span-certificates", len(corpus), tuple(failures))
+
+    def checks(s: Span, result: MalcevPushoutResult | Exception) -> Checks:
+        if isinstance(result, Exception):
+            raise result
+        yield from _certificate_failures(certify(result.square))
+        yield from _e_structure_failures(result)
+        recovered = span_to_relation(pullback(result.square.cospan))
+        original = span_to_relation(s)
+        if recovered != original:
+            where = _first_difference(recovered, original)
+            yield (
+                "pullback-recovery",
+                f"pullback of the legs differs from the span's relation at {where}",
+            )
+
+    corpus = zip(_span_corpus(config), _direct_results(config))
+    instances = ((label, checks(s, result)) for (label, s), result in corpus)
+    return _run(config, "D", "malcev-span-certificates", instances)
 
 
 def theorem_suites(config: SuiteConfig) -> RunReport:
@@ -422,15 +387,16 @@ def theorem_suites(config: SuiteConfig) -> RunReport:
     )
 
 
-@_under_mutant
 def suite_zero_object(config: SuiteConfig) -> SuiteReport:
+    """The zero object's facts for pointed sets of each size up to a bound,
+    one instance per size; no construction runs here, so no mutant is
+    enabled."""
     bound = max(1, min(config.max_size, 5))
-    report = zero_object_checks(bound)
-    failures = [
-        SuiteFailure(f"pointed sets of size <= {bound}", "zero-object", f)
-        for f in report.failures
-    ]
-    return SuiteReport("P0", "zero-object-nonstrict-initial", bound, tuple(failures))
+    instance = f"pointed sets of size <= {bound}"
+    failures = tuple(
+        SuiteFailure(instance, "zero-object", f) for f in zero_object_checks(bound).failures
+    )
+    return SuiteReport("P0", "zero-object-nonstrict-initial", bound, failures)
 
 
 def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
@@ -459,59 +425,40 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
     return corpus
 
 
-@_under_mutant
 def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
     """Pointed Mal'cev pushouts: certified on the underlying sets, with
     basepoint bookkeeping and the underlying-set transfer equality."""
-    failures: list[SuiteFailure] = []
-    corpus = _pointed_corpus(config)
-    for label, ps in corpus:
-        try:
-            result = pointed_malcev_pushout(ps)
-            _certificate_failures(failures, label, certify(result.underlying.square))
-            base_a = ps.left.codomain.basepoint
-            base_b = ps.right.codomain.basepoint
-            if result.h.function(base_a) != result.corner.basepoint:
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "basepoint:left",
-                        f"left leg sends {base_a!r} to {result.h.function(base_a)!r}, "
-                        f"not {result.corner.basepoint!r}",
-                    )
+
+    def checks(ps) -> Checks:
+        result = pointed_malcev_pushout(ps)
+        yield from _certificate_failures(certify(result.underlying.square))
+        base_a = ps.left.codomain.basepoint
+        base_b = ps.right.codomain.basepoint
+        corner_base = result.corner.basepoint
+        for side, leg, base in (("left", result.h, base_a), ("right", result.k, base_b)):
+            image = leg.function(base)
+            if image != corner_base:
+                yield (
+                    f"basepoint:{side}",
+                    f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
                 )
-            if result.k.function(base_b) != result.corner.basepoint:
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "basepoint:right",
-                        f"right leg sends {base_b!r} to {result.k.function(base_b)!r}, "
-                        f"not {result.corner.basepoint!r}",
-                    )
-                )
-            plain = malcev_pushout_direct(ps.underlying)
-            if result.underlying.square.corner != plain.corner:
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "transfer",
-                        f"pointed corner carrier {result.underlying.square.corner} "
-                        f"differs from the plain pushout corner {plain.corner}",
-                    )
-                )
-            pulled_base = pointed_pullback(result.h, result.k).apex.basepoint
-            expected_base = pair_name(base_a, base_b)
-            if pulled_base != expected_base:
-                failures.append(
-                    SuiteFailure(
-                        label,
-                        "pointed-pullback",
-                        f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
-                    )
-                )
-        except _CAUGHT as exc:
-            failures.append(SuiteFailure(label, "construction", str(exc)))
-    return SuiteReport("P1", "pointed-pushout-certificates", len(corpus), tuple(failures))
+        plain = malcev_pushout_direct(ps.underlying)
+        if result.underlying.square.corner != plain.corner:
+            yield (
+                "transfer",
+                f"pointed corner carrier {result.underlying.square.corner} "
+                f"differs from the plain pushout corner {plain.corner}",
+            )
+        pulled_base = pointed_pullback(result.h, result.k).apex.basepoint
+        expected_base = pair_name(base_a, base_b)
+        if pulled_base != expected_base:
+            yield (
+                "pointed-pullback",
+                f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
+            )
+
+    instances = ((label, checks(ps)) for label, ps in _pointed_corpus(config))
+    return _run(config, "P1", "pointed-pushout-certificates", instances)
 
 
 def pointed_diexact_suite(config: SuiteConfig) -> RunReport:

@@ -280,6 +280,27 @@ class TestCertify:
         forged = Verdict(True, "apex tabulates the cospan's fiber product", identity(EMPTY))
         assert not recheck_certificate(dataclasses.replace(cert, is_pullback=forged))
 
+    def test_recheck_refuses_a_pullback_pairing_with_other_values(self):
+        """The forged pairing starts at the apex, is injective and is as
+        large as the fiber product, but sends each apex element to the other
+        one's pair."""
+        cert = certify(matched_pairs_square())
+        pairing = cert.is_pullback.evidence
+        swapped = SetFunction(pairing.domain, pairing.codomain, pairing.values[::-1])
+        assert swapped.domain == cert.square.span.apex and swapped != pairing
+        forged = dataclasses.replace(cert.is_pullback, evidence=swapped)
+        assert not recheck_certificate(dataclasses.replace(cert, is_pullback=forged))
+
+    def test_recheck_refuses_a_forged_joint_epi(self):
+        """Both legs onto p leave q unreached.  A cover whose keys are the
+        corner still does not recheck when it names, over q, an element the
+        legs send to p, or an element of neither foot."""
+        cert = certify(both_legs_onto_p_square())
+        assert cert.jointly_epic.detail == "corner element 'q' is hit by neither leg"
+        for cover in ((("p", "l:a"), ("q", "l:a")), (("p", "r:b"), ("q", "r:q"))):
+            forged = Verdict(True, "legs jointly cover the corner", cover)
+            assert not recheck_certificate(dataclasses.replace(cert, jointly_epic=forged))
+
     def test_recheck_refuses_a_pullback_of_a_non_commuting_square(self):
         cert = certify(non_commuting_square())
         pairing = SetFunction(cert.square.span.apex, fset("(a1,a2)"), ("(a1,a2)",))

@@ -486,6 +486,14 @@ class TestCanonicalComparison:
 
 
 class TestSquares:
+    @pytest.mark.parametrize("wrong_leg", ["left", "right"])
+    def test_span_legs_must_share_the_apex(self, wrong_leg):
+        apex, other, a = fset("c"), fset("d"), fset("a")
+        legs = {"left": SetFunction(apex, a, ("a",)), "right": SetFunction(apex, a, ("a",))}
+        legs[wrong_leg] = SetFunction(other, a, ("a",))
+        with pytest.raises(ValueError, match="span legs must share the apex"):
+            Span(apex, legs["left"], legs["right"])
+
     def test_square_checks_commutativity(self):
         a = fset("a1", "a2")
         apex = fset("c")

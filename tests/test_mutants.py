@@ -2,9 +2,9 @@
 defects in constructions only; one owner each for mutant names, generated
 element names and the text form of values; cross-validators that call no
 oracle, construction or route; fast oracles that build no colimit;
-suites and routes that repeat no construction; the calls the traced
-benchmark swaps, which stay bare-name calls; and no definition in the
-package without a program caller."""
+suites that share one instance loop; suites and routes that repeat no
+construction; the calls the traced benchmark swaps, which stay bare-name
+calls; and no definition in the package without a program caller."""
 
 import ast
 from pathlib import Path
@@ -337,6 +337,39 @@ def test_d_builds_no_route_result_of_its_own():
     }
     assert "_direct_results" in named
     assert named.isdisjoint(ROUTES)
+
+
+def _top_level_names_where(module: str, matches) -> list[str]:
+    """The top-level statements of a module, once per node in them that
+    ``matches`` accepts: a definition by its name, another statement by its
+    kind."""
+    return [
+        getattr(node, "name", type(node).__name__)
+        for node in _top_level(module)
+        for inner in ast.walk(node)
+        if matches(inner)
+    ]
+
+
+def test_the_suites_keep_one_instance_loop():
+    """In ``suites``, ``SuiteFailure`` is built only by ``_run`` and P0's
+    ``suite_zero_object``, and ``mutants.enabled`` is named only by ``_run``
+    and ``_direct_results``, so no suite forks the instance loop again."""
+    built = _top_level_names_where(
+        "suites.py",
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "SuiteFailure",
+    )
+    enabling = _top_level_names_where(
+        "suites.py",
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "enabled"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "mutants",
+    )
+    assert built == ["_run", "suite_zero_object"]
+    assert sorted(enabling) == ["_direct_results", "_run"]
 
 
 def test_the_decomposed_route_calls_the_epi_leg_body():

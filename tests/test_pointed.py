@@ -11,6 +11,7 @@ from diexact.fsets import fset
 from diexact.pointed import (
     PointedMap,
     PointedSet,
+    PointedSpan,
     canonical_pointed_set,
     pointed_malcev_pushout,
     pointed_maps_between,
@@ -46,6 +47,21 @@ class TestPointedTypes:
         bad = SetFunction(x.carrier, y.carrier, ("x1", "x1"))
         with pytest.raises(ValueError, match="basepoint"):
             PointedMap(x, y, bad)
+
+    @pytest.mark.parametrize("wrong_leg", ["left", "right"])
+    def test_span_legs_must_share_the_apex(self, wrong_leg):
+        from diexact.fsets import SetFunction
+
+        apex, other, foot = pointed(1), pointed(2), pointed(1)
+
+        def to_foot(domain):
+            values = (foot.basepoint,) * len(domain)
+            return PointedMap(domain, foot, SetFunction(domain.carrier, foot.carrier, values))
+
+        legs = {"left": to_foot(apex), "right": to_foot(apex)}
+        legs[wrong_leg] = to_foot(other)
+        with pytest.raises(ValueError, match="pointed span legs must share the apex"):
+            PointedSpan(apex, legs["left"], legs["right"])
 
     def test_tabulation_needs_related_basepoints(self):
         a, b = pointed(1), pointed(1)

@@ -604,6 +604,15 @@ class TestMalcevPushoutResultChecks:
         ):
             MalcevPushoutResult(Relation.diagonal(result.h.domain), result.square)
 
+    @pytest.mark.parametrize("wrong_end", ["source", "target"])
+    def test_e_on_the_tagged_coproduct_at_one_end_only(self, result, wrong_end):
+        total, other = result.e.source, result.h.domain
+        ends = (other, total) if wrong_end == "source" else (total, other)
+        with pytest.raises(
+            ValueError, match="e must be an endo-relation on the tagged coproduct"
+        ):
+            MalcevPushoutResult(Relation.empty(*ends), result.square)
+
 
 # Names that look like generated ones: coproduct tags, pair names and their
 # punctuation, and the empty string.

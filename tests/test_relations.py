@@ -204,6 +204,13 @@ class TestUnionOrder:
         r = rel("ab", "xy", ("a", "x"))
         assert union(r, r) == r
 
+    @pytest.mark.parametrize("operation", [union, leq])
+    @pytest.mark.parametrize("source, target", [("abc", "xy"), ("ab", "xyz")])
+    def test_refuses_relations_that_differ_at_one_end(self, operation, source, target):
+        r = rel("ab", "xy", ("a", "x"))
+        with pytest.raises(CompositionError, match="same source and target"):
+            operation(r, rel(source, target, ("a", "x")))
+
     @given(relations(max_size=3), relations(max_size=3))
     def test_upper_bound(self, r, s):
         if (r.source, r.target) != (s.source, s.target):
@@ -546,6 +553,17 @@ class TestBlockRelation:
                 Relation.empty(a, b),
                 Relation.empty(a, b),
                 Relation.diagonal(b),
+            )
+
+    @pytest.mark.parametrize("wrong_end", ["source", "target"])
+    def test_block_wrong_at_one_end_rejected(self, wrong_end):
+        """Block [0][1] must run from b to a; each candidate is right at one
+        end only."""
+        a, b = fset("a"), fset("b")
+        top_right = Relation.empty(a, a) if wrong_end == "source" else Relation.empty(b, b)
+        with pytest.raises(ValueError, match=r"block \[0\]\[1\]"):
+            assemble_block(
+                Relation.diagonal(a), top_right, Relation.empty(a, b), Relation.diagonal(b)
             )
 
     def test_matched_pairs_block_equivalence(self):

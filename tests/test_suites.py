@@ -8,7 +8,7 @@ import pytest
 
 from diexact import certificates, enumeration, fsets, mutants, pushouts, relations, suites
 from diexact.enumeration import exhaustive_malcev_spans
-from diexact.errors import InternalInvariantError
+from diexact.errors import InternalInvariantError, PreconditionError
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
 from diexact.suites import (
     RunReport,
@@ -81,6 +81,20 @@ class TestReports:
     def test_render_is_deterministic(self):
         config = SuiteConfig(max_size=2, samples=20, seed=11)
         assert run_all_suites(config).render() == run_all_suites(config).render()
+
+
+class TestRunLoop:
+    def test_an_error_follows_the_failures_already_yielded(self):
+        def checks():
+            yield "first", "yielded before the error"
+            raise PreconditionError("refused mid-check")
+
+        report = suites._run(SuiteConfig(), "X", "demo", [("only", checks())])
+        assert report.total == 1
+        assert report.failures == (
+            SuiteFailure("only", "first", "yielded before the error"),
+            SuiteFailure("only", "construction", "refused mid-check"),
+        )
 
 
 class TestMutants:
