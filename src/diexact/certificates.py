@@ -14,13 +14,18 @@ recomputing the construction.
 The cross-validators at the bottom test the universal properties directly,
 on the legs' index tables over every test set up to a size bound, with no
 colimit or limit construction, so the fast oracles never have to be trusted.
-Two of them count: every map into (or out of) the square induces a commuting
-test span (or cospan), so a universal property holds at a test size iff
-that assignment is injective and its image is as large as the set of
-commuting tests.  ``pushout_by_universal_property_bruteforce`` and the tests'
-``reference_pullback_by_universal_property`` quantify literally, one test at
-a time, and check the counting.  ``stable_by_all_pullbacks`` decides every
-base change up to a size bound.
+Two of them count: every map out of (or into) the square induces a
+commuting test cospan (or span), so a universal property holds at a test
+size iff that assignment is injective and the commuting tests are as many
+as the maps.  Each test is coded as one mixed-radix integer, a bijection on
+tests, so the maps' codes are distinct iff their tests are; the commuting
+tests are counted through a tally of one leg's codes looked up at the
+other's.  ``pushout_by_universal_property_bruteforce`` and the tests'
+``reference_pullback_by_universal_property`` quantify literally, one tuple
+test at a time, and check the codes.  ``stable_by_all_pullbacks`` groups the
+square by corner image once and decides every base change up to a size
+bound with its own union-find.  A negative bound is refused, as it would
+leave nothing to check.
 """
 
 from __future__ import annotations
@@ -320,6 +325,42 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
 # Assumption-free cross-validators.
 
 
+def _require_bound(name: str, bound: int) -> None:
+    if bound < 0:
+        raise PreconditionError(f"{name} must be at least 0, got {bound}")
+
+
+def _codes(weights: list[int], values: range | tuple[int, ...]) -> list[int]:
+    """Every sum Σ_p weights[p]·y[p] with each y[p] drawn from ``values``, in
+    the order of ``itertools.product(values, repeat=len(weights))``: one
+    list comprehension per weight, the last varying fastest."""
+    codes = [0]
+    for w in weights:
+        codes = [code + w * y for code in codes for y in values]
+    return codes
+
+
+def _weights(table: tuple[int, ...], n: int, size: int) -> list[int]:
+    """w[x], for each x in ``range(n)``, sums the place values size^i of the
+    positions i that the table sends to x; so Σ_x m[x]·w[x] is the base-size
+    code Σ_i m[table[i]]·size^i of ``m∘table``."""
+    weights = [0] * n
+    place = 1
+    for x in table:
+        weights[x] += place
+        place *= size
+    return weights
+
+
+def _matches(left: list[int], right: list[int]) -> int:
+    """The number of pairs (i, j) with ``left[i] == right[j]``, through one
+    tally of ``right`` looked up at each code of ``left``."""
+    tally: dict[int, int] = {}
+    for code in right:
+        tally[code] = tally.get(code, 0) + 1
+    return sum(map(tally.get, left, itertools.repeat(0)))
+
+
 def pushout_by_universal_property(
     square: CommutativeSquare, max_test_size: int = 4
 ) -> bool:
@@ -329,33 +370,32 @@ def pushout_by_universal_property(
 
     Computed by exact counting: every map m out of the corner induces the
     test cospan (m∘h, m∘k), which commutes because the square does.  So the
-    requirement is that this assignment is injective and hits every
-    commuting test cospan.  The commuting cospans (u, v) are counted by
-    bucketing each v by v∘g and summing the bucket of u∘f over every u.  No
-    canonical colimit is constructed.  The literal per-cospan quantification
-    it is checked against is ``pushout_by_universal_property_bruteforce``.
+    requirement is that this assignment is injective and that the commuting
+    test cospans are as many as the maps m.  Into a set of size s, the
+    cospan (u, v) is coded as the integer Σ_i u[i]·s^i + Σ_j v[j]·s^(|A|+j),
+    a bijection from the cospans onto ``range(s^(|A|+|B|))``, so distinct
+    codes are the same test as distinct induced cospans; the code of m's
+    cospan is Σ_d m[d]·w[d], with w[d] the sum of the place values of the
+    positions that h or k sends to d.  The commuting cospans are counted by
+    tallying the base-s code of v∘g over every v and looking the tally up at
+    that of u∘f over every u, as equal codes are equal maps.  No canonical
+    colimit is constructed.  The literal per-cospan quantification it is
+    checked against is ``pushout_by_universal_property_bruteforce``.
     """
+    _require_bound("max_test_size", max_test_size)
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
     n_a, n_b, n_d = len(h_t), len(k_t), len(square.corner)
+    legs = h_t + k_t
     for size in range(max_test_size + 1):
         elements = range(size)
-        induced: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        for m in itertools.product(elements, repeat=n_d):
-            key = (
-                tuple(m[i] for i in h_t),
-                tuple(m[j] for j in k_t),
-            )
-            if key in induced:
-                return False
-            induced.add(key)
-        right_keys: dict[tuple[int, ...], int] = {}
-        for v in itertools.product(elements, repeat=n_b):
-            key_v = tuple(v[j] for j in g_t)
-            right_keys[key_v] = right_keys.get(key_v, 0) + 1
-        commuting = 0
-        for u in itertools.product(elements, repeat=n_a):
-            commuting += right_keys.get(tuple(u[i] for i in f_t), 0)
+        induced = _codes(_weights(legs, n_d, size), elements)
+        if len(set(induced)) != len(induced):
+            return False
+        commuting = _matches(
+            _codes(_weights(f_t, n_a, size), elements),
+            _codes(_weights(g_t, n_b, size), elements),
+        )
         if commuting != len(induced):
             return False
     return True
@@ -368,27 +408,28 @@ def pushout_by_universal_property_bruteforce(
     each commuting test cospan, count the maps out of the corner that
     induce it, and require exactly one.
 
-    Per size, the commuting cospans (u, v) are found by bucketing each v by
-    v∘g and looking the bucket up at u∘f, and each map m's induced cospan
-    (m∘h, m∘k) is computed once into a list that every cospan's count runs
-    over.  Used to validate the counting in
-    ``pushout_by_universal_property``.
+    Per size, each map m's induced cospan (m∘h, m∘k) is computed as a pair
+    of tuples and tallied once, and the commuting cospans (u, v) are found
+    by bucketing each v by v∘g and looking the bucket up at u∘f; each one
+    reads its count off the tally.  It shares no code with the integer
+    codes of ``pushout_by_universal_property``, and validates them.
     """
+    _require_bound("max_test_size", max_test_size)
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
     n_a, n_b, n_d = len(h_t), len(k_t), len(square.corner)
     for size in range(max_test_size + 1):
         elements = range(size)
-        induced = [
-            (tuple(m[i] for i in h_t), tuple(m[j] for j in k_t))
-            for m in itertools.product(elements, repeat=n_d)
-        ]
+        induced: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for m in itertools.product(elements, repeat=n_d):
+            key = (tuple([m[i] for i in h_t]), tuple([m[j] for j in k_t]))
+            induced[key] = induced.get(key, 0) + 1
         right: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for v in itertools.product(elements, repeat=n_b):
-            right.setdefault(tuple(v[j] for j in g_t), []).append(v)
+            right.setdefault(tuple([v[j] for j in g_t]), []).append(v)
         for u in itertools.product(elements, repeat=n_a):
-            for v in right.get(tuple(u[i] for i in f_t), ()):
-                if induced.count((u, v)) != 1:
+            for v in right.get(tuple([u[i] for i in f_t]), ()):
+                if induced.get((u, v)) != 1:
                     return False
     return True
 
@@ -402,54 +443,76 @@ def pullback_by_universal_property(
     Computed by exact counting: every map m from the test apex into the
     square's apex induces the test span (f∘m, g∘m), which commutes because
     the square does.  So the requirement is that this assignment is
-    injective and hits every commuting test span.  The commuting spans
-    (u, v) are counted by bucketing each v by k∘v and summing the bucket of
+    injective and that the commuting test spans are as many as the maps m.
+    Over a test apex of size s, the span (u, v) is coded as the integer
+    Σ_t (u[t] + |A|·v[t])·(|A|·|B|)^t, a bijection from the spans onto
+    ``range((|A|·|B|)^s)``, so distinct codes are the same test as distinct
+    induced spans.  The commuting spans are counted by tallying the
+    base-|D| code of k∘v over every v and looking the tally up at that of
     h∘u over every u.  ``reference_pullback_by_universal_property`` in the
     tests is the literal per-span quantification this is checked against.
     """
+    _require_bound("max_apex_size", max_apex_size)
     _require_commuting(square)
     f_t, g_t, h_t, k_t = _tables(square)
-    n_a, n_b, n_c = len(h_t), len(k_t), len(f_t)
+    n_a, n_b, n_d = len(h_t), len(k_t), len(square.corner)
+    pairs = tuple([a + n_a * b for a, b in zip(f_t, g_t)])
     for size in range(max_apex_size + 1):
-        induced: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-        for m in itertools.product(range(n_c), repeat=size):
-            key = (tuple(f_t[c] for c in m), tuple(g_t[c] for c in m))
-            if key in induced:
-                return False
-            induced.add(key)
-        right_keys: dict[tuple[int, ...], int] = {}
-        for v in itertools.product(range(n_b), repeat=size):
-            key_v = tuple(k_t[b] for b in v)
-            right_keys[key_v] = right_keys.get(key_v, 0) + 1
-        commuting = 0
-        for u in itertools.product(range(n_a), repeat=size):
-            commuting += right_keys.get(tuple(h_t[a] for a in u), 0)
-        if commuting != len(induced):
+        induced = _codes([(n_a * n_b) ** t for t in range(size)], pairs)
+        if len(set(induced)) != len(induced):
+            return False
+        place = [n_d**t for t in range(size)]
+        if _matches(_codes(place, h_t), _codes(place, k_t)) != len(induced):
             return False
     return True
 
 
-def _base_change_is_pushout(
-    tables: tuple[tuple[int, ...], ...], x: tuple[int, ...]
-) -> bool:
-    """Whether the square with these leg tables, pulled back along the map
-    sending each base element t to the corner index ``x[t]``, is a pushout.
+def _fibers(square: CommutativeSquare) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The square over each corner index d, on local indexes: how many
+    elements of A and of B lie over d, and for each apex element c over d
+    the position of f(c) among those of A and of g(c) among those of B, in
+    index order.  Each foot, and the apex, is grouped by corner image once.
+    The square must commute, or g(c) need not lie over d."""
+    f_t, g_t, h_t, k_t = _tables(square)
+    n_d = len(square.corner)
 
-    The pulled-back carriers are the index pairs A2 = {(a, t) : h[a] = x[t]},
-    B2 = {(b, t) : k[b] = x[t]} and C2 = {(c, t) : h[f[c]] = x[t]}, and the
-    pulled-back legs act on the first coordinate.  One union-find over all
-    of A2 + B2, with the link (f[c], t) ~ (g[c], t) for each (c, t) in C2,
-    forms the canonical pushout of the pulled-back span.  The square is a
-    pushout iff the comparison from those classes onto the base is a
-    bijection: every class lies over a single t, and every t has exactly
-    one class.  The square must commute, or (g[c], t) need not be in B2.
+    def positions(table: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        at, count = [], [0] * n_d
+        for d in table:
+            at.append(count[d])
+            count[d] += 1
+        return at, count
+
+    (a_at, a_count), (b_at, b_count) = positions(h_t), positions(k_t)
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n_d)]
+    for a, b in zip(f_t, g_t):
+        links[h_t[a]].append((a_at[a], b_at[b]))
+    return list(zip(a_count, b_count, links))
+
+
+def _base_change_is_pushout(
+    fibers: list[tuple[int, int, list[tuple[int, int]]]], x: tuple[int, ...]
+) -> bool:
+    """Whether the square with these fibers (see ``_fibers``), pulled back
+    along the map sending each base element t to the corner index ``x[t]``,
+    is a pushout.
+
+    The pulled-back carriers are A2 = {(a, t) : h[a] = x[t]} and
+    B2 = {(b, t) : k[b] = x[t]}, numbered A2 then B2, t by t, each block in
+    index order, and the pulled-back legs act on the first coordinate.  One
+    union-find over all of A2 + B2, with the link (f[c], t) ~ (g[c], t) for
+    each c with h[f[c]] = x[t], forms the canonical pushout of the
+    pulled-back span.  The square is a pushout iff the comparison from
+    those classes onto the base is a bijection: every class lies over a
+    single t, and every t has exactly one class.
     """
-    f_t, g_t, h_t, k_t = tables
-    a2 = [(a, t) for t, d in enumerate(x) for a, e in enumerate(h_t) if e == d]
-    b2 = [(b, t) for t, d in enumerate(x) for b, e in enumerate(k_t) if e == d]
-    a_node = {pair: i for i, pair in enumerate(a2)}
-    b_node = {pair: i for i, pair in enumerate(b2, len(a2))}
-    over = [t for _, t in a2] + [t for _, t in b2]
+    a_start, b_start, over = [], [], []
+    for t, d in enumerate(x):
+        a_start.append(len(over))
+        over += [t] * fibers[d][0]
+    for t, d in enumerate(x):
+        b_start.append(len(over))
+        over += [t] * fibers[d][1]
     parent = list(range(len(over)))
 
     def find(i: int) -> int:
@@ -458,9 +521,9 @@ def _base_change_is_pushout(
         return i
 
     for t, d in enumerate(x):
-        for c, a in enumerate(f_t):
-            if h_t[a] == d:
-                parent[find(a_node[a, t])] = find(b_node[g_t[c], t])
+        i0, j0 = a_start[t], b_start[t]
+        for i, j in fibers[d][2]:
+            parent[find(i0 + i)] = find(j0 + j)
     base: dict[int, int] = {}
     for i, t in enumerate(over):
         if base.setdefault(find(i), t) != t:
@@ -474,16 +537,19 @@ def stable_by_all_pullbacks(square: CommutativeSquare, max_size: int = 3) -> boo
     whether each pulled-back square is a pushout.
 
     The maps are the index tuples of ``itertools.product``, the same maps in
-    the same order as ``all_functions`` from ``t1..ts``.  Each pulled-back
-    square is decided on index pairs by ``_base_change_is_pushout``, one
-    union-find over the whole pulled-back coproduct; nothing here restricts
-    to fibers, since that is the reduction this validator checks.
+    the same order as ``all_functions`` from ``t1..ts``.  The feet and the
+    apex are grouped by corner image once per square, and each pulled-back
+    square is then decided afresh by ``_base_change_is_pushout``, one
+    union-find over the whole pulled-back coproduct; no verdict is split by
+    fiber or reused across base changes, since that is the reduction this
+    validator checks.
     """
+    _require_bound("max_size", max_size)
     _require_commuting(square)
-    tables = _tables(square)
+    fibers = _fibers(square)
     corner = range(len(square.corner))
     return all(
-        _base_change_is_pushout(tables, x)
+        _base_change_is_pushout(fibers, x)
         for size in range(max_size + 1)
         for x in itertools.product(corner, repeat=size)
     )

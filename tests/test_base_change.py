@@ -2,8 +2,9 @@
 
 ``pull_square_back`` builds the pulled-back square out of named sets and
 functions and is the reference: ``stable_by_all_pullbacks`` decides each
-base change on index pairs, and must give the verdict that the pushout
-oracle gives on the square built here.
+base change on the square's fibers, numbering the pulled-back elements by
+offsets, and must give the verdict that the pushout oracle gives on the
+square built here.
 """
 
 import itertools
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import functions, sized_sets
+from diexact import certificates
 from diexact.certificates import (
     _base_change_is_pushout,
-    _tables,
+    _fibers,
     is_pushout_square,
     pullback_by_universal_property,
     pushout_by_universal_property,
@@ -36,6 +38,7 @@ from diexact.fsets import (
     pair_name,
 )
 from test_certificates import commuting_squares_up_to_two, matched_pairs_square
+from test_suites import _calls
 
 
 def pull_square_back(square: CommutativeSquare, x: SetFunction) -> CommutativeSquare:
@@ -98,7 +101,7 @@ class TestIndexVerdict:
     @given(squares_with_base_changes())
     def test_matches_the_pulled_back_square(self, case):
         square, x = case
-        assert _base_change_is_pushout(_tables(square), x) == reference_verdict(square, x)
+        assert _base_change_is_pushout(_fibers(square), x) == reference_verdict(square, x)
 
     def test_matches_on_every_small_base_change(self):
         """Every commuting square with sets of size at most two, along every
@@ -108,15 +111,34 @@ class TestIndexVerdict:
         one, and any that avoid the corner elements at fault)."""
         verdicts = {}
         for square in commuting_squares_up_to_two():
-            tables = _tables(square)
+            fibers = _fibers(square)
             is_pushout = is_pushout_square(square).ok
             for size in range(3):
                 for x in itertools.product(range(len(square.corner)), repeat=size):
-                    verdict = _base_change_is_pushout(tables, x)
+                    verdict = _base_change_is_pushout(fibers, x)
                     assert verdict == reference_verdict(square, x), (square, x)
                     key = (is_pushout, verdict)
                     verdicts[key] = verdicts.get(key, 0) + 1
         assert verdicts == {(True, True): 347, (False, True): 362, (False, False): 856}
+
+    def test_every_base_change_is_decided_afresh(self):
+        """On a pushout square ``stable_by_all_pullbacks`` decides each of the
+        Σ_{s≤bound} |D|^s base changes with its own union-find: none is
+        skipped, cached or read off another."""
+        checked = 0
+        for square in commuting_squares_up_to_two():
+            if not is_pushout_square(square).ok:
+                continue
+            for bound in range(4):
+                stable, counts = _calls(
+                    (certificates._base_change_is_pushout,),
+                    lambda: stable_by_all_pullbacks(square, bound),
+                )
+                assert stable
+                expected = sum(len(square.corner) ** s for s in range(bound + 1))
+                assert counts == {"_base_change_is_pushout": expected}, square
+            checked += 1
+        assert checked == 55
 
 
 class TestBaseChange:
@@ -159,3 +181,26 @@ def test_cross_validators_require_a_commuting_square(validator, bound):
     )
     with pytest.raises(PreconditionError, match="square does not commute: apex element 'c1'"):
         validator(bad, bound)
+
+
+@pytest.mark.parametrize(
+    "validator, bound",
+    [
+        (pushout_by_universal_property, "max_test_size"),
+        (pushout_by_universal_property_bruteforce, "max_test_size"),
+        (pullback_by_universal_property, "max_apex_size"),
+        (stable_by_all_pullbacks, "max_size"),
+    ],
+    ids=lambda param: param.__name__ if callable(param) else param,
+)
+def test_cross_validators_refuse_a_negative_bound(validator, bound):
+    """A negative bound would leave no test size to check, so every square,
+    this non-pushout and non-pullback too, would pass."""
+    apex, a, d = fset(), fset("a1"), fset("d1", "d2")
+    empty = SetFunction(apex, a, ())
+    leg = SetFunction(a, d, ("d1",))
+    square = CommutativeSquare(Span(apex, empty, empty), Cospan(leg, leg))
+    assert not is_pushout_square(square).ok
+    assert not validator(square, 2)
+    with pytest.raises(PreconditionError, match=f"^{bound} must be at least 0, got -1$"):
+        validator(square, -1)

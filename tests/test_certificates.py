@@ -1,6 +1,8 @@
 """Verification oracles, certificates, and oracle cross-validation."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,8 @@ from conftest import malcev_spans
 from diexact import suites
 from diexact.certificates import (
     Verdict,
+    _codes,
+    _weights,
     certify,
     effectiveness_check,
     is_pullback_square,
@@ -21,7 +25,7 @@ from diexact.certificates import (
     recheck_certificate,
     stable_by_all_pullbacks,
 )
-from diexact.enumeration import all_equivalences, letters
+from diexact.enumeration import all_equivalences, letters, sample_commuting_squares
 from diexact.errors import PreconditionError
 from diexact.fsets import (
     EMPTY,
@@ -363,10 +367,31 @@ class TestOracleCrossValidation:
 
     def test_counting_matches_bruteforce_quantification(self):
         for sq in commuting_squares_up_to_two():
-            for bound in (2, 3):
+            for bound in (2, 3, 4):
                 assert pushout_by_universal_property(
                     sq, max_test_size=bound
                 ) == pushout_by_universal_property_bruteforce(sq, max_test_size=bound)
+
+    def test_counting_matches_the_literal_quantifiers_on_the_widest_samples(self):
+        """The sampler's widest squares, at the bounds of criterion 6 and the
+        benchmark: corner 6 with an empty apex, where the pushout codes run
+        to 4^6 maps, and apex 9, where the pullback codes run to 9^3."""
+        wide = [
+            sq
+            for sq in sample_commuting_squares(random.Random(0), 600, 3)
+            if len(sq.corner) == 6 or len(sq.span.apex) == 9
+        ]
+        shapes = sorted((len(sq.span.apex), len(sq.corner)) for sq in wide)
+        assert shapes == [(0, 6), (0, 6), (9, 1), (9, 1), (9, 2), (9, 2)]
+        pushouts = pullbacks = 0
+        for sq in wide:
+            counted = pushout_by_universal_property(sq, max_test_size=4)
+            assert counted == pushout_by_universal_property_bruteforce(sq, max_test_size=4)
+            pushouts += counted
+            counted = pullback_by_universal_property(sq, max_apex_size=3)
+            assert counted == reference_pullback_by_universal_property(sq, 3), sq
+            pullbacks += counted
+        assert (pushouts, pullbacks) == (3, 6)
 
     def test_pullback_counting_matches_the_literal_quantification(self):
         pullbacks = 0
@@ -386,3 +411,41 @@ class TestOracleCrossValidation:
             assert fiberwise.ok == stable_by_all_pullbacks(sq, max_size=2)
             checked += 1
         assert checked == 55  # frozen count of pushout squares among the 249
+
+
+class TestCodes:
+    def test_codes_of_every_composite_in_product_order(self):
+        """``_codes(_weights(table, n, s), range(s))`` lists the base-s code
+        Σ_i m[table[i]]·s^i of m∘table for every m: n → s, in the order of
+        ``itertools.product``, with the place values of the positions the
+        table sends to one x summed into x's weight."""
+        for table, n in [((), 0), ((), 2), ((0,), 1), ((1, 0, 1), 2), ((2, 0, 0, 1), 4)]:
+            for size in range(5):
+                expected = [
+                    sum(m[x] * size**i for i, x in enumerate(table))
+                    for m in itertools.product(range(size), repeat=n)
+                ]
+                assert _codes(_weights(table, n, size), range(size)) == expected
+
+    def test_one_map_out_of_the_empty_set(self):
+        assert _codes(_weights((), 0, 0), range(0)) == [0]
+        assert _codes(_weights((), 0, 3), range(3)) == [0]
+        assert _codes([], (0, 4, 5)) == [0]
+
+    def test_no_map_from_a_nonempty_set_into_the_empty_set(self):
+        assert _codes(_weights((0, 0), 1, 0), range(0)) == []
+        assert _codes([1, 2], ()) == []
+
+    def test_validators_at_test_size_zero(self):
+        """Into the empty set, the empty square has its one cospan and its one
+        mediating map; feet without elements under a nonempty corner have the
+        empty cospan but no map out of the corner.  Out of the empty test
+        apex, every square has one span and one factorization."""
+        none, into_d = SetFunction(EMPTY, EMPTY, ()), SetFunction(EMPTY, fset("d1"), ())
+        empty = CommutativeSquare(Span(EMPTY, none, none), Cospan(none, none))
+        lonely = CommutativeSquare(Span(EMPTY, none, none), Cospan(into_d, into_d))
+        for validator in (pushout_by_universal_property, pushout_by_universal_property_bruteforce):
+            assert validator(empty, 0)
+            assert not validator(lonely, 0)
+        assert pullback_by_universal_property(lonely, 0)
+        assert pullback_by_universal_property(matched_pairs_square(), 0)

@@ -179,6 +179,11 @@ CROSS_VALIDATORS = (
     "pushout_by_universal_property_bruteforce",
     "pullback_by_universal_property",
     "stable_by_all_pullbacks",
+    "_require_bound",
+    "_codes",
+    "_weights",
+    "_matches",
+    "_fibers",
     "_base_change_is_pushout",
 )
 FAST_ORACLES = ("is_pushout_square", "is_pullback_square", "is_stable_pushout")
