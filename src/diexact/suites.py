@@ -7,14 +7,16 @@ and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
 T2 and D of one run share one span corpus and the direct route's result
-for each of its spans, both built once per configuration; T2 compares every
-route's corner with one reference colimit per span.
+for each distinct span, both built once per configuration; T2 compares
+every route's corner with one reference colimit per distinct span.
 
-Every suite but P0 is a labelled corpus plus one generator of the
-(check, witness) pairs an instance fails, run by the one loop ``_run``.
+Every suite but P0 is a labelled corpus of instances plus one generator of
+the (check, witness) pairs an instance fails, run by the one loop ``_run``.
 ``_run`` enables ``SuiteConfig.mutant`` (see ``mutants``), counts the
 instances, records a failure per pair and turns an error raised while
-checking an instance into a ``construction`` failure.  P0 checks the
+checking an instance into a ``construction`` failure.  It builds and checks
+each distinct instance once per suite; an equal instance repeated later
+reports that instance's failures under its own label.  P0 checks the
 zero-object facts, which no mutant touches, and enables none.  Every mutant
 must make at least one suite fail with an element-level witness, which is
 how the suites themselves are tested for teeth.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from . import mutants
 from .certificates import PushoutCertificate, certify, effectiveness_check
@@ -174,26 +176,29 @@ def _run(
     config: SuiteConfig,
     name: str,
     description: str,
-    instances: Iterable[tuple[str, Checks]],
+    labelled: Iterable[tuple[str, Hashable]],
+    checks: Callable[[Hashable], Checks],
 ) -> SuiteReport:
     """The one instance loop of every suite but P0: with the configuration's
     mutant enabled, count each labelled instance and record one failure per
-    (check, witness) its checks yield.  The checks are a generator, so they
-    run here; an error they raise keeps the failures already yielded and
-    adds a ``construction`` failure after them."""
+    (check, witness) ``checks(key)`` yields, run once per distinct key.  An
+    error the checks raise ends them with a ``construction`` failure."""
 
-    def caught(checks: Checks) -> Checks:
+    def caught(key: Hashable) -> Checks:
         try:
-            yield from checks
+            yield from checks(key)
         except _CAUGHT as exc:
             yield "construction", str(exc)
 
+    memo: dict[Hashable, tuple[tuple[str, str], ...]] = {}
     failures: list[SuiteFailure] = []
     total = 0
     with mutants.enabled(config.mutant):
-        for label, checks in instances:
+        for label, key in labelled:
             total += 1
-            failures += (SuiteFailure(label, check, witness) for check, witness in caught(checks))
+            if key not in memo:
+                memo[key] = tuple(caught(key))
+            failures += (SuiteFailure(label, check, witness) for check, witness in memo[key])
     return SuiteReport(name, description, total, tuple(failures))
 
 
@@ -245,16 +250,17 @@ def suite_coproducts(config: SuiteConfig) -> SuiteReport:
     """Empty-apex pushouts: corner equals the tagged coproduct and the
     square is a disjoint (pullback) stable pushout."""
 
-    def checks(m: int, n: int) -> Checks:
-        result = coproduct_via_pushout(letters("a", m), letters("b", n))
-        expected, _, _ = coproduct(letters("a", m), letters("b", n))
+    def checks(sizes: tuple[int, int]) -> Checks:
+        a, b = letters("a", sizes[0]), letters("b", sizes[1])
+        result = coproduct_via_pushout(a, b)
+        expected, _, _ = coproduct(a, b)
         if result.corner != expected:
             yield "corner", f"corner {result.corner} differs from coproduct {expected}"
         yield from _certificate_failures(certify(result.square))
 
     sizes = range(config.max_size + 1)
-    instances = ((f"coproduct |A|={m},|B|={n}", checks(m, n)) for m in sizes for n in sizes)
-    return _run(config, "T1a", "coproducts-disjoint-stable", instances)
+    labelled = ((f"coproduct |A|={m},|B|={n}", (m, n)) for m in sizes for n in sizes)
+    return _run(config, "T1a", "coproducts-disjoint-stable", labelled, checks)
 
 
 def suite_equivalences(config: SuiteConfig) -> SuiteReport:
@@ -274,12 +280,12 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
         yield from _e_structure_failures(result)
         yield from _certificate_failures(certify(result.square))
 
-    instances = (
-        (f"|A|={size} {partition_label}", checks(e))
+    labelled = (
+        (f"|A|={size} {partition_label}", e)
         for size in range(config.max_size + 1)
         for partition_label, e in all_equivalences(letters("a", size))
     )
-    return _run(config, "T1b", "equivalence-coequalizers", instances)
+    return _run(config, "T1b", "equivalence-coequalizers", labelled, checks)
 
 
 @functools.lru_cache(maxsize=1)
@@ -298,20 +304,20 @@ def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
 
 
 @functools.lru_cache(maxsize=1)
-def _direct_results(config: SuiteConfig) -> tuple[MalcevPushoutResult | Exception, ...]:
-    """The direct route's result for each span of the corpus, in corpus
-    order, or the error the span raised; built once per configuration, under
-    its mutant, for T2 and D, whose checks re-raise a stored error inside
-    ``_run``'s ``try``.  T2 and D build their instances, and so call this,
-    before ``_run`` enables the mutant, which is why it enables it itself."""
-    results: list[MalcevPushoutResult | Exception] = []
+def _direct_results(config: SuiteConfig) -> dict[Span, MalcevPushoutResult | Exception]:
+    """The direct route's result for each distinct span of the corpus, or
+    the error the span raised; built once per configuration, under its
+    mutant, for T2 and D, whose checks re-raise a stored error inside
+    ``_run``'s ``try``.  T2 and D call this before ``_run`` enables the
+    mutant, which is why it enables it itself."""
+    results: dict[Span, MalcevPushoutResult | Exception] = {}
     with mutants.enabled(config.mutant):
-        for _, s in _span_corpus(config):
+        for s in dict.fromkeys(s for _, s in _span_corpus(config)):
             try:
-                results.append(malcev_pushout_direct(s))
+                results[s] = malcev_pushout_direct(s)
             except _CAUGHT as exc:
-                results.append(exc)
-    return tuple(results)
+                results[s] = exc
+    return results
 
 
 def _corner_failures(
@@ -336,7 +342,10 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
     isomorphism, with the decomposed pipeline and, where it applies, with
     the epi-leg body, which skips the precondition the direct route passed."""
 
-    def checks(s: Span, direct: MalcevPushoutResult | Exception) -> Checks:
+    corpus, results = _span_corpus(config), _direct_results(config)
+
+    def checks(s: Span) -> Checks:
+        direct = results[s]
         if isinstance(direct, Exception):
             raise direct
         trace = malcev_pushout_decomposed(s)
@@ -346,16 +355,17 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
         if is_epi(s.right):
             yield from _corner_failures("epi-leg", canon, _epi_leg_square(s))
 
-    corpus = zip(_span_corpus(config), _direct_results(config))
-    instances = ((label, checks(s, direct)) for (label, s), direct in corpus)
-    return _run(config, "T2", "direct-vs-decomposed", instances)
+    return _run(config, "T2", "direct-vs-decomposed", corpus, checks)
 
 
 def suite_certificates(config: SuiteConfig) -> SuiteReport:
     """Full certification of every corpus span's direct pushout, plus the
     E-structure and pullback-recovery facts behind it."""
 
-    def checks(s: Span, result: MalcevPushoutResult | Exception) -> Checks:
+    corpus, results = _span_corpus(config), _direct_results(config)
+
+    def checks(s: Span) -> Checks:
+        result = results[s]
         if isinstance(result, Exception):
             raise result
         yield from _certificate_failures(certify(result.square))
@@ -369,9 +379,7 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
                 f"pullback of the legs differs from the span's relation at {where}",
             )
 
-    corpus = zip(_span_corpus(config), _direct_results(config))
-    instances = ((label, checks(s, result)) for (label, s), result in corpus)
-    return _run(config, "D", "malcev-span-certificates", instances)
+    return _run(config, "D", "malcev-span-certificates", corpus, checks)
 
 
 def theorem_suites(config: SuiteConfig) -> RunReport:
@@ -406,17 +414,10 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
         for n in range(1, small + 1):
             a = canonical_pointed_set(m)
             b = canonical_pointed_set(n)
-            for index, r in enumerate(
-                difunctional_relations(a.carrier, b.carrier)
-            ):
-                if not r.holds(BASEPOINT, BASEPOINT):
-                    continue
-                corpus.append(
-                    (
-                        f"pointed |A|={m},|B|={n} #{index} R={r!r}",
-                        pointed_span_from_relation(a, b, r),
-                    )
-                )
+            for index, r in enumerate(difunctional_relations(a.carrier, b.carrier)):
+                if r.holds(BASEPOINT, BASEPOINT):
+                    label = f"pointed |A|={m},|B|={n} #{index} R={r!r}"
+                    corpus.append((label, pointed_span_from_relation(a, b, r)))
     rng = random.Random(config.seed)
     n_samples = config.samples if config.samples else 25
     for i in range(n_samples):
@@ -457,8 +458,7 @@ def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
                 f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
             )
 
-    instances = ((label, checks(ps)) for label, ps in _pointed_corpus(config))
-    return _run(config, "P1", "pointed-pushout-certificates", instances)
+    return _run(config, "P1", "pointed-pushout-certificates", _pointed_corpus(config), checks)
 
 
 def pointed_diexact_suite(config: SuiteConfig) -> RunReport:

@@ -322,7 +322,9 @@ class TestCertify:
         config = SuiteConfig(max_size=3, samples=300, seed=42)
         assert suites.suite_certificates(config).passed
         assert suites.suite_pointed_pushouts(config).passed
-        assert len(built) > 300
+        spans = {s for _, s in suites._span_corpus(config)}
+        pointed_spans = {ps for _, ps in suites._pointed_corpus(config)}
+        assert len(built) == len(spans) + len(pointed_spans)
         assert all(recheck_certificate(cert) for cert in built)
 
 

@@ -359,7 +359,13 @@ def _top_level_names_where(module: str, matches) -> list[str]:
 def test_the_suites_keep_one_instance_loop():
     """In ``suites``, ``SuiteFailure`` is built only by ``_run`` and P0's
     ``suite_zero_object``, and ``mutants.enabled`` is named only by ``_run``
-    and ``_direct_results``, so no suite forks the instance loop again."""
+    and ``_direct_results``, so no suite forks the instance loop again.
+
+    ``_run``'s dict, local to one call, is the only memo of instance
+    results: besides it only ``_direct_results`` stores by key, into the
+    table of one configuration, ``functools`` caches only that table and
+    the corpus, each for one configuration, and no top-level assignment
+    holds a container that could outlive a run."""
     built = _top_level_names_where(
         "suites.py",
         lambda node: isinstance(node, ast.Call)
@@ -375,6 +381,32 @@ def test_the_suites_keep_one_instance_loop():
     )
     assert built == ["_run", "suite_zero_object"]
     assert sorted(enabling) == ["_direct_results", "_run"]
+    stored = _top_level_names_where(
+        "suites.py",
+        lambda node: isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store),
+    )
+    assert set(stored) == {"_direct_results", "_run"}
+    cached = _top_level_names_where(
+        "suites.py",
+        lambda node: isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools",
+    )
+    assert sorted(cached) == ["_direct_results", "_span_corpus"]
+    decorated = {
+        node.name: [ast.unparse(d) for d in node.decorator_list]
+        for node in _top_level("suites.py")
+        if isinstance(node, ast.FunctionDef) and node.decorator_list
+    }
+    one_entry = ["functools.lru_cache(maxsize=1)"]
+    assert decorated == {"_span_corpus": one_entry, "_direct_results": one_entry}
+    containers = _top_level_names_where(
+        "suites.py",
+        lambda node: isinstance(
+            node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        ),
+    )
+    assert {"Assign", "AnnAssign"}.isdisjoint(containers)
 
 
 def test_the_decomposed_route_calls_the_epi_leg_body():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diexact import certificates, enumeration, fsets, mutants, pushouts, relations, suites
+from diexact import certificates, enumeration, fsets, mutants, pointed, pushouts, relations, suites
 from diexact.enumeration import exhaustive_malcev_spans
 from diexact.errors import InternalInvariantError, PreconditionError
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
@@ -85,16 +85,110 @@ class TestReports:
 
 class TestRunLoop:
     def test_an_error_follows_the_failures_already_yielded(self):
-        def checks():
-            yield "first", "yielded before the error"
+        def checks(key):
+            yield "first", f"{key} yielded before the error"
             raise PreconditionError("refused mid-check")
 
-        report = suites._run(SuiteConfig(), "X", "demo", [("only", checks())])
+        report = suites._run(SuiteConfig(), "X", "demo", [("only", "k")], checks)
         assert report.total == 1
         assert report.failures == (
-            SuiteFailure("only", "first", "yielded before the error"),
+            SuiteFailure("only", "first", "k yielded before the error"),
             SuiteFailure("only", "construction", "refused mid-check"),
         )
+
+    def test_an_equal_instance_repeats_the_first_ones_failures_under_its_label(self):
+        checked = []
+
+        def checks(key):
+            checked.append(key)
+            yield "check", f"witness {key}"
+            if key == 2:
+                raise PreconditionError(f"refused {key}")
+
+        labelled = [("a", 1), ("b", 2), ("c", 1), ("d", 3), ("e", 2)]
+        report = suites._run(SuiteConfig(), "X", "demo", labelled, checks)
+        assert checked == [1, 2, 3]
+        assert report.total == 5
+        assert report.failures == (
+            SuiteFailure("a", "check", "witness 1"),
+            SuiteFailure("b", "check", "witness 2"),
+            SuiteFailure("b", "construction", "refused 2"),
+            SuiteFailure("c", "check", "witness 1"),
+            SuiteFailure("d", "check", "witness 3"),
+            SuiteFailure("e", "check", "witness 2"),
+            SuiteFailure("e", "construction", "refused 2"),
+        )
+
+    def test_the_memo_lasts_one_suite_call(self):
+        """Running a suite again with the same configuration builds its
+        distinct instances again, so no run is served from an earlier one."""
+        config = SuiteConfig(max_size=2, samples=20, seed=2024)
+        spans = _distinct(suites._span_corpus(config))
+        per_suite = (
+            (suite_coproducts, pushouts.coproduct_via_pushout, 9),
+            (suite_equivalences, pushouts.coequalizer_via_pushout, 4),
+            (suite_agreement, pushouts.malcev_pushout_decomposed, spans),
+            (suite_certificates, certificates.certify, spans),
+            (
+                suites.suite_pointed_pushouts,
+                pointed.pointed_malcev_pushout,
+                _distinct(suites._pointed_corpus(config)),
+            ),
+        )
+        for suite, built, distinct in per_suite:
+            runs = [_calls((built,), lambda: suite(config)) for _ in range(2)]
+            assert runs[0][0] == runs[1][0]
+            assert runs[0][1] == runs[1][1] == {built.__name__: distinct}
+
+
+def fresh_run(config, name, description, labelled, checks):
+    """Reference for ``suites._run`` with no memo: every instance's checks
+    run afresh, however often an equal instance came before."""
+    failures, total = [], 0
+    with mutants.enabled(config.mutant):
+        for label, key in labelled:
+            total += 1
+            try:
+                for check, witness in checks(key):
+                    failures.append(SuiteFailure(label, check, witness))
+            except suites._CAUGHT as exc:
+                failures.append(SuiteFailure(label, "construction", str(exc)))
+    return SuiteReport(name, description, total, tuple(failures))
+
+
+class FreshDirectResults:
+    """Reference for ``suites._direct_results``: each lookup builds the
+    span's direct pushout afresh, under the mutant enabled at the time, or
+    returns the error it raised."""
+
+    def __getitem__(self, s):
+        try:
+            return suites.malcev_pushout_direct(s)
+        except suites._CAUGHT as exc:
+            return exc
+
+
+class TestFreshReference:
+    @pytest.mark.parametrize("mutant", (None,) + KNOWN_MUTANTS)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SuiteConfig(max_size=3, samples=300, seed=42),
+            SuiteConfig(max_size=2, exhaustive=True, samples=10, seed=7),
+        ],
+        ids=["size3-samples300-seed42", "size2-exhaustive-samples10-seed7"],
+    )
+    def test_each_suite_reports_what_fresh_checks_find(self, config, mutant, monkeypatch):
+        config = dataclasses.replace(config, mutant=mutant)
+        memoized = run_all_suites(config)
+        monkeypatch.setattr(suites, "_run", fresh_run)
+        monkeypatch.setattr(suites, "_direct_results", lambda config: FreshDirectResults())
+        fresh = run_all_suites(config)
+        assert [s.name for s in fresh.suites] == [s.name for s in memoized.suites]
+        for ours, reference in zip(memoized.suites, fresh.suites):
+            assert ours.total == reference.total, ours.name
+            assert ours.failures == reference.failures, ours.name
+        assert fresh.passed == (mutant is None)
 
 
 class TestMutants:
@@ -157,27 +251,35 @@ def _calls(functions, run):
     return result, counts
 
 
+def _distinct(corpus) -> int:
+    """The number of distinct instances in a labelled corpus."""
+    return len({key for _, key in corpus})
+
+
 class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
-        report, counts = _calls(
+        _, counts = _calls(
             (fsets.canonical_pushout, enumeration.random_malcev_span),
             lambda: run_all_suites(config),
         )
-        t2 = next(s for s in report.suites if s.name == "T2")
-        assert counts == {"canonical_pushout": t2.total, "random_malcev_span": 20}
+        spans = _distinct(suites._span_corpus(config))
+        assert counts == {"canonical_pushout": spans, "random_malcev_span": 20}
 
     def test_t2_and_d_share_one_direct_pushout_per_span(self):
-        """Each T2 span gets one direct pushout, which D reads too; P1 makes
-        two per instance (the pointed route and the transfer check), T1a
-        and T1b one each."""
+        """Each distinct T2 span gets one direct pushout, which D reads too;
+        P1 makes two per distinct instance (the pointed route and the
+        transfer check), T1a and T1b one each."""
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
         report, counts = _calls(
             (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
         )
         total = {s.name: s.total for s in report.suites}
+        spans = _distinct(suites._span_corpus(config))
+        pointed_spans = _distinct(suites._pointed_corpus(config))
+        assert spans < total["T2"] and pointed_spans < total["P1"]
         assert counts["malcev_pushout_direct"] == (
-            total["T2"] + 2 * total["P1"] + total["T1a"] + total["T1b"]
+            spans + 2 * pointed_spans + total["T1a"] + total["T1b"]
         )
 
     def test_the_decomposed_route_decides_the_malcev_precondition_once(self):
@@ -209,27 +311,35 @@ class TestSharedObjects:
             pushouts.pushout_epi_leg,
             pushouts._epi_leg_square,
         )
-        report, counts = _calls(
+        _, counts = _calls(
             (pushouts.require_malcev,) + routes, lambda: run_all_suites(config)
         )
-        t2 = next(s for s in report.suites if s.name == "T2")
+        spans = {s for _, s in suites._span_corpus(config)}
         assert counts["pushout_epi_leg"] == 0
-        assert counts["malcev_pushout_decomposed"] == t2.total
-        epi = sum(fsets.is_epi(s.right) for _, s in suites._span_corpus(config))
-        assert counts["_epi_leg_square"] == 2 * t2.total + epi
+        assert counts["malcev_pushout_decomposed"] == len(spans)
+        epi = sum(fsets.is_epi(s.right) for s in spans)
+        assert counts["_epi_leg_square"] == 2 * len(spans) + epi
         assert counts["require_malcev"] == (
             counts["malcev_pushout_direct"] + counts["malcev_pushout_decomposed"]
         )
 
     def test_direct_results_are_built_once_per_configuration(self):
-        config = SuiteConfig(max_size=2, samples=3, seed=5)
+        config = SuiteConfig(max_size=3, samples=20, seed=5)
         results = suites._direct_results(config)
         assert suites._direct_results(config) is results
-        assert len(results) == len(suites._span_corpus(config))
+        corpus = suites._span_corpus(config)
+        assert list(results) == list(dict.fromkeys(s for _, s in corpus))
+        assert len(results) < len(corpus)
         other = suites._direct_results(dataclasses.replace(config, seed=6))
         assert other != results
         rebuilt = suites._direct_results(config)
         assert rebuilt is not results and rebuilt == results
+
+    def test_the_per_configuration_caches_keep_one_entry(self):
+        """Neither per-configuration cache holds more than the latest
+        configuration, so a run is never served from an earlier one's."""
+        assert suites._span_corpus.cache_info().maxsize == 1
+        assert suites._direct_results.cache_info().maxsize == 1
 
     def test_corpus_is_built_once_per_configuration(self):
         config = SuiteConfig(max_size=2, samples=3, seed=5)
