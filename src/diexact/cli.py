@@ -5,9 +5,9 @@ construction, certifies the square and prints a deterministic report.
 ``suite`` runs the verification suites over a bounded corpus.
 
 Exit codes: 0 all verdicts true / suites pass; 1 some verdict or suite
-failed; 2 parse error, bad argument or unreadable input file; 3 precondition
-violation (with witness); 4 internal invariant failure, which would falsify
-the construction itself.
+failed; 2 parse error, bad argument, unreadable input file or unwritable
+standard output; 3 precondition violation (with witness); 4 internal
+invariant failure, which would falsify the construction itself.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import IO
 
 from . import mutants
 from .certificates import PushoutCertificate, Verdict, certify
@@ -96,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class UsageError(Exception):
-    """A bad argument or an unreadable input file (exit code 2)."""
+    """A bad argument, unreadable input or unwritable output (exit code 2)."""
 
 
 def _read_input(path: str) -> str:
@@ -113,6 +112,17 @@ def _read_input(path: str) -> str:
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise UsageError(f"cannot read {path}: {reason}") from None
+
+
+def _write_output(text: str) -> None:
+    """Write a report to standard output and flush it."""
+    try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write standard output: {exc.strerror or exc}") from None
 
 
 def _verdict_lines(name: str, verdict: Verdict, witness_label: str) -> list[str]:
@@ -184,7 +194,7 @@ def _coerce_span(doc: Document, image_first: bool) -> tuple[Span, list[str], Poi
     return value, header, pointed
 
 
-def cmd_pushout(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_pushout(args: argparse.Namespace) -> int:
     doc = parse_document(_read_input(args.input))
     value, header, pointed = _coerce_span(doc, args.image_first)
 
@@ -201,7 +211,7 @@ def cmd_pushout(args: argparse.Namespace, out: IO[str]) -> int:
     if args.method == "both":
         agreement = _agreement_verdict(value, square)
     certificate = certify(square)
-    out.write(render_certificate(certificate, header, agreement))
+    _write_output(render_certificate(certificate, header, agreement))
     ok = certificate.ok and (agreement is None or agreement.ok)
     return 0 if ok else 1
 
@@ -229,7 +239,7 @@ def _agreement_verdict(value: Span, direct_square: CommutativeSquare) -> Verdict
     return Verdict(True, "corners agree", compose(to_pasted, inverse(to_direct)))
 
 
-def cmd_suite(args: argparse.Namespace, out: IO[str]) -> int:
+def cmd_suite(args: argparse.Namespace) -> int:
     try:
         config = SuiteConfig(
             max_size=args.max_size,
@@ -241,7 +251,7 @@ def cmd_suite(args: argparse.Namespace, out: IO[str]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     report = run_all_suites(config)
-    out.write(report.render())
+    _write_output(report.render())
     return 0 if report.passed else 1
 
 
@@ -251,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "pushout":
             with mutants.enabled(args.mutant):
-                return cmd_pushout(args, sys.stdout)
-        return cmd_suite(args, sys.stdout)
+                return cmd_pushout(args)
+        return cmd_suite(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

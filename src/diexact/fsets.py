@@ -257,8 +257,8 @@ class CommutativeSquare:
     """A span and a cospan with matching feet whose two composites agree.
 
     Commutativity is checked at construction, on index tables by
-    ``first_disagreement``; mutants and doctored test squares may bypass it
-    via ``_unchecked``.
+    ``first_disagreement``; only the gate ``pushouts._square``, while a
+    mutant is on, and doctored test squares bypass it via ``_unchecked``.
     """
 
     span: Span
@@ -472,9 +472,6 @@ def _require_commutes_with_span(span_: Span, candidate: Cospan) -> None:
 
 def all_functions(domain: FiniteSet, codomain: FiniteSet) -> Iterator[SetFunction]:
     """All total maps, in lexicographic table order."""
-    if len(domain) == 0:
-        yield SetFunction(domain, codomain, ())
-        return
     for values in itertools.product(codomain.elements, repeat=len(domain)):
         yield SetFunction(domain, codomain, values)
 

@@ -19,7 +19,8 @@ The routes share no colimit code with the verification oracles, which
 decide squares on index tables, so that oracle verdicts about them are
 meaningful.  The sabotage sites of the mutation-sensitivity suites ask
 ``mutants.active``, here and in ``pointed``, and so plant defects only in
-constructions; no mutant is active in normal operation.
+constructions; no mutant is active in normal operation.  Every square here
+is built by ``_square``, which skips its check only while a mutant is on.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ class MalcevPushoutResult:
         return self.square.corner
 
 
+def _square(s: Span, cospan: Cospan) -> CommutativeSquare:
+    """Every route square: checked to commute unless a mutant is on, so
+    that a planted defect reaches the oracles instead of being refused."""
+    if mutants.active():
+        return CommutativeSquare._unchecked(s, cospan)
+    return CommutativeSquare(s, cospan)
+
+
 def require_malcev(s: Span) -> Relation:
     """Raise with an element-level witness unless the span is Mal'cev;
     return the span's relation, which the check decided on."""
@@ -145,12 +154,14 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
     relation of r, a relation between the span's feet, and read both legs
     off the quotient.
 
-    Under any mutant the square is left unchecked, and the quotient is by
-    the equivalence the pairs of the block relation generate.  Under
-    nonsymmetric-closure it is by their forward closure instead, with the
-    R° block (each link from B back to A) dropped: each element goes to the
-    least element it reaches, so an element of B never reaches the ``l:``
-    name of its class, and the legs disagree on the apex.
+    Under a mutant the quotient is by the equivalence that the set bits of
+    the block relation generate; under nonsymmetric-closure, by the one its
+    two diagonal blocks generate.  That is the forward closure without the
+    R° block (the links from B back to A), each element sent to the least
+    element it reaches: r is difunctional there, so both blocks are
+    equivalences (Riguet), and every ``l:`` name sorts before every ``r:``
+    name.  So no element of B reaches the ``l:`` name of its class, and the
+    legs disagree on the apex.
     """
     e = pushout_equivalence(r)
     total, inl, inr = coproduct(*s.feet)
@@ -162,23 +173,12 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
                 "direct-pushout",
                 "block relation of a difunctional relation is not an equivalence",
             ) from None
-        square_of = CommutativeSquare
-    elif mutants.active(mutants.NONSYMMETRIC):
-        right = set(inr.values)
-        one_way = [(x, y) for x, y in e.pairs() if x not in right or y in right]
-        least = {x: x for x in total}
-        for _ in total:  # a shortest path has fewer links than A + B has elements
-            for x, y in one_way:
-                least[x] = min(least[x], least[y])
-        names = tuple(least.values())
-        quotient = SetFunction(total, FiniteSet(tuple(set(names))), names)
-        square_of = CommutativeSquare._unchecked
     else:
-        n = len(total)
-        links = [(i, j) for i, row in enumerate(e.rows) for j in range(n) if row >> j & 1]
+        m, diagonal = len(s.left.codomain), mutants.active(mutants.NONSYMMETRIC)
+        bits = [(i, j) for i, row in enumerate(e.rows) for j in range(len(total)) if row >> j & 1]
+        links = [(i, j) for i, j in bits if not diagonal or (i < m) == (j < m)]
         quotient = quotient_by_generated(total, links)
-        square_of = CommutativeSquare._unchecked
-    square = square_of(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
+    square = _square(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
     return MalcevPushoutResult(e=e, square=square)
 
 
@@ -226,10 +226,7 @@ def mono_span_pushout(s: Span) -> CommutativeSquare:
         glued.setdefault(i, j)
     left, right = inl.table, inr.table
     q = quotient_by_generated(total, [(left[i], right[j]) for i, j in glued.items()])
-    cospan = Cospan(compose(q, inl), compose(q, inr))
-    if mutants.active(mutants.SKIP_MONO):
-        return CommutativeSquare._unchecked(s, cospan)
-    return CommutativeSquare(s, cospan)
+    return _square(s, Cospan(compose(q, inl), compose(q, inr)))
 
 
 def pushout_epi_leg(s: Span) -> CommutativeSquare:
@@ -273,7 +270,7 @@ def _epi_leg_square(s: Span) -> CommutativeSquare:
             )
         values.append(images[0])
     k = SetFunction(b_set, h.codomain, tuple(values))
-    return CommutativeSquare(s, Cospan(h, k))
+    return _square(s, Cospan(h, k))
 
 
 @dataclass(frozen=True)
@@ -343,7 +340,7 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
         f1_prime = identity(g1.codomain)
         f2_prime, g2_prime = f_prime, g2
         h2 = identity(g2.codomain)
-        second = CommutativeSquare(span(g2, f1_prime), Cospan(h2, g2))
+        second = _square(span(g2, f1_prime), Cospan(h2, g2))
     else:
         f1_prime, f2_prime = image_factorization(f_prime)
         stage_two_span = span(g2, f1_prime)
@@ -369,12 +366,7 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
             )
 
     third = mono_span_pushout(span(f2_prime, g2_prime))
-    outer = Cospan(
-        compose(third.cospan.left, h1),
-        compose(third.cospan.right, h2),
+    pasted = _square(
+        s, Cospan(compose(third.cospan.left, h1), compose(third.cospan.right, h2))
     )
-    if mutants.active():
-        pasted = CommutativeSquare._unchecked(s, outer)
-    else:
-        pasted = CommutativeSquare(s, outer)
     return DecompositionTrace(squares=(first, second, third), pasted=pasted)

@@ -1,6 +1,7 @@
 """Command-line behaviour: reports, exit codes, witnesses, determinism."""
 
 import contextlib
+import errno
 import io
 import os
 import random
@@ -286,6 +287,82 @@ class TestSuiteCommand:
     def test_zero_bound_is_vacuously_fine(self, capsys):
         assert main(["suite", "--max-size", "0"]) == 0
         assert "RESULT: PASS" in capsys.readouterr().out
+
+
+class _FullDisk:
+    """A standard output whose write, or only its flush, fails as a full
+    disk does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def _fail(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        if self.failing == "write":
+            self._fail()
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            self._fail()
+
+
+UNWRITABLE = {
+    "closed": (None, "standard output is closed"),
+    "write fails": (_FullDisk("write"), os.strerror(errno.ENOSPC)),
+    "flush fails": (_FullDisk("flush"), os.strerror(errno.ENOSPC)),
+}
+
+
+@pytest.mark.parametrize("stdout", UNWRITABLE)
+@pytest.mark.parametrize("command", ["pushout", "suite"])
+def test_unwritable_standard_output_is_a_usage_error(command, stdout, tmp_path, monkeypatch):
+    """A report that cannot be written ends in exit code 2 and one
+    ``error:`` line, not in a traceback."""
+    args = ["pushout", write(tmp_path, "r.txt", MATCHED_PAIRS)]
+    if command == "suite":
+        args = ["suite", "--max-size", "1"]
+    writer, reason = UNWRITABLE[stdout]
+    err = io.StringIO()
+    monkeypatch.setattr("sys.stdout", writer)
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code == 2
+    assert err.getvalue() == f"error: cannot write standard output: {reason}\n"
+
+
+SHELL_STDOUT = {  # what the child does to fd 1 before it starts, and the reason it reports
+    ">&-": (lambda: os.close(1), "standard output is closed"),
+    "> /dev/full": (
+        lambda: os.dup2(os.open("/dev/full", os.O_WRONLY), 1),
+        os.strerror(errno.ENOSPC),
+    ),
+}
+
+
+@pytest.mark.parametrize("redirect", SHELL_STDOUT)
+@pytest.mark.parametrize("command", ["pushout", "suite"])
+def test_unwritable_standard_output_exits_2_in_a_new_process(command, redirect, tmp_path):
+    """The same from the shell: the process exits 2 with the one ``error:``
+    line, and nothing more is printed when the interpreter flushes its
+    streams at exit."""
+    if redirect == "> /dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    args = ["pushout", write(tmp_path, "r.txt", MATCHED_PAIRS)]
+    if command == "suite":
+        args = ["suite", "--max-size", "1"]
+    preexec, reason = SHELL_STDOUT[redirect]
+    done = subprocess.run(
+        [sys.executable, "-m", "diexact", *args],
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8"),
+        timeout=120,
+        preexec_fn=preexec,
+    )
+    assert done.returncode == 2
+    assert done.stderr.decode() == f"error: cannot write standard output: {reason}\n"
 
 
 @pytest.mark.parametrize("command", ["pushout", "suite"])

@@ -3,7 +3,7 @@ program's output byte-identical is checked against the output it started
 from.
 
 Each digest is the SHA-256 of a report: the rendered ``run_all_suites``
-report at two fixed configurations, and the exit code, stdout and stderr of
+report at three fixed configurations, and the exit code, stdout and stderr of
 ``diexact pushout`` on fixed documents under every method, with and without
 ``--image-first``, and with no mutant or each of the four.  A change that
 alters a report on purpose renews the digest it changes and says why.
@@ -28,6 +28,9 @@ SUITE_CONFIGS = {
         max_size=2, exhaustive=True, samples=10, seed=7
     ),
     "max-size=3 samples=60 seed=42": dict(max_size=3, samples=60, seed=42),
+    "max-size=3 exhaustive samples=20 seed=3": dict(
+        max_size=3, exhaustive=True, samples=20, seed=3
+    ),
 }
 
 SUITE_DIGESTS = {  # per configuration: no mutant, then each of mutants.KNOWN
@@ -44,6 +47,13 @@ SUITE_DIGESTS = {  # per configuration: no mutant, then each of mutants.KNOWN
         "2b3fe5c17b99de29288bc3f80c95b187c72218d36f59f6eaa3a43a60c5996c1d",
         "c1d1a79bd8746dca7a0e1e58365658b4ae924bb8451e7d3ecac6a32627104c74",
         "8a35e0b02f9daee7c447a395d398615bc854eb96374d7c3eedd1de1c20b2ed37",
+    ),
+    "max-size=3 exhaustive samples=20 seed=3": (
+        "7b46270909a42c010126f6a9176123ee718c3f2a5030fa817fcb7efad2f50630",
+        "70ab142535727458cc45a6722f70a6329e82003a782dafad81ea696b3cc1f443",
+        "b31cd065bccdfa961a35373c0fd20b789311f113fdfd37abaf8ed6eb20f42503",
+        "16469c904ba51850576a9d5ab4379e74b870e82bd21398d89fae8ff695b001bc",
+        "98c71a8c693d7aaa40418966eaa853528bfd7e97c8ef0ee0a7e462206c42ad68",
     ),
 }
 

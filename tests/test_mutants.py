@@ -1,21 +1,30 @@
 """The mutant switch: activation scope and name checks; mutants that plant
-defects in constructions only; one owner each for mutant names, generated
-element names and the text form of values; cross-validators that call no
+defects in constructions only, and pass the routes' own checks through one
+gate; the nonsymmetric-closure quotient against its forward-closure
+reference; one owner each for mutant names, generated element names and
+the text form of values; cross-validators that call no
 oracle, construction or route; fast oracles that build no colimit;
 suites that share one instance loop; suites and routes that repeat no
 construction; the calls the traced benchmark swaps, which stay bare-name
 calls; and no definition in the package without a program caller."""
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
 
 from diexact import mutants
 from diexact.certificates import is_pushout_square
-from diexact.enumeration import exhaustive_malcev_spans
-from diexact.fsets import canonical_pushout
-from diexact.pushouts import malcev_pushout_direct
+from diexact.enumeration import (
+    all_equivalences,
+    exhaustive_malcev_spans,
+    letters,
+    random_malcev_span,
+)
+from diexact.fsets import FiniteSet, SetFunction, canonical_pushout, coproduct
+from diexact.pushouts import malcev_pushout_direct, pushout_equivalence
+from diexact.relations import span_to_relation, tabulate
 from diexact.suites import SuiteConfig, suite_certificates
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,6 +66,40 @@ def test_nonsymmetric_closure_changes_the_direct_square():
             if malcev_pushout_direct(s).square != square:
                 changed.append(label)
     assert changed
+
+
+def _forward_closure(s):
+    """The nonsymmetric-closure quotient by its definition: drop the links
+    of the block relation that run from B back to A, and send each element
+    of A + B to the least element it reaches along the rest."""
+    total, _, inr = coproduct(*s.feet)
+    right = set(inr.values)
+    e = pushout_equivalence(span_to_relation(s))
+    one_way = [(x, y) for x, y in e.pairs() if x not in right or y in right]
+    least = {x: x for x in total}
+    for _ in total:  # a shortest path has fewer links than A + B has elements
+        for x, y in one_way:
+            least[x] = min(least[x], least[y])
+    names = tuple(least.values())
+    return SetFunction(total, FiniteSet(tuple(set(names))), names)
+
+
+def test_nonsymmetric_closure_is_the_forward_closure():
+    """Under nonsymmetric-closure the direct route quotients by the
+    equivalence that the two diagonal blocks generate; since a difunctional
+    relation makes both blocks equivalences, that is the forward closure
+    without the R° block, on every span up to size 3, the tabulation of
+    every equivalence up to size 4 and 3000 seeded spans up to size 7."""
+    corpus = [s for _, s in exhaustive_malcev_spans(3)]
+    corpus += [
+        tabulate(e) for size in range(5) for _, e in all_equivalences(letters("a", size))
+    ]
+    rng = random.Random(20)
+    corpus += [random_malcev_span(rng, 7)[1] for _ in range(3000)]
+    assert len(corpus) == 241 + 24 + 3000
+    with mutants.enabled(mutants.NONSYMMETRIC):
+        differ = [s for s in corpus if malcev_pushout_direct(s).quotient != _forward_closure(s)]
+    assert differ == []
 
 
 @pytest.mark.parametrize("mutant", mutants.KNOWN)
@@ -407,6 +450,56 @@ def test_the_suites_keep_one_instance_loop():
         ),
     )
     assert {"Assign", "AnnAssign"}.isdisjoint(containers)
+
+
+def _annotations(tree: ast.AST) -> set[int]:
+    """The ids of every node inside an annotation of the tree."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            roots.append(node.annotation)
+    return {id(inner) for root in roots if root is not None for inner in ast.walk(root)}
+
+
+def test_route_squares_pass_one_gate():
+    """In ``pushouts`` only ``_square`` names ``CommutativeSquare`` other
+    than in an annotation, so every route square, checked or not, is built
+    through that gate; ``pointed`` names ``PointedMap._unchecked`` once."""
+    tree = ast.parse((SOURCES[0].parent / "pushouts.py").read_text(encoding="utf-8"))
+    annotated = _annotations(tree)
+    naming = [
+        getattr(statement, "name", type(statement).__name__)
+        for statement in tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Name)
+        and node.id == "CommutativeSquare"
+        and id(node) not in annotated
+    ]
+    assert naming == ["_square", "_square"]
+    unchecked = _top_level_names_where(
+        "pushouts.py",
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_unchecked",
+    )
+    assert unchecked == ["_square"]
+    pointed = _top_level_names_where(
+        "pointed.py",
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "_unchecked",
+    )
+    assert pointed == ["pointed_malcev_pushout"]
+
+
+def test_block_quotient_leaves_the_quotients_to_their_kernels():
+    """``_block_quotient`` quotients through ``quotient_by_equivalence`` or
+    ``quotient_by_generated`` and builds no function or set itself."""
+    named = {
+        node.id
+        for node in ast.walk(_function("pushouts.py", "_block_quotient"))
+        if isinstance(node, ast.Name)
+    }
+    assert {"quotient_by_equivalence", "quotient_by_generated"} <= named
+    assert named.isdisjoint({"SetFunction", "FiniteSet"})
 
 
 def test_the_decomposed_route_calls_the_epi_leg_body():
