@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .fsets import (
     CommutativeSquare,
@@ -99,14 +99,77 @@ def random_relation(rng: random.Random, source: FiniteSet, target: FiniteSet) ->
     return Relation._of_rows(source, target, rows)
 
 
-def random_difunctional(rng: random.Random, source: FiniteSet, target: FiniteSet) -> Relation:
+def random_malcev_relation(
+    rng: random.Random,
+    max_size: int,
+    carrier: Callable[[str, int], FiniteSet] = letters,
+) -> Relation:
+    """One seeded draw: |A| and |B| up to ``max_size``, then a
+    ``random_relation`` between ``carrier("a", |A|)`` and
+    ``carrier("b", |B|)``, closed to the least difunctional relation
+    containing it."""
+    source = carrier("a", rng.randint(0, max_size))
+    target = carrier("b", rng.randint(0, max_size))
     return difunctional_closure(random_relation(rng, source, target))
 
 
+def _sampled_label(r: Relation) -> str:
+    return f"sampled |A|={len(r.source)},|B|={len(r.target)} R={r!r}"
+
+
 def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:
-    m, n = rng.randint(0, max_size), rng.randint(0, max_size)
-    r = random_difunctional(rng, letters("a", m), letters("b", n))
-    return f"sampled |A|={m},|B|={n} R={r!r}", tabulate(r)
+    r = random_malcev_relation(rng, max_size)
+    return _sampled_label(r), tabulate(r)
+
+
+Carriers = Callable[..., object]
+
+
+def interned_samples(
+    count: int,
+    carrier: Carriers,
+    draw: Callable[[Carriers], Relation],
+    build: Callable[[Relation, Carriers], tuple[str, object]],
+) -> list[tuple[str, object]]:
+    """``count`` relations ``draw(carriers)``, in draw order, each labelled
+    ``f"sample#{i} {label}"`` by the (label, instance) pair that
+    ``build(r, carriers)`` makes of its relation r.
+
+    ``carriers`` calls ``carrier`` once per distinct argument tuple, and
+    ``build`` runs once per distinct relation, keyed by (|A|, |B|, rows),
+    so equal draws share one instance.  Both tables are local to the call.
+    """
+    sets: dict[tuple, object] = {}
+
+    def carriers(*args):
+        if args not in sets:
+            sets[args] = carrier(*args)
+        return sets[args]
+
+    built: dict[tuple[int, int, tuple[int, ...]], tuple[str, object]] = {}
+    samples = []
+    for i in range(count):
+        r = draw(carriers)
+        key = (len(r.source), len(r.target), r.rows)
+        if key not in built:
+            built[key] = build(r, carriers)
+        label, instance = built[key]
+        samples.append((f"sample#{i} {label}", instance))
+    return samples
+
+
+def sample_malcev_spans(
+    rng: random.Random, count: int, max_size: int
+) -> list[tuple[str, Span]]:
+    """``count`` draws of ``random_malcev_relation``, each labelled
+    ``sample#i`` and tabulated as ``random_malcev_span`` would; equal draws
+    share one ``Span``."""
+    return interned_samples(
+        count,
+        letters,
+        lambda carriers: random_malcev_relation(rng, max_size, carriers),
+        lambda r, _: (_sampled_label(r), tabulate(r)),
+    )
 
 
 def _random_plain_square(rng: random.Random, max_size: int) -> CommutativeSquare | None:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import mutants
-from .enumeration import random_relation
+from .enumeration import interned_samples, random_relation
 from .errors import PreconditionError
 from .fsets import (
     Cospan,
@@ -216,22 +216,41 @@ def zero_object_checks(max_size: int = 5) -> ZeroObjectReport:
     return ZeroObjectReport(max_size=max_size, failures=tuple(failures), strictness_witness=witness)
 
 
-def random_pointed_span(
-    rng: random.Random, max_size: int
-) -> tuple[str, PointedSpan]:
-    """A seeded pointed Mal'cev span: tabulate a difunctional relation that
-    relates the basepoints, and point the tabulation at that pair."""
-    m, n = rng.randint(1, max_size), rng.randint(1, max_size)
-    a = canonical_pointed_set(m)
-    b = canonical_pointed_set(n)
-    raw = random_relation(rng, a.carrier, b.carrier)
-    with_base = Relation.from_pairs(
-        a.carrier,
-        b.carrier,
-        list(raw.pairs()) + [(a.basepoint, b.basepoint)],
+def random_pointed_relation(
+    rng: random.Random,
+    max_size: int,
+    carrier: Callable[[int], PointedSet] = canonical_pointed_set,
+) -> Relation:
+    """One seeded draw: |A| and |B| from 1 to ``max_size``, then a
+    ``random_relation`` between the carriers of ``carrier(|A|)`` and
+    ``carrier(|B|)`` with the basepoint pair added, closed to the least
+    difunctional relation containing it."""
+    a = carrier(rng.randint(1, max_size)).carrier
+    b = carrier(rng.randint(1, max_size)).carrier
+    raw = random_relation(rng, a, b)
+    # The basepoint sorts first in a canonical pointed set: bit 0 of row 0.
+    based = Relation._of_rows(a, b, (raw.rows[0] | 1,) + raw.rows[1:])
+    return difunctional_closure(based)
+
+
+def sample_pointed_spans(
+    rng: random.Random, count: int, max_size: int
+) -> list[tuple[str, PointedSpan]]:
+    """``count`` draws of ``random_pointed_relation``, each labelled
+    ``sample#i`` and pointed at the basepoint pair of its tabulation; equal
+    draws share one ``PointedSpan``."""
+
+    def build(r: Relation, carriers) -> tuple[str, PointedSpan]:
+        a, b = carriers(len(r.source)), carriers(len(r.target))
+        label = f"pointed |A|={len(a)},|B|={len(b)} R={r!r}"
+        return label, pointed_span_from_relation(a, b, r)
+
+    return interned_samples(
+        count,
+        canonical_pointed_set,
+        lambda carriers: random_pointed_relation(rng, max_size, carriers),
+        build,
     )
-    r = difunctional_closure(with_base)
-    return f"pointed |A|={m},|B|={n} R={r!r}", pointed_span_from_relation(a, b, r)
 
 
 def pointed_span_from_relation(

@@ -36,7 +36,7 @@ from .enumeration import (
     difunctional_relations,
     exhaustive_malcev_spans,
     letters,
-    random_malcev_span,
+    sample_malcev_spans,
 )
 from .errors import InternalInvariantError, PreconditionError
 from .fsets import (
@@ -57,7 +57,7 @@ from .pointed import (
     pointed_malcev_pushout,
     pointed_pullback,
     pointed_span_from_relation,
-    random_pointed_span,
+    sample_pointed_spans,
     zero_object_checks,
 )
 from .pushouts import (
@@ -290,17 +290,14 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
 
 @functools.lru_cache(maxsize=1)
 def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
-    """The labelled spans of T2 and D, built once per configuration.
+    """The labelled spans of T2 and D, built once per configuration; the
+    sampled spans are tabulated once per distinct relation.
 
     ``enumeration`` asks for no mutant, so the corpus does not depend on
     the one the configuration names.
     """
-    corpus = list(exhaustive_malcev_spans(config.exhaustive_bound))
-    rng = random.Random(config.seed)
-    for i in range(config.samples):
-        label, s = random_malcev_span(rng, config.max_size)
-        corpus.append((f"sample#{i} {label}", s))
-    return tuple(corpus)
+    samples = sample_malcev_spans(random.Random(config.seed), config.samples, config.max_size)
+    return tuple(exhaustive_malcev_spans(config.exhaustive_bound)) + tuple(samples)
 
 
 @functools.lru_cache(maxsize=1)
@@ -418,12 +415,9 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
                 if r.holds(BASEPOINT, BASEPOINT):
                     label = f"pointed |A|={m},|B|={n} #{index} R={r!r}"
                     corpus.append((label, pointed_span_from_relation(a, b, r)))
-    rng = random.Random(config.seed)
     n_samples = config.samples if config.samples else 25
-    for i in range(n_samples):
-        label, ps = random_pointed_span(rng, max(1, config.max_size))
-        corpus.append((f"sample#{i} {label}", ps))
-    return corpus
+    rng = random.Random(config.seed)
+    return corpus + sample_pointed_spans(rng, n_samples, max(1, config.max_size))
 
 
 def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:

@@ -13,7 +13,7 @@ from hypothesis import settings
 
 from diexact import suites
 from diexact.fsets import FiniteSet, SetFunction, Span, span
-from diexact.relations import Relation, difunctional_closure, tabulate
+from diexact.relations import Relation, converse, difunctional_closure, rel_compose, tabulate, union
 
 def graph_of(f: SetFunction) -> Relation:
     """The relation holding at each (x, f(x))."""
@@ -31,6 +31,18 @@ def quotient_by_partition(a: FiniteSet, blocks: Iterable[Sequence[str]]) -> SetF
     names = {x: block[0] for block in block_list for x in block}
     target = FiniteSet(tuple(sorted({block[0] for block in block_list})))
     return SetFunction(a, target, tuple(names[x] for x in a))
+
+
+def fixpoint_closure(r: Relation) -> Relation:
+    """Least difunctional relation containing r, by iterating
+    R <- R u R R° R to a fixpoint: the reference for the one-pass
+    ``difunctional_closure``."""
+    current = r
+    while True:
+        step = union(current, rel_compose(current, rel_compose(converse(current), current)))
+        if step == current:
+            return current
+        current = step
 
 
 settings.register_profile("suite", deadline=None)

@@ -51,7 +51,7 @@ from diexact.fsets import (
     kernel_pair,
     pullback,
 )
-from diexact.pointed import random_pointed_span, pointed_malcev_pushout, zero_object_checks
+from diexact.pointed import pointed_malcev_pushout, sample_pointed_spans, zero_object_checks
 from diexact.pushouts import (
     malcev_pushout_decomposed,
     malcev_pushout_direct,
@@ -278,10 +278,8 @@ def test_criterion_6_oracle_cross_validation_exhaustive():
 def test_criterion_7_pointed_sets():
     report = zero_object_checks(5)
     assert report.ok and "not strict" in report.strictness_witness
-    rng = random.Random(2718)
     certified = 0
-    for i in range(200):
-        label, ps = random_pointed_span(rng, 4)
+    for label, ps in sample_pointed_spans(random.Random(2718), 200, 4):
         result = pointed_malcev_pushout(ps)
         cert = certify(result.underlying.square)
         assert cert.is_pushout.ok and cert.is_pullback.ok and cert.is_stable.ok, label

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from diexact import mutants
+from diexact import cli, mutants
 from diexact.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -223,6 +223,47 @@ class TestPushoutCommand:
         capsys.readouterr()
         assert main(["pushout", write(tmp_path, "r.txt", MATCHED_PAIRS)]) == 0
         assert capsys.readouterr().out == MATCHED_PAIRS_REPORT
+
+
+def bijection(n):
+    """A relation document pairing a_i with b_i for i = 1..n."""
+    return (
+        "set A = {" + ", ".join(f"a{i}" for i in range(1, n + 1)) + "}\n"
+        "set B = {" + ", ".join(f"b{i}" for i in range(1, n + 1)) + "}\n"
+        "rel R : A -|> B = {" + ", ".join(f"(a{i},b{i})" for i in range(1, n + 1)) + "}\n"
+    )
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("method", ("direct", "decomposed", "both"))
+    def test_feet_above_the_budget_start_no_route(self, method, tmp_path, capsys, monkeypatch):
+        """8193 + 8193 elements make 2^28 + 65540 cells, just above the
+        budget; the refusal comes before any route or certificate."""
+        assert (2 * 8192) ** 2 == cli.BLOCK_CELL_BUDGET
+
+        def no_route(*args):
+            raise AssertionError("a route ran")
+
+        for name in ("malcev_pushout_direct", "malcev_pushout_decomposed", "certify"):
+            monkeypatch.setattr(cli, name, no_route)
+        path = write(tmp_path, "big.txt", bijection(8193))
+        assert main(["pushout", "--method", method, path]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "precondition violated: the block relation on A + B would have "
+            "(|A| + |B|)^2 = 268500996 cells, above the budget of 268435456\n",
+        )
+
+    def test_the_budget_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        """MATCHED_PAIRS has (2 + 2)^2 = 16 cells: a budget of 16 prints its
+        report unchanged, and one of 15 refuses it with the count."""
+        path = write(tmp_path, "r.txt", MATCHED_PAIRS)
+        monkeypatch.setattr(cli, "BLOCK_CELL_BUDGET", 16)
+        assert main(["pushout", path]) == 0
+        assert capsys.readouterr().out == MATCHED_PAIRS_REPORT
+        monkeypatch.setattr(cli, "BLOCK_CELL_BUDGET", 15)
+        assert main(["pushout", path]) == 3
+        assert "= 16 cells, above the budget of 15" in capsys.readouterr().err
 
 
 class TestOneParser:

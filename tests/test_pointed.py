@@ -17,7 +17,7 @@ from diexact.pointed import (
     pointed_maps_between,
     pointed_pullback,
     pointed_span_from_relation,
-    random_pointed_span,
+    sample_pointed_spans,
     zero_object,
     zero_object_checks,
 )
@@ -97,9 +97,7 @@ class TestPointedPushout:
         assert result.underlying.h == plain.h
 
     def test_underlying_square_certifies(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            _, ps = random_pointed_span(rng, 3)
+        for _, ps in sample_pointed_spans(random.Random(3), 25, 3):
             result = pointed_malcev_pushout(ps)
             assert certify(result.underlying.square).ok
 
@@ -168,9 +166,9 @@ class TestSeededPointedSpans:
     def test_seeded_label_is_frozen(self):
         # seed 17 reads differently at density 0.25 or 0.35 and with the
         # columns of each row drawn in reverse order
-        label, _ = random_pointed_span(random.Random(17), 4)
+        [(label, _)] = sample_pointed_spans(random.Random(17), 1, 4)
         assert label == (
-            "pointed |A|=4,|B|=3 R={(*,*), (*,x1), (x1,x2), (x2,*), "
+            "sample#0 pointed |A|=4,|B|=3 R={(*,*), (*,x1), (x1,x2), (x2,*), "
             "(x2,x1), (x3,*), (x3,x1)}"
         )
 

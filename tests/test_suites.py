@@ -2,12 +2,19 @@
 and how often a run builds its shared objects."""
 
 import dataclasses
+import itertools
+import random
 import sys
 
 import pytest
 
 from diexact import certificates, enumeration, fsets, mutants, pointed, pushouts, relations, suites
-from diexact.enumeration import exhaustive_malcev_spans
+from diexact.enumeration import (
+    difunctional_relations,
+    exhaustive_malcev_spans,
+    letters,
+    random_relation,
+)
 from diexact.errors import InternalInvariantError, PreconditionError
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
 from diexact.suites import (
@@ -22,6 +29,9 @@ from diexact.suites import (
     suite_equivalences,
     theorem_suites,
 )
+from conftest import fixpoint_closure
+from diexact.pointed import canonical_pointed_set, pointed_span_from_relation
+from diexact.relations import Relation, tabulate
 from test_pushouts import widened
 
 
@@ -53,6 +63,73 @@ class TestCorpusSizes:
     def test_samples_add_to_the_corpus(self):
         config = SuiteConfig(max_size=2, exhaustive=True, samples=13, seed=3)
         assert suite_certificates(config).total == 40
+
+
+def per_draw_span_corpus(config):
+    """Reference for ``suites._span_corpus``: the loop it replaced, which
+    labels and tabulates every draw afresh and closes each by the fixpoint."""
+    corpus = list(exhaustive_malcev_spans(config.exhaustive_bound))
+    rng = random.Random(config.seed)
+    for i in range(config.samples):
+        m, n = rng.randint(0, config.max_size), rng.randint(0, config.max_size)
+        r = fixpoint_closure(random_relation(rng, letters("a", m), letters("b", n)))
+        corpus.append((f"sample#{i} sampled |A|={m},|B|={n} R={r!r}", tabulate(r)))
+    return corpus
+
+
+def per_draw_pointed_corpus(config):
+    """Reference for ``suites._pointed_corpus``, drawn the same way, with the
+    basepoint pair added by name."""
+    corpus = []
+    small = max(1, min(config.max_size, 2))
+    for m, n in itertools.product(range(1, small + 1), repeat=2):
+        a, b = canonical_pointed_set(m), canonical_pointed_set(n)
+        for index, r in enumerate(difunctional_relations(a.carrier, b.carrier)):
+            if r.holds("*", "*"):
+                corpus.append(
+                    (f"pointed |A|={m},|B|={n} #{index} R={r!r}", pointed_span_from_relation(a, b, r))
+                )
+    rng = random.Random(config.seed)
+    top = max(1, config.max_size)
+    for i in range(config.samples or 25):
+        m, n = rng.randint(1, top), rng.randint(1, top)
+        a, b = canonical_pointed_set(m), canonical_pointed_set(n)
+        raw = random_relation(rng, a.carrier, b.carrier)
+        with_base = Relation.from_pairs(a.carrier, b.carrier, [*raw.pairs(), ("*", "*")])
+        r = fixpoint_closure(with_base)
+        corpus.append(
+            (f"sample#{i} pointed |A|={m},|B|={n} R={r!r}", pointed_span_from_relation(a, b, r))
+        )
+    return corpus
+
+
+def assert_equal_samples_are_one_object(samples):
+    first = {}
+    for label, instance in samples:
+        assert first.setdefault(instance, instance) is instance, label
+
+
+class TestCorpusAgainstPerDrawBuilder:
+    @pytest.mark.parametrize("seed", (0, 7, 42))
+    @pytest.mark.parametrize("samples", (0, 5, 300))
+    @pytest.mark.parametrize("max_size", (0, 1, 2, 3))
+    def test_labels_and_instances_in_order(self, max_size, samples, seed):
+        config = SuiteConfig(max_size=max_size, samples=samples, seed=seed)
+        spans = suites._span_corpus(config)
+        assert list(spans) == per_draw_span_corpus(config)
+        assert_equal_samples_are_one_object(spans[len(spans) - samples :])
+        pointed_spans = suites._pointed_corpus(config)
+        assert pointed_spans == per_draw_pointed_corpus(config)
+        sampled = [(label, ps) for label, ps in pointed_spans if label.startswith("sample#")]
+        assert len(sampled) == (samples or 25)
+        assert_equal_samples_are_one_object(sampled)
+
+    def test_repeated_draws_are_shared(self):
+        """At size 1 a seed-42 run of 300 draws has few distinct relations,
+        so most samples are repeats of an earlier one."""
+        config = SuiteConfig(max_size=1, samples=300, seed=42)
+        sampled = suites._span_corpus(config)[-300:]
+        assert len({id(s) for _, s in sampled}) == _distinct(sampled) < 10
 
 
 class TestReports:
@@ -260,11 +337,11 @@ class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
         _, counts = _calls(
-            (fsets.canonical_pushout, enumeration.random_malcev_span),
+            (fsets.canonical_pushout, enumeration.random_malcev_relation),
             lambda: run_all_suites(config),
         )
         spans = _distinct(suites._span_corpus(config))
-        assert counts == {"canonical_pushout": spans, "random_malcev_span": 20}
+        assert counts == {"canonical_pushout": spans, "random_malcev_relation": 20}
 
     def test_t2_and_d_share_one_direct_pushout_per_span(self):
         """Each distinct T2 span gets one direct pushout, which D reads too;
