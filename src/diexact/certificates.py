@@ -5,7 +5,12 @@ The pushout oracle forms the classes of A + B with one union-find over the
 legs' index tables and tests whether the comparison map from those classes
 onto the square's corner is a bijection; it builds no colimit, so it shares
 no code with the constructions.  The pullback oracle tests whether the
-apex's pairing map onto the fiber-product pair set is a bijection.
+apex's pairing map onto the fiber-product pair set is a bijection, by
+counting: the apex's pair names must be distinct and as many as the fiber
+product, Σ over a of |k⁻¹(h(a))|.  ``fiber_pairs`` builds that pair set
+only when the count fails, to name the missing pair.  ``certify`` decides
+commutativity once and then runs both oracles on the square; called alone,
+each oracle checks commutativity itself.
 Stability is decided fiberwise over the corner, and its evidence is the
 pushout oracle's comparison: one class of A + B lies over each corner
 element.  Each verdict stores enough evidence to re-check it without
@@ -124,28 +129,36 @@ def is_pushout_square(square: CommutativeSquare) -> Verdict:
     class to the corner image of its members (one image, as the square
     commutes) is a bijection.
 
-    Each class is named by its least tagged member.  Every ``l:`` name sorts
+    Each class is linked to its least node, so its root is that node, and
+    it is named by that node's tagged member.  Every ``l:`` name sorts
     before every ``r:`` name and each foot is sorted, so the node order,
-    A then B, is the name order: a class is met first at its least member,
-    and the classes are met in name order."""
+    A then B, is the name order: the roots, in node order, are the classes
+    in name order."""
     _require_commuting(square)
-    f_t, g_t, h_t, k_t = _tables(square)
-    parent = list(range(len(h_t) + len(k_t)))
+    return _pushout_verdict(square)
 
-    def find(i: int) -> int:
+
+def _pushout_verdict(square: CommutativeSquare) -> Verdict:
+    """``is_pushout_square`` on a square known to commute."""
+    f_t, g_t, h_t, k_t = _tables(square)
+    n_a = len(h_t)
+    parent = list(range(n_a + len(k_t)))
+    for i, j in zip(f_t, g_t):
+        j += n_a
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in zip(f_t, g_t):
-        parent[find(i)] = find(len(h_t) + j)
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
     names = [tagged(LEFT, a) for a in square.cospan.left.domain]
     names += [tagged(RIGHT, b) for b in square.cospan.right.domain]
     corner = square.corner.elements
-    least: dict[int, int] = {}
     seen: dict[int, str] = {}
     for node, d in enumerate(h_t + k_t):
-        if least.setdefault(find(node), node) != node:
+        if parent[node] != node:
             continue
         if d in seen:
             return Verdict(
@@ -169,11 +182,30 @@ def is_pushout_square(square: CommutativeSquare) -> Verdict:
 
 def is_pullback_square(square: CommutativeSquare) -> Verdict:
     """Pairing-map oracle: the apex must biject onto the pairs with equal
-    images under the cospan."""
+    images under the cospan.
+
+    Decided by counting, as in ``recheck_certificate``: each apex element
+    names its pair ``(f(c),g(c))``, which lies in the fiber product because
+    the square commutes, so the pairing is a bijection iff those names are
+    distinct and as many as the fiber product, Σ over a of |k⁻¹(h(a))|.
+    Only a square that fails the count builds the fiber product's pair set,
+    with ``fiber_pairs``, to word the refusal: a pair-name clash among the
+    fiber pairs is refused there first, then the first apex name taken
+    twice, then the first pair with no apex element."""
     _require_commuting(square)
-    pairs, _ = fiber_pairs(square.cospan.left, square.cospan.right)
+    return _pullback_verdict(square)
+
+
+def _pullback_verdict(square: CommutativeSquare) -> Verdict:
+    """``is_pullback_square`` on a square known to commute."""
     f, g = square.span.left, square.span.right
-    names = tuple([pair_name(a, b) for a, b in zip(f.values, g.values)])
+    names = tuple(map(pair_name, f.values, g.values))
+    _, _, h_t, k_t = _tables(square)
+    over = Counter(k_t)
+    if len(set(names)) == len(names) == sum([over[d] for d in h_t]):
+        pairing = SetFunction(square.span.apex, FiniteSet(names), names)
+        return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
+    pairs, _ = fiber_pairs(square.cospan.left, square.cospan.right)
     seen: dict[str, str] = {}
     for c, name in zip(square.span.apex, names):
         if name in seen:
@@ -184,14 +216,11 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
             )
         seen[name] = c
     missing = [p for p in pairs if p not in seen]
-    if missing:
-        return Verdict(
-            False,
-            f"pair {missing[0]} has equal images under the cospan but no apex element",
-            missing[0],
-        )
-    pairing = SetFunction(square.span.apex, pairs, names)
-    return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
+    return Verdict(
+        False,
+        f"pair {missing[0]} has equal images under the cospan but no apex element",
+        missing[0],
+    )
 
 
 def is_stable_pushout(square: CommutativeSquare) -> tuple[Verdict, SetFunction]:
@@ -243,8 +272,8 @@ def certify(square: CommutativeSquare) -> PushoutCertificate:
     not commute cannot be a pushout, and a non-pushout cannot be stable."""
     commutes = commutes_verdict(square)
     if commutes.ok:
-        po = is_pushout_square(square)
-        pb = is_pullback_square(square)
+        po = _pushout_verdict(square)
+        pb = _pullback_verdict(square)
         if po.ok:
             stable = _stable(po.evidence)
         else:
@@ -514,19 +543,21 @@ def _base_change_is_pushout(
         b_start.append(len(over))
         over += [t] * fibers[d][1]
     parent = list(range(len(over)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     for t, d in enumerate(x):
         i0, j0 = a_start[t], b_start[t]
         for i, j in fibers[d][2]:
-            parent[find(i0 + i)] = find(j0 + j)
+            i += i0
+            j += j0
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[i] = j
     base: dict[int, int] = {}
     for i, t in enumerate(over):
-        if base.setdefault(find(i), t) != t:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        if base.setdefault(i, t) != t:
             return False
     return sorted(base.values()) == list(range(len(x)))
 

@@ -198,18 +198,24 @@ def pair_set(
     in carrier order.
 
     ``pair_name`` is not injective (``("x,y", "z")`` and ``("x", "y,z")``
-    are both ``(x,y,z)``), so a clash is refused with both pairs named.
+    are both ``(x,y,z)``), so a clash is refused with both pairs named.  All
+    names are built in one pass, and they clash exactly when the dict from
+    name to pair is smaller than the list; only then does a second pass find
+    the first pair whose name was already taken, to word the refusal.
     """
-    by_name: dict[str, tuple[str, str]] = {}
-    for pair in pairs:
-        name = pair_name(*pair)
-        if name in by_name:
-            raise PreconditionError(
-                f"pairs {by_name[name]!r} and {pair!r} both get the element name {name!r}"
-            )
-        by_name[name] = pair
+    pairs = tuple(pairs)
+    names = [pair_name(a, b) for a, b in pairs]
+    by_name = dict(zip(names, pairs))
+    if len(by_name) != len(names):
+        first: dict[str, tuple[str, str]] = {}
+        for name, pair in zip(names, pairs):
+            if name in first:
+                raise PreconditionError(
+                    f"pairs {first[name]!r} and {pair!r} both get the element name {name!r}"
+                )
+            first[name] = pair
     carrier = FiniteSet(tuple(by_name))
-    return carrier, tuple(by_name[name] for name in carrier)
+    return carrier, tuple([by_name[name] for name in carrier])
 
 
 @dataclass(frozen=True)
@@ -367,21 +373,28 @@ def copair(f: SetFunction, g: SetFunction) -> SetFunction:
 
 def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[int, int]]) -> SetFunction:
     """Quotient by the equivalence the index pairs generate: a union-find
-    over the positions of a, each class linked to its lowest position.  a
-    is sorted, so that position is the least member, which names the class;
-    the classes are a partition by construction, so none is checked."""
-    parent = list(range(len(a)))
+    over the positions of a, with path halving inlined into the link loop,
+    each class linked to its lowest position.  a is sorted, so that position
+    is the least member, which names the class; the classes are a partition
+    by construction, so none is checked.
 
-    def find(i: int) -> int:
+    Halving and linking only ever point a position at a lower one, so
+    ``parent[i] <= i`` throughout; in one ascending pass, then,
+    ``parent[parent[i]]`` already holds the root of i when i is reached."""
+    parent = list(range(len(a)))
+    for i, j in pairs:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    names = tuple([a.elements[find(i)] for i in range(len(a))])
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i < j:
+            parent[j] = i
+        elif j < i:
+            parent[i] = j
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    elements = a.elements
+    names = tuple([elements[i] for i in parent])
     return SetFunction(a, FiniteSet(tuple(set(names))), names)
 
 

@@ -293,7 +293,13 @@ def quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
 
 
 def joint_monicity_witness(s: Span) -> tuple[str, str, tuple[str, str]] | None:
-    """Two apex elements with the same image pair, or None if jointly monic."""
+    """Two apex elements with the same image pair, or None if jointly monic.
+
+    The span is jointly monic exactly when its apex has as many distinct
+    index pairs ``(f.table[c], g.table[c])`` as elements; only a span that
+    is not is walked for the first repeated pair."""
+    if len(set(zip(s.left.table, s.right.table))) == len(s.apex):
+        return None
     seen: dict[tuple[str, str], str] = {}
     for c, image in zip(s.apex, zip(s.left.values, s.right.values)):
         if image in seen:

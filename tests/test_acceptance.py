@@ -250,11 +250,14 @@ def test_criterion_6_oracle_cross_validation_exhaustive():
     pushout_squares = []
     for sq in _all_commuting_squares_up_to_3():
         total += 1
-        fast = is_pushout_square(sq).ok
+        cert = certify(sq)
+        assert cert.is_pushout == is_pushout_square(sq)
+        assert cert.is_pullback == is_pullback_square(sq)
+        fast = cert.is_pushout.ok
         assert fast == pushout_by_universal_property(sq, max_test_size=4)
         if fast:
             pushout_squares.append(sq)
-        fast_pullback = is_pullback_square(sq).ok
+        fast_pullback = cert.is_pullback.ok
         assert fast_pullback == pullback_by_universal_property(sq, max_apex_size=3)
         pullbacks += fast_pullback
     assert total == COMMUTING_SQUARES_UP_TO_3
