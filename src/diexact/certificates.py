@@ -248,16 +248,18 @@ def _stable(comparison: SetFunction) -> Verdict:
 
 
 def joint_epicity_verdict(cospan: Cospan) -> Verdict:
-    cover: dict[str, str] = {}
+    """Every corner element is hit by a leg; the evidence names, in corner
+    order, the first element of A + B (A before B) that hits it."""
+    corner = cospan.corner
+    cover: list[str | None] = [None] * len(corner)
     for leg, tag in ((cospan.left, LEFT), (cospan.right, RIGHT)):
-        for x, image in zip(leg.domain, leg.values):
-            cover.setdefault(image, tagged(tag, x))
-    missing = [d for d in cospan.corner if d not in cover]
-    if missing:
-        return Verdict(
-            False, f"corner element {missing[0]!r} is hit by neither leg", missing[0]
-        )
-    return Verdict(True, "legs jointly cover the corner", tuple(sorted(cover.items())))
+        for x, d in zip(leg.domain, leg.table):
+            if cover[d] is None:
+                cover[d] = tagged(tag, x)
+    if None in cover:
+        missing = corner.elements[cover.index(None)]
+        return Verdict(False, f"corner element {missing!r} is hit by neither leg", missing)
+    return Verdict(True, "legs jointly cover the corner", tuple(zip(corner, cover)))
 
 
 def effectiveness_check(e: Relation) -> bool:

@@ -7,8 +7,8 @@ and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
 T2 and D of one run share one span corpus and the direct route's result
-for each distinct span, both built once per configuration; T2 compares
-every route's corner with one reference colimit per distinct span.
+for each distinct span, both built once per run and dropped with it; T2
+compares every route's corner with one reference colimit per distinct span.
 
 Every suite but P0 is a labelled corpus of instances plus one generator of
 the (check, witness) pairs an instance fails, run by the one loop ``_run``.
@@ -24,7 +24,6 @@ how the suites themselves are tested for teeth.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator
@@ -288,10 +287,9 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
     return _run(config, "T1b", "equivalence-coequalizers", labelled, checks)
 
 
-@functools.lru_cache(maxsize=1)
 def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
-    """The labelled spans of T2 and D, built once per configuration; the
-    sampled spans are tabulated once per distinct relation.
+    """The labelled spans of T2 and D; the sampled spans are tabulated once
+    per distinct relation.
 
     ``enumeration`` asks for no mutant, so the corpus does not depend on
     the one the configuration names.
@@ -300,21 +298,21 @@ def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
     return tuple(exhaustive_malcev_spans(config.exhaustive_bound)) + tuple(samples)
 
 
-@functools.lru_cache(maxsize=1)
-def _direct_results(config: SuiteConfig) -> dict[Span, MalcevPushoutResult | Exception]:
-    """The direct route's result for each distinct span of the corpus, or
-    the error the span raised; built once per configuration, under its
-    mutant, for T2 and D, whose checks re-raise a stored error inside
-    ``_run``'s ``try``.  T2 and D call this before ``_run`` enables the
-    mutant, which is why it enables it itself."""
-    results: dict[Span, MalcevPushoutResult | Exception] = {}
-    with mutants.enabled(config.mutant):
-        for s in dict.fromkeys(s for _, s in _span_corpus(config)):
-            try:
-                results[s] = malcev_pushout_direct(s)
-            except _CAUGHT as exc:
-                results[s] = exc
-    return results
+class _SpanRun:
+    """What T2 and D of one run share: the span corpus and the direct
+    route's result for each distinct span, built the first time a check
+    asks for it, so inside ``_run`` under the configuration's mutant.  A
+    span the route refuses stores nothing and raises again, with the same
+    text, in the next suite that asks."""
+
+    def __init__(self, config: SuiteConfig) -> None:
+        self.corpus = _span_corpus(config)
+        self._direct: dict[Span, MalcevPushoutResult] = {}
+
+    def direct(self, s: Span) -> MalcevPushoutResult:
+        if s not in self._direct:
+            self._direct[s] = malcev_pushout_direct(s)
+        return self._direct[s]
 
 
 def _corner_failures(
@@ -334,17 +332,15 @@ def _corner_failures(
         )
 
 
-def suite_agreement(config: SuiteConfig) -> SuiteReport:
+def suite_agreement(config: SuiteConfig, run: _SpanRun | None = None) -> SuiteReport:
     """Direct block-equivalence pushouts agree, up to the unique comparison
     isomorphism, with the decomposed pipeline and, where it applies, with
     the epi-leg body, which skips the precondition the direct route passed."""
 
-    corpus, results = _span_corpus(config), _direct_results(config)
+    run = run or _SpanRun(config)
 
     def checks(s: Span) -> Checks:
-        direct = results[s]
-        if isinstance(direct, Exception):
-            raise direct
+        direct = run.direct(s)
         trace = malcev_pushout_decomposed(s)
         canon = canonical_pushout(s)
         yield from _corner_failures("direct", canon, direct.square)
@@ -352,19 +348,17 @@ def suite_agreement(config: SuiteConfig) -> SuiteReport:
         if is_epi(s.right):
             yield from _corner_failures("epi-leg", canon, _epi_leg_square(s))
 
-    return _run(config, "T2", "direct-vs-decomposed", corpus, checks)
+    return _run(config, "T2", "direct-vs-decomposed", run.corpus, checks)
 
 
-def suite_certificates(config: SuiteConfig) -> SuiteReport:
+def suite_certificates(config: SuiteConfig, run: _SpanRun | None = None) -> SuiteReport:
     """Full certification of every corpus span's direct pushout, plus the
     E-structure and pullback-recovery facts behind it."""
 
-    corpus, results = _span_corpus(config), _direct_results(config)
+    run = run or _SpanRun(config)
 
     def checks(s: Span) -> Checks:
-        result = results[s]
-        if isinstance(result, Exception):
-            raise result
+        result = run.direct(s)
         yield from _certificate_failures(certify(result.square))
         yield from _e_structure_failures(result)
         recovered = span_to_relation(pullback(result.square.cospan))
@@ -376,18 +370,19 @@ def suite_certificates(config: SuiteConfig) -> SuiteReport:
                 f"pullback of the legs differs from the span's relation at {where}",
             )
 
-    return _run(config, "D", "malcev-span-certificates", corpus, checks)
+    return _run(config, "D", "malcev-span-certificates", run.corpus, checks)
 
 
 def theorem_suites(config: SuiteConfig) -> RunReport:
-    """The four plain-set suites."""
+    """The four plain-set suites; T2 and D share one ``_SpanRun``."""
+    run = _SpanRun(config)
     return RunReport(
         config,
         (
             suite_coproducts(config),
             suite_equivalences(config),
-            suite_agreement(config),
-            suite_certificates(config),
+            suite_agreement(config, run),
+            suite_certificates(config, run),
         ),
     )
 

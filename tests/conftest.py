@@ -1,6 +1,5 @@
 """Shared hypothesis strategies for sets, functions, relations and spans,
-the references that several test modules build on, and a fixture that
-clears the suites' memos before each test."""
+and the references that several test modules build on."""
 
 from __future__ import annotations
 
@@ -8,10 +7,8 @@ import itertools
 from typing import Iterable, Sequence
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import settings
 
-from diexact import suites
 from diexact.fsets import FiniteSet, SetFunction, Span, span
 from diexact.relations import Relation, converse, difunctional_closure, rel_compose, tabulate, union
 
@@ -47,15 +44,6 @@ def fixpoint_closure(r: Relation) -> Relation:
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
-
-
-@pytest.fixture(autouse=True)
-def fresh_suite_memos():
-    """Clear the suites' per-configuration memos before each test, so that
-    no test reads a corpus or direct result built under another test's
-    monkeypatch."""
-    suites._span_corpus.cache_clear()
-    suites._direct_results.cache_clear()
 
 
 def sized_sets(prefix: str, min_size: int = 0, max_size: int = 3) -> st.SearchStrategy[FiniteSet]:

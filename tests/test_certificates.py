@@ -185,7 +185,28 @@ class TestStabilityOracle:
             is_stable_pushout(widen_corner(matched_pairs_square()))
 
 
+def name_keyed_joint_epicity(cospan: Cospan) -> Verdict:
+    """Reference for ``joint_epicity_verdict``: the cover keyed by corner
+    name, each element's first tagged preimage kept, A before B, sorted."""
+    cover = {}
+    for leg, tag in ((cospan.left, "l"), (cospan.right, "r")):
+        for x, image in zip(leg.domain, leg.values):
+            cover.setdefault(image, f"{tag}:{x}")
+    missing = [d for d in cospan.corner if d not in cover]
+    if missing:
+        return Verdict(False, f"corner element {missing[0]!r} is hit by neither leg", missing[0])
+    return Verdict(True, "legs jointly cover the corner", tuple(sorted(cover.items())))
+
+
 class TestJointEpicity:
+    def test_agrees_with_the_name_keyed_cover(self):
+        covered = 0
+        for sq in sample_commuting_squares(random.Random(0), 600, 3):
+            verdict = joint_epicity_verdict(sq.cospan)
+            assert verdict == name_keyed_joint_epicity(sq.cospan), sq
+            covered += verdict.ok
+        assert 0 < covered < 600
+
     def test_coproduct_injections(self):
         _, inl, inr = coproduct(fset("a"), fset("b"))
         assert joint_epicity_verdict(Cospan(inl, inr)).ok

@@ -351,7 +351,7 @@ def _package_imports(module: str) -> set[str]:
 
 
 def test_the_span_corpus_asks_for_no_mutant():
-    """T2 and D share one corpus per configuration, whatever its mutant; so
+    """T2 and D share one corpus per run, whatever its mutant; so
     ``enumeration`` and every module it reaches are neither the mutant
     switch nor a module that asks it."""
     reached, todo = set(), ["enumeration"]
@@ -377,13 +377,13 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 def test_d_builds_no_route_result_of_its_own():
     """``suite_certificates`` names no construction route: it reads the
-    direct results that T2 reads too."""
+    direct results of the run it shares with T2."""
     named = {
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(_function("suites.py", "suite_certificates"))
         if isinstance(node, (ast.Name, ast.Attribute))
     }
-    assert "_direct_results" in named
+    assert {"_SpanRun", "direct"} <= named
     assert named.isdisjoint(ROUTES)
 
 
@@ -401,14 +401,14 @@ def _top_level_names_where(module: str, matches) -> list[str]:
 
 def test_the_suites_keep_one_instance_loop():
     """In ``suites``, ``SuiteFailure`` is built only by ``_run`` and P0's
-    ``suite_zero_object``, and ``mutants.enabled`` is named only by ``_run``
-    and ``_direct_results``, so no suite forks the instance loop again.
+    ``suite_zero_object``, and ``mutants.enabled`` is named only by ``_run``,
+    so no suite forks the instance loop and every direct result is built
+    under the loop's mutant.
 
     ``_run``'s dict, local to one call, is the only memo of instance
-    results: besides it only ``_direct_results`` stores by key, into the
-    table of one configuration, ``functools`` caches only that table and
-    the corpus, each for one configuration, and no top-level assignment
-    holds a container that could outlive a run."""
+    results: besides it only ``_SpanRun`` stores by key, into the direct
+    results of one run.  ``suites`` imports no ``functools``, and no
+    top-level assignment holds a container, so nothing outlives a run."""
     built = _top_level_names_where(
         "suites.py",
         lambda node: isinstance(node, ast.Call)
@@ -423,26 +423,19 @@ def test_the_suites_keep_one_instance_loop():
         and node.value.id == "mutants",
     )
     assert built == ["_run", "suite_zero_object"]
-    assert sorted(enabling) == ["_direct_results", "_run"]
+    assert enabling == ["_run"]
     stored = _top_level_names_where(
         "suites.py",
         lambda node: isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store),
     )
-    assert set(stored) == {"_direct_results", "_run"}
-    cached = _top_level_names_where(
-        "suites.py",
-        lambda node: isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "functools",
-    )
-    assert sorted(cached) == ["_direct_results", "_span_corpus"]
-    decorated = {
-        node.name: [ast.unparse(d) for d in node.decorator_list]
-        for node in _top_level("suites.py")
-        if isinstance(node, ast.FunctionDef) and node.decorator_list
-    }
-    one_entry = ["functools.lru_cache(maxsize=1)"]
-    assert decorated == {"_span_corpus": one_entry, "_direct_results": one_entry}
+    assert set(stored) == {"_SpanRun", "_run"}
+    imported = set()
+    for node in _top_level("suites.py"):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "functools" not in imported
     containers = _top_level_names_where(
         "suites.py",
         lambda node: isinstance(

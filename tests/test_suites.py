@@ -2,9 +2,11 @@
 and how often a run builds its shared objects."""
 
 import dataclasses
+import gc
 import itertools
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -233,16 +235,10 @@ def fresh_run(config, name, description, labelled, checks):
     return SuiteReport(name, description, total, tuple(failures))
 
 
-class FreshDirectResults:
-    """Reference for ``suites._direct_results``: each lookup builds the
-    span's direct pushout afresh, under the mutant enabled at the time, or
-    returns the error it raised."""
-
-    def __getitem__(self, s):
-        try:
-            return suites.malcev_pushout_direct(s)
-        except suites._CAUGHT as exc:
-            return exc
+def fresh_direct(run, s):
+    """Reference for ``suites._SpanRun.direct``: each lookup builds the
+    span's direct pushout afresh, under the mutant enabled at the time."""
+    return suites.malcev_pushout_direct(s)
 
 
 class TestFreshReference:
@@ -259,7 +255,7 @@ class TestFreshReference:
         config = dataclasses.replace(config, mutant=mutant)
         memoized = run_all_suites(config)
         monkeypatch.setattr(suites, "_run", fresh_run)
-        monkeypatch.setattr(suites, "_direct_results", lambda config: FreshDirectResults())
+        monkeypatch.setattr(suites._SpanRun, "direct", fresh_direct)
         fresh = run_all_suites(config)
         assert [s.name for s in fresh.suites] == [s.name for s in memoized.suites]
         for ours, reference in zip(memoized.suites, fresh.suites):
@@ -333,6 +329,17 @@ def _distinct(corpus) -> int:
     return len({key for _, key in corpus})
 
 
+def _direct_pushouts_per_run(config, report) -> int:
+    """One per distinct T2 span, which D reads too; two per distinct P1
+    instance (the pointed route and the transfer check); one per T1a and
+    T1b instance."""
+    total = {s.name: s.total for s in report.suites}
+    spans = _distinct(suites._span_corpus(config))
+    pointed_spans = _distinct(suites._pointed_corpus(config))
+    assert spans < total["T2"] and pointed_spans < total["P1"]
+    return spans + 2 * pointed_spans + total["T1a"] + total["T1b"]
+
+
 class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
@@ -344,20 +351,33 @@ class TestSharedObjects:
         assert counts == {"canonical_pushout": spans, "random_malcev_relation": 20}
 
     def test_t2_and_d_share_one_direct_pushout_per_span(self):
-        """Each distinct T2 span gets one direct pushout, which D reads too;
-        P1 makes two per distinct instance (the pointed route and the
-        transfer check), T1a and T1b one each."""
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
         report, counts = _calls(
             (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
         )
-        total = {s.name: s.total for s in report.suites}
-        spans = _distinct(suites._span_corpus(config))
-        pointed_spans = _distinct(suites._pointed_corpus(config))
-        assert spans < total["T2"] and pointed_spans < total["P1"]
-        assert counts["malcev_pushout_direct"] == (
-            spans + 2 * pointed_spans + total["T1a"] + total["T1b"]
-        )
+        assert counts["malcev_pushout_direct"] == _direct_pushouts_per_run(config, report)
+
+    def test_each_run_builds_its_own_direct_pushouts_and_keeps_none(self, monkeypatch):
+        """Two equal runs each build one direct pushout per distinct span,
+        none served from the other, and once both are over no span or
+        result the suites passed through the direct route is still alive."""
+        config = SuiteConfig(max_size=2, samples=20, seed=2024)
+        route, kept = suites.malcev_pushout_direct, []
+
+        def remembered(s):
+            result = route(s)
+            kept.extend((weakref.ref(s), weakref.ref(result)))
+            return result
+
+        monkeypatch.setattr(suites, "malcev_pushout_direct", remembered)
+        for _ in range(2):
+            report, counts = _calls(
+                (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
+            )
+            assert counts["malcev_pushout_direct"] == _direct_pushouts_per_run(config, report)
+        del report
+        gc.collect()
+        assert kept and all(ref() is None for ref in kept)
 
     def test_the_decomposed_route_decides_the_malcev_precondition_once(self):
         """One witness search for the span and one composite test per stage
@@ -399,31 +419,6 @@ class TestSharedObjects:
         assert counts["require_malcev"] == (
             counts["malcev_pushout_direct"] + counts["malcev_pushout_decomposed"]
         )
-
-    def test_direct_results_are_built_once_per_configuration(self):
-        config = SuiteConfig(max_size=3, samples=20, seed=5)
-        results = suites._direct_results(config)
-        assert suites._direct_results(config) is results
-        corpus = suites._span_corpus(config)
-        assert list(results) == list(dict.fromkeys(s for _, s in corpus))
-        assert len(results) < len(corpus)
-        other = suites._direct_results(dataclasses.replace(config, seed=6))
-        assert other != results
-        rebuilt = suites._direct_results(config)
-        assert rebuilt is not results and rebuilt == results
-
-    def test_the_per_configuration_caches_keep_one_entry(self):
-        """Neither per-configuration cache holds more than the latest
-        configuration, so a run is never served from an earlier one's."""
-        assert suites._span_corpus.cache_info().maxsize == 1
-        assert suites._direct_results.cache_info().maxsize == 1
-
-    def test_corpus_is_built_once_per_configuration(self):
-        config = SuiteConfig(max_size=2, samples=3, seed=5)
-        corpus = suites._span_corpus(config)
-        assert suites._span_corpus(config) is corpus
-        other = suites._span_corpus(dataclasses.replace(config, seed=6))
-        assert other != corpus and suites._span_corpus(config) == corpus
 
     @pytest.mark.parametrize("mutant", KNOWN_MUTANTS)
     def test_corpus_does_not_depend_on_the_mutant(self, mutant):
@@ -468,3 +463,25 @@ class TestSharedDirectErrors:
         assert t2.total == d.total == len(corpus) == 27
         assert decomposed == {"malcev_pushout_decomposed": len(corpus) - 1}
         assert certified == {"certify": len(corpus) - 1}
+
+    def test_a_refused_span_fails_again_in_d_of_a_shared_run(self, monkeypatch):
+        """The shared run stores no refusal: D asks the route again and
+        gets the same error T2 got."""
+        config = SuiteConfig(max_size=2, exhaustive=True)
+        corpus = suites._span_corpus(config)
+        label, refused = corpus[len(corpus) // 2]
+        route, asked = suites.malcev_pushout_direct, []
+
+        def refusing(s):
+            if s == refused:
+                asked.append(s)
+                raise InternalInvariantError("direct-pushout", "refused on purpose")
+            return route(s)
+
+        monkeypatch.setattr(suites, "malcev_pushout_direct", refusing)
+        t2, d = theorem_suites(config).suites[2:]
+        expected = (
+            SuiteFailure(label, "construction", "[direct-pushout] refused on purpose"),
+        )
+        assert t2.failures == d.failures == expected
+        assert len(asked) == 2
