@@ -97,8 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Cells of the dense block relation on A + B, (|A| + |B|)^2, that ``pushout``
 # accepts.  A bijection document with |A| = |B| = 8192, at the budget, took
-# 1.8 s and 73 MB peak RSS under ``--method both`` on a 2-vCPU Xeon VM with
-# CPython 3.11, about three times the time of half that size.
+# 1.1-1.4 s (median 1.2 s over 8 runs) and 73 MB peak RSS in process under
+# ``--method both`` on a shared 2-vCPU Intel Xeon VM with CPython 3.11.7.
 BLOCK_CELL_BUDGET = 1 << 28
 
 

@@ -11,10 +11,12 @@ Grammar (one declaration per line; blank lines and ``#`` comments ignored):
 Element names are nonempty strings over ``[A-Za-z0-9_*']``; parentheses,
 commas and the ``l:`` / ``r:`` prefixes are reserved for generated names.
 A ``rel`` pair list is comma-separated items, each blank or one pair
-``(a,b)`` with whitespace around it and its parts.  A ``)`` that closes
-nothing is refused as ``unbalanced parenthesis in pair list``, else the
-first item (cut at the commas outside parentheses) that is neither blank
-nor a pair as ``expected a pair like (a,b), got '<item>'``.
+``(a,b)`` with whitespace around it and its parts.  It is split in one
+regex call, and only a refused list is walked again to word the refusal:
+a ``)`` that closes nothing is refused as ``unbalanced parenthesis in pair
+list``, else the first item (cut at the commas outside parentheses) that
+is neither blank nor a pair as ``expected a pair like (a,b), got
+'<item>'``.
 A document's kind is that of its last declaration; a span whose three
 carriers all carry ``point`` declarations is a pointed span, and an
 endo-relation that happens to be an equivalence is reported as one.
@@ -22,6 +24,8 @@ endo-relation that happens to be an equivalence is reported as one.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -40,7 +44,6 @@ _REL = re.compile(r"rel\s+(\S+)\s*:\s*(\S+)\s*-\|>\s*(\S+)\s*=\s*\{(.*)\}$")
 _SPAN = re.compile(r"span\s+(\S+)\s*=\s*<\s*(\S+)\s*,\s*(\S+)\s*>$")
 _PAIR = re.compile(r"\(\s*([A-Za-z0-9_*']+)\s*,\s*([A-Za-z0-9_*']+)\s*\)")
 _SEPARATORS = re.compile(r"[\s,]*")
-_COMMA = re.compile(r"\s*,[\s,]*")
 
 
 @dataclass(frozen=True)
@@ -83,18 +86,19 @@ def _split_items(body: str) -> list[str]:
 
 
 def _split_pairs(body: str, line: int) -> list[tuple[str, str]]:
-    """The pairs of a ``rel`` body, found by one scan for pairs: only commas
-    and whitespace may lie around them, and a comma between two pairs."""
-    pairs = []
-    gap, end = _SEPARATORS, 0
-    for match in _PAIR.finditer(body):
-        if not gap.fullmatch(body, end, match.start()):
-            raise _pair_list_error(body, line)
-        pairs.append(match.group(1, 2))
-        gap, end = _COMMA, match.end()
-    if not _SEPARATORS.fullmatch(body, end):
+    """The pairs of a ``rel`` body, split out by one ``_PAIR.split`` call.
+
+    The split alternates gap, source, target, ..., gap.  The gaps are
+    checked in bulk: joined, they hold only commas and whitespace, and each
+    gap between two pairs holds a comma.
+    """
+    parts = _PAIR.split(body)
+    gaps = parts[::3]
+    if not _SEPARATORS.fullmatch("".join(gaps)) or not all(
+        map(operator.contains, gaps[1:-1], itertools.repeat(","))
+    ):
         raise _pair_list_error(body, line)
-    return pairs
+    return list(zip(parts[1::3], parts[2::3]))
 
 
 def _pair_list_error(body: str, line: int) -> ParseError:

@@ -221,7 +221,11 @@ def pair_set(
 @dataclass(frozen=True)
 class Span:
     """Two functions out of a common apex.  Joint monicity is a predicate on
-    spans, not an invariant of the type."""
+    spans, not an invariant of the type.
+
+    ``relations.span_to_relation`` keeps the span's relation on it as
+    ``_relation``, which is not a field.
+    """
 
     apex: FiniteSet
     left: SetFunction

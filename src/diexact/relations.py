@@ -9,7 +9,11 @@ Riguet, *Relations binaires, fermetures, correspondances de Galois*, Bull.
 SMF 76, 1948): a relation is difunctional exactly when any two of its rows
 are equal or disjoint, so its connected blocks are rectangles.  Relations
 come from ``from_pairs``, ``empty``, ``full``, ``diagonal`` and the
-calculus; there is no public positional constructor.
+calculus; there is no public positional constructor.  ``from_pairs``
+reads a pair list in one loop over the carriers' index dicts, ``tabulate``
+lists the pairs in one comprehension over the rows' bits, and
+``span_to_relation`` builds a span's relation once and keeps it on the
+span.
 """
 
 from __future__ import annotations
@@ -56,10 +60,20 @@ class Relation:
     def from_pairs(
         cls, source: FiniteSet, target: FiniteSet, pairs: Iterable[tuple[str, str]]
     ) -> "Relation":
-        row_of, column_of = source.index, target.index
-        return cls._of_index_pairs(
-            source, target, ((row_of(a), column_of(b)) for a, b in pairs)
-        )
+        """The relation holding at each named pair.  One loop subscripts the
+        carriers' index dicts; at the first pair naming an element outside
+        its carrier, source before target, ``FiniteSet.index`` words the
+        ``KeyError``."""
+        rows = [0] * len(source)
+        row_of, column_of = source._index, target._index
+        try:
+            for a, b in pairs:
+                rows[row_of[a]] |= 1 << column_of[b]
+        except KeyError:
+            source.index(a)
+            target.index(b)
+            raise
+        return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
     def _of_index_pairs(
@@ -146,13 +160,29 @@ def leq(r: Relation, s: Relation) -> bool:
 
 def span_to_relation(s: Span) -> Relation:
     """The relation a span embodies: (a, b) holds when some apex element maps
-    to both.  Equals right-graph composed with the converse of left-graph."""
-    return Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
+    to both.  Equals right-graph composed with the converse of left-graph.
+
+    It is built once per span, from the span's own leg tables, and kept on
+    the span as ``_relation``.  Like ``FiniteSet._index`` that is not a
+    field, so equality, hashing and ``repr`` ignore it, and
+    ``dataclasses.replace`` gives a span without it.  The relation refers to
+    the feet only, never back to the span.
+    """
+    try:
+        return s._relation
+    except AttributeError:
+        r = Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
+        object.__setattr__(s, "_relation", r)
+        return r
 
 
 def tabulate(r: Relation) -> Span:
-    """Jointly monic span of projections from the pair set of r."""
-    apex, parts = pair_set(r.pairs())
+    """Jointly monic span of projections from the pair set of r, listed by
+    one comprehension over the rows' bits."""
+    names = r.target.elements
+    apex, parts = pair_set(
+        [(a, names[j]) for a, row in zip(r.source.elements, r.rows) for j in _bits(row)]
+    )
     left = SetFunction(apex, r.source, tuple([a for a, _ in parts]))
     right = SetFunction(apex, r.target, tuple([b for _, b in parts]))
     return Span(apex, left, right)

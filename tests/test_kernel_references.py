@@ -4,17 +4,23 @@ Each kernel below decides the common, passing case with one tight loop or
 one builtin, and walks its input again only to word a refusal.  The loops
 it replaced are kept here as references: a union-find that makes one
 ``find()`` call per link endpoint, a per-pair clash dict, a per-apex
-joint-monicity dict, and a pullback oracle that builds ``fiber_pairs``
-before it looks at the apex.  Each kernel must return exactly what its
-reference returns, refusals and their wording included.
+joint-monicity dict, a pullback oracle that builds ``fiber_pairs``
+before it looks at the apex, a ``finditer`` pair-list scan that checks
+each gap as it meets it, a ``from_pairs`` that calls ``FiniteSet.index``
+per name, and a ``tabulate`` over the nested ``pairs()`` generator.  Each
+kernel must return exactly what its reference returns, refusals and their
+wording included.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from diexact.certificates import (
     Verdict,
@@ -23,8 +29,14 @@ from diexact.certificates import (
     is_pullback_square,
     is_pushout_square,
 )
-from diexact.enumeration import exhaustive_malcev_spans, letters, sample_commuting_squares
-from diexact.errors import PreconditionError
+from diexact.documents import _PAIR, _REL, _SEPARATORS, _pair_list_error, _split_pairs
+from diexact.enumeration import (
+    all_relations,
+    exhaustive_malcev_spans,
+    letters,
+    sample_commuting_squares,
+)
+from diexact.errors import ParseError, PreconditionError
 from diexact.fsets import (
     CommutativeSquare,
     FiniteSet,
@@ -39,7 +51,10 @@ from diexact.fsets import (
 )
 from diexact.names import LEFT, RIGHT, tagged
 from diexact.pushouts import malcev_pushout_direct
-from diexact.relations import joint_monicity_witness
+from diexact.relations import Relation, joint_monicity_witness, tabulate
+import test_documents
+from test_cli import FUZZ_SEEDS, _fuzzed
+from test_documents import PAIR_LIST_TOKENS
 from test_fsets import set_partitions
 from test_pushouts import pair_name_clash
 
@@ -388,3 +403,163 @@ class TestPullbackOracleAgainstFiberPairsFirst:
             assert refused == outcome(reference_pullback_verdict, candidate)
             assert refused[0] is PreconditionError and text in refused[1]
 
+
+
+COMMA_GAP = re.compile(r"\s*,[\s,]*")
+
+
+def finditer_split_pairs(body: str, line: int) -> list[tuple[str, str]]:
+    """``_split_pairs`` by one ``finditer`` scan, each gap checked as it is
+    met: commas and whitespace before the first pair and after the last,
+    and a comma between two pairs."""
+    pairs = []
+    gap, end = _SEPARATORS, 0
+    for match in _PAIR.finditer(body):
+        if not gap.fullmatch(body, end, match.start()):
+            raise _pair_list_error(body, line)
+        pairs.append(match.group(1, 2))
+        gap, end = COMMA_GAP, match.end()
+    if not _SEPARATORS.fullmatch(body, end):
+        raise _pair_list_error(body, line)
+    return pairs
+
+
+def index_calling_from_pairs(source: FiniteSet, target: FiniteSet, pairs) -> Relation:
+    """``Relation.from_pairs`` with one ``FiniteSet.index`` call per name."""
+    row_of, column_of = source.index, target.index
+    return Relation._of_index_pairs(
+        source, target, ((row_of(a), column_of(b)) for a, b in pairs)
+    )
+
+
+def pairs_based_tabulate(r: Relation) -> Span:
+    """``tabulate`` over the nested ``Relation.pairs`` generator."""
+    apex, parts = pair_set(r.pairs())
+    left = SetFunction(apex, r.source, tuple([a for a, _ in parts]))
+    right = SetFunction(apex, r.target, tuple([b for _, b in parts]))
+    return Span(apex, left, right)
+
+
+def split_outcome(split, body: str):
+    """The pairs a splitter returns, or the text of its refusal."""
+    try:
+        return split(body, 7)
+    except ParseError as exc:
+        return str(exc)
+
+
+def parametrized(test, name: str) -> list:
+    """The values a ``pytest.mark.parametrize`` mark gives the argument."""
+    for mark in test.pytestmark:
+        if mark.name == "parametrize" and mark.args[0].split(", ")[0] == name:
+            return [case[0] for case in mark.args[1]]
+    raise LookupError(name)
+
+
+def rel_bodies(document: str) -> list[str]:
+    """The pair lists of a document's ``rel`` lines."""
+    lines = (raw.split("#", 1)[0].strip() for raw in document.splitlines())
+    return [match.group(4) for line in lines if (match := _REL.match(line))]
+
+
+class TestPairListAgainstFinditer:
+    def check(self, body: str) -> None:
+        assert split_outcome(_split_pairs, body) == split_outcome(finditer_split_pairs, body)
+
+    def test_every_body_of_the_pair_list_tests(self):
+        tests = test_documents.TestPairList
+        bodies = parametrized(tests.test_refusal_texts, "body")
+        bodies += parametrized(tests.test_accepted_lists, "body")
+        assert len(bodies) == 16
+        long_line = ", ".join(f"(a{i},b{j})" for i in range(200) for j in range(100))
+        for body in bodies + [long_line, long_line[:-1]]:
+            self.check(body)
+
+    def test_every_rel_line_of_the_fuzzed_documents(self):
+        rng = random.Random(20121)
+        documents = list(FUZZ_SEEDS) + [
+            _fuzzed(rng, FUZZ_SEEDS[i % len(FUZZ_SEEDS)]) for i in range(600)
+        ]
+        bodies = [body for doc in documents for body in rel_bodies(doc)]
+        for body in bodies:
+            self.check(body)
+        outcomes = [split_outcome(_split_pairs, body) for body in bodies]
+        assert any(isinstance(o, str) for o in outcomes)
+        assert any(isinstance(o, list) and o for o in outcomes)
+
+    @settings(max_examples=2000)
+    @given(st.lists(st.sampled_from(PAIR_LIST_TOKENS), max_size=14).map("".join))
+    def test_token_strings(self, body):
+        self.check(body)
+
+
+def key_error_text(function, *args) -> str | None:
+    try:
+        function(*args)
+    except KeyError as exc:
+        return str(exc)
+    return None
+
+
+def relations_up_to_3x3():
+    for m, n in itertools.product(range(4), repeat=2):
+        yield from all_relations(letters("a", m), letters("b", n))
+
+
+def seeded_7x7_relations(seed: int, count: int):
+    """Relations between sets whose names use ``*``, ``'`` and ``_``, so
+    that pair names do not sort in index order: ``a`` sorts before
+    ``a'``, but ``(a,`` after ``(a',``."""
+    rng = random.Random(seed)
+    stems = ["a", "a'", "a*", "a_", "a''", "*a", "_a", "a_'", "'a", "a**"]
+    for _ in range(count):
+        source = FiniteSet(tuple(rng.sample(stems, rng.randint(0, 7))))
+        target_stems = rng.sample(stems, rng.randint(0, 7))
+        target = FiniteSet(tuple(s.replace("a", "b") for s in target_stems))
+        rows = tuple(rng.getrandbits(len(target)) for _ in source)
+        yield Relation._of_rows(source, target, rows)
+
+
+class TestFromPairsAgainstIndexCalls:
+    def test_every_relation_up_to_3x3_and_seeded_7x7(self):
+        rng = random.Random(24)
+        checked = 0
+        for r in itertools.chain(relations_up_to_3x3(), seeded_7x7_relations(24, 2000)):
+            pairs = list(r.pairs())
+            pairs += rng.choices(pairs, k=len(pairs) // 2) if pairs else []
+            rng.shuffle(pairs)
+            built = Relation.from_pairs(r.source, r.target, iter(pairs))
+            assert built == index_calling_from_pairs(r.source, r.target, pairs) == r
+            checked += 1
+        assert checked == 689 + 2000
+
+    @pytest.mark.parametrize(
+        "pairs, text",
+        [
+            ([("z", "x")], "'z' is not an element of {a, b}"),
+            ([("a", "x"), ("b", "w")], "'w' is not an element of {x, y}"),
+            ([("z", "w")], "'z' is not an element of {a, b}"),
+            ([("a", "w"), ("z", "x")], "'w' is not an element of {x, y}"),
+            ([("a", "x"), ("z", "y"), ("b", "w")], "'z' is not an element of {a, b}"),
+            ([("a", "x"), ("x", "a"), ("a", "y")], "'x' is not an element of {a, b}"),
+        ],
+    )
+    def test_missing_names(self, pairs, text):
+        source, target = FiniteSet(("a", "b")), FiniteSet(("x", "y"))
+        for build in (Relation.from_pairs, index_calling_from_pairs):
+            assert key_error_text(build, source, target, iter(pairs)) == repr(text)
+
+
+class TestTabulateAgainstPairs:
+    def test_every_relation_up_to_3x3_and_seeded_7x7(self):
+        for r in itertools.chain(relations_up_to_3x3(), seeded_7x7_relations(25, 2000)):
+            s, t = tabulate(r), pairs_based_tabulate(r)
+            assert s == t, r
+            assert (s.left.table, s.right.table) == (t.left.table, t.right.table), r
+
+    def test_pair_names_out_of_index_order_occur(self):
+        unordered = 0
+        for r in seeded_7x7_relations(25, 200):
+            apex = tabulate(r).apex.elements
+            unordered += apex != tuple(pair_name(a, b) for a, b in r.pairs())
+        assert unordered

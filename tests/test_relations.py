@@ -1,7 +1,11 @@
 """Relation algebra: composition, converse, difunctionality, tabulation."""
 
+import dataclasses
+import gc
 import itertools
 import random
+import sys
+import weakref
 
 import pytest
 import hypothesis.strategies as st
@@ -23,8 +27,11 @@ from diexact.enumeration import (
     all_relations,
     exhaustive_malcev_spans,
     letters,
+    random_function,
     random_malcev_span,
 )
+from diexact.cli import main
+from diexact.documents import parse_document
 from diexact.errors import CompositionError, NotEquivalenceError, PreconditionError
 from diexact.fsets import FiniteSet, SetFunction, Span, fset, is_iso
 from diexact.pushouts import pushout_equivalence
@@ -337,6 +344,96 @@ class TestSpanRelationDictionary:
         for c in s.apex:
             assert t.left(pairing[c]) == s.left(c)
             assert t.right(pairing[c]) == s.right(c)
+
+
+
+def fresh_relation(s: Span) -> Relation:
+    """The span's relation built anew from its leg tables."""
+    return Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
+
+
+BLOCK_DOCUMENT = """\
+set A = {a1, a2, a3, a4, a5}
+set B = {b1, b2, b3, b4, b5, b6}
+rel R : A -|> B = {(a1,b1), (a1,b2), (a2,b1), (a2,b2), (a3,b3), (a4,b4), (a4,b5), (a5,b4), (a5,b5)}
+"""
+
+
+class TestSpanRelationMemo:
+    """``span_to_relation`` builds a span's relation once and keeps it on
+    the span, outside the dataclass fields."""
+
+    def check(self, s: Span) -> None:
+        first = span_to_relation(s)
+        assert first == fresh_relation(s)
+        assert span_to_relation(s) is first
+
+    def test_equals_a_fresh_build(self):
+        spans = [s for _, s in exhaustive_malcev_spans(3)]
+        assert len(spans) == 241
+        rng = random.Random(24)
+        spans += [random_malcev_span(rng, 5)[1] for _ in range(300)]
+        for _ in range(300):
+            apex, a, b = (letters(p, rng.randint(1, 5)) for p in "cab")
+            spans.append(
+                Span(apex, random_function(rng, apex, a), random_function(rng, apex, b))
+            )
+        assert sum(not is_jointly_monic(s) for s in spans) > 100
+        for s in spans:
+            self.check(s)
+
+    def test_fields_equality_hash_and_repr_ignore_it(self):
+        s = tabulate(rel("ab", "xy", ("a", "x"), ("a", "y"), ("b", "x")))
+        before = (repr(s), hash(s))
+        span_to_relation(s)
+        assert [field.name for field in dataclasses.fields(Span)] == ["apex", "left", "right"]
+        assert (repr(s), hash(s)) == before
+        twin = dataclasses.replace(s)
+        assert "_relation" in vars(s) and "_relation" not in vars(twin)
+        assert twin == s and hash(twin) == hash(s) and repr(twin) == repr(s)
+
+    def test_a_span_is_freed_by_refcounting(self):
+        s = tabulate(rel("ab", "xy", ("a", "x"), ("b", "y")))
+        span_to_relation(s)
+        ref = weakref.ref(s)
+        gc.disable()
+        try:
+            del s
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_pushout_builds_each_span_relation_once(self, monkeypatch, tmp_path, capsys):
+        """``--method both`` asks for the relation of three spans, the input
+        and the two stage spans of the decomposed route, and builds each
+        once."""
+        path = tmp_path / "blocks.txt"
+        path.write_text(BLOCK_DOCUMENT)
+        built = []
+        build = Relation._of_index_pairs
+
+        def counted(source, target, pairs):
+            built.append(build(source, target, pairs))
+            return built[-1]
+
+        monkeypatch.setattr(Relation, "_of_index_pairs", staticmethod(counted))
+        asked = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is span_to_relation.__code__:
+                asked.append(frame.f_locals["s"])
+
+        sys.setprofile(profile)
+        try:
+            code = main(["pushout", "--method", "both", str(path)])
+        finally:
+            sys.setprofile(None)
+        monkeypatch.undo()
+        assert code == 0 and "AGREEMENT: true" in capsys.readouterr().out
+        spans = list({id(s): s for s in asked}.values())
+        assert len(spans) == len(built) == 3
+        assert spans[0] == tabulate(parse_document(BLOCK_DOCUMENT).payload)
+        assert built == [fresh_relation(s) for s in spans]
 
 
 class TestDifunctionality:
