@@ -2,14 +2,17 @@
 seeded random sampling above them.
 
 Canonical test sets use prefixed names (``a1, a2, ...``), so every
-enumerated instance has a stable, diffable description.
+enumerated instance has a stable, diffable description.  Both sampled
+corpora, the plain spans here and the pointed spans of ``pointed``, draw
+each relation with ``_random_difunctional`` and intern the draws with
+``interned_samples``.  This module asks for no mutant.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .fsets import (
     CommutativeSquare,
@@ -99,18 +102,25 @@ def random_relation(rng: random.Random, source: FiniteSet, target: FiniteSet) ->
     return Relation._of_rows(source, target, rows)
 
 
-def random_malcev_relation(
-    rng: random.Random,
-    max_size: int,
-    carrier: Callable[[str, int], FiniteSet] = letters,
+def _random_difunctional(
+    rng: random.Random, source: FiniteSet, target: FiniteSet, based: bool = False
 ) -> Relation:
-    """One seeded draw: |A| and |B| up to ``max_size``, then a
-    ``random_relation`` between ``carrier("a", |A|)`` and
-    ``carrier("b", |B|)``, closed to the least difunctional relation
-    containing it."""
-    source = carrier("a", rng.randint(0, max_size))
-    target = carrier("b", rng.randint(0, max_size))
-    return difunctional_closure(random_relation(rng, source, target))
+    """The one seeded draw of both sampled corpora: a ``random_relation``
+    between the carriers, holding at the first pair too when ``based`` (a
+    canonical pointed set lists its basepoint first), closed to the least
+    difunctional relation containing it."""
+    raw = random_relation(rng, source, target)
+    if based:
+        raw = Relation._of_rows(source, target, (raw.rows[0] | 1,) + raw.rows[1:])
+    return difunctional_closure(raw)
+
+
+def random_malcev_relation(rng: random.Random, max_size: int) -> Relation:
+    """|A| and |B| drawn up to ``max_size``, then ``_random_difunctional``
+    between ``letters("a", |A|)`` and ``letters("b", |B|)``."""
+    source = letters("a", rng.randint(0, max_size))
+    target = letters("b", rng.randint(0, max_size))
+    return _random_difunctional(rng, source, target)
 
 
 def _sampled_label(r: Relation) -> str:
@@ -122,37 +132,21 @@ def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:
     return _sampled_label(r), tabulate(r)
 
 
-Carriers = Callable[..., object]
-
-
 def interned_samples(
-    count: int,
-    carrier: Carriers,
-    draw: Callable[[Carriers], Relation],
-    build: Callable[[Relation, Carriers], tuple[str, object]],
+    draws: Iterable[Relation], build: Callable[[Relation], tuple[str, object]]
 ) -> list[tuple[str, object]]:
-    """``count`` relations ``draw(carriers)``, in draw order, each labelled
-    ``f"sample#{i} {label}"`` by the (label, instance) pair that
-    ``build(r, carriers)`` makes of its relation r.
+    """The drawn relations in draw order, each labelled ``f"sample#{i} {label}"``
+    by the (label, instance) pair that ``build`` makes of it.
 
-    ``carriers`` calls ``carrier`` once per distinct argument tuple, and
-    ``build`` runs once per distinct relation, keyed by (|A|, |B|, rows),
-    so equal draws share one instance.  Both tables are local to the call.
+    ``build`` runs once per distinct relation, keyed by (|A|, |B|, rows), so
+    equal draws share one instance; the table is local to the call.
     """
-    sets: dict[tuple, object] = {}
-
-    def carriers(*args):
-        if args not in sets:
-            sets[args] = carrier(*args)
-        return sets[args]
-
     built: dict[tuple[int, int, tuple[int, ...]], tuple[str, object]] = {}
     samples = []
-    for i in range(count):
-        r = draw(carriers)
+    for i, r in enumerate(draws):
         key = (len(r.source), len(r.target), r.rows)
         if key not in built:
-            built[key] = build(r, carriers)
+            built[key] = build(r)
         label, instance = built[key]
         samples.append((f"sample#{i} {label}", instance))
     return samples
@@ -161,15 +155,19 @@ def interned_samples(
 def sample_malcev_spans(
     rng: random.Random, count: int, max_size: int
 ) -> list[tuple[str, Span]]:
-    """``count`` draws of ``random_malcev_relation``, each labelled
-    ``sample#i`` and tabulated as ``random_malcev_span`` would; equal draws
-    share one ``Span``."""
-    return interned_samples(
-        count,
-        letters,
-        lambda carriers: random_malcev_relation(rng, max_size, carriers),
-        lambda r, _: (_sampled_label(r), tabulate(r)),
+    """``count`` draws made as ``random_malcev_relation`` makes them, each
+    labelled ``sample#i`` and tabulated as ``random_malcev_span`` would;
+    the carriers are built once per size, and equal draws share one
+    ``Span``."""
+    sources = [letters("a", n) for n in range(max_size + 1)]
+    targets = [letters("b", n) for n in range(max_size + 1)]
+    draws = (
+        _random_difunctional(
+            rng, sources[rng.randint(0, max_size)], targets[rng.randint(0, max_size)]
+        )
+        for _ in range(count)
     )
+    return interned_samples(draws, lambda r: (_sampled_label(r), tabulate(r)))
 
 
 def _random_plain_square(rng: random.Random, max_size: int) -> CommutativeSquare | None:
@@ -229,10 +227,7 @@ def sample_commuting_squares(
             sq = _random_plain_square(rng, max_size)
             if sq is not None:
                 squares.append(sq)
-        elif roll < 0.8:
-            _, s = random_malcev_span(rng, max_size)
-            squares.append(canonical_pushout(s))
-        else:
-            _, s = random_malcev_span(rng, max_size)
-            squares.append(_doctored_square(rng, canonical_pushout(s)))
+            continue
+        sq = canonical_pushout(tabulate(random_malcev_relation(rng, max_size)))
+        squares.append(sq if roll < 0.8 else _doctored_square(rng, sq))
     return squares

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import mutants
-from .enumeration import interned_samples, random_relation
+from .enumeration import _random_difunctional, interned_samples
 from .errors import PreconditionError
 from .fsets import (
     Cospan,
@@ -34,7 +34,7 @@ from .pushouts import (
     malcev_pushout_direct,
     require_malcev,
 )
-from .relations import Relation, difunctional_closure, tabulate
+from .relations import Relation, tabulate
 
 BASEPOINT = "*"
 
@@ -216,41 +216,31 @@ def zero_object_checks(max_size: int = 5) -> ZeroObjectReport:
     return ZeroObjectReport(max_size=max_size, failures=tuple(failures), strictness_witness=witness)
 
 
-def random_pointed_relation(
-    rng: random.Random,
-    max_size: int,
-    carrier: Callable[[int], PointedSet] = canonical_pointed_set,
-) -> Relation:
-    """One seeded draw: |A| and |B| from 1 to ``max_size``, then a
-    ``random_relation`` between the carriers of ``carrier(|A|)`` and
-    ``carrier(|B|)`` with the basepoint pair added, closed to the least
-    difunctional relation containing it."""
-    a = carrier(rng.randint(1, max_size)).carrier
-    b = carrier(rng.randint(1, max_size)).carrier
-    raw = random_relation(rng, a, b)
-    # The basepoint sorts first in a canonical pointed set: bit 0 of row 0.
-    based = Relation._of_rows(a, b, (raw.rows[0] | 1,) + raw.rows[1:])
-    return difunctional_closure(based)
-
-
 def sample_pointed_spans(
     rng: random.Random, count: int, max_size: int
 ) -> list[tuple[str, PointedSpan]]:
-    """``count`` draws of ``random_pointed_relation``, each labelled
-    ``sample#i`` and pointed at the basepoint pair of its tabulation; equal
-    draws share one ``PointedSpan``."""
+    """``count`` seeded draws, each labelled ``sample#i`` and pointed at the
+    basepoint pair of its tabulation: |A| and |B| from 1 to ``max_size``,
+    then the based ``_random_difunctional`` between the canonical pointed
+    sets of those sizes.  The pointed sets are built once per size, and
+    equal draws share one ``PointedSpan``."""
+    sets = {n: canonical_pointed_set(n) for n in range(1, max_size + 1)}
 
-    def build(r: Relation, carriers) -> tuple[str, PointedSpan]:
-        a, b = carriers(len(r.source)), carriers(len(r.target))
+    def build(r: Relation) -> tuple[str, PointedSpan]:
+        a, b = sets[len(r.source)], sets[len(r.target)]
         label = f"pointed |A|={len(a)},|B|={len(b)} R={r!r}"
         return label, pointed_span_from_relation(a, b, r)
 
-    return interned_samples(
-        count,
-        canonical_pointed_set,
-        lambda carriers: random_pointed_relation(rng, max_size, carriers),
-        build,
+    draws = (
+        _random_difunctional(
+            rng,
+            sets[rng.randint(1, max_size)].carrier,
+            sets[rng.randint(1, max_size)].carrier,
+            based=True,
+        )
+        for _ in range(count)
     )
+    return interned_samples(draws, build)
 
 
 def pointed_span_from_relation(

@@ -86,14 +86,6 @@ class Relation:
         return cls._of_rows(source, target, tuple(rows))
 
     @classmethod
-    def empty(cls, source: FiniteSet, target: FiniteSet) -> "Relation":
-        return cls._of_rows(source, target, (0,) * len(source))
-
-    @classmethod
-    def full(cls, source: FiniteSet, target: FiniteSet) -> "Relation":
-        return cls._of_rows(source, target, ((1 << len(target)) - 1,) * len(source))
-
-    @classmethod
     def diagonal(cls, a: FiniteSet) -> "Relation":
         return cls._of_rows(a, a, tuple(1 << i for i in range(len(a))))
 

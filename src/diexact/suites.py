@@ -80,6 +80,7 @@ from .relations import (
 _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
 
 MAX_FAILURES_SHOWN = 6  # failures listed per suite in a rendered report
+SMALL_BOUND = 2  # largest carrier walked exhaustively by P1, and by T2/D unless exhaustive
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class SuiteConfig:
 
     @property
     def exhaustive_bound(self) -> int:
-        return self.max_size if self.exhaustive else min(self.max_size, 2)
+        return self.max_size if self.exhaustive else min(self.max_size, SMALL_BOUND)
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def suite_zero_object(config: SuiteConfig) -> SuiteReport:
 
 def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
     corpus: list[tuple[str, object]] = []
-    small = max(1, min(config.max_size, 2))
+    small = max(1, min(config.max_size, SMALL_BOUND))
     for m in range(1, small + 1):
         for n in range(1, small + 1):
             a = canonical_pointed_set(m)

@@ -223,7 +223,7 @@ class TestEffectiveness:
     def test_diagonal_and_full(self):
         a = fset("1", "2", "3")
         assert effectiveness_check(Relation.diagonal(a))
-        assert effectiveness_check(Relation.full(a, a))
+        assert effectiveness_check(Relation.from_pairs(a, a, itertools.product(a, a)))
 
     def test_all_equivalences_up_to_size_4(self):
         for size in range(5):

@@ -574,8 +574,6 @@ UNCALLED = {
     "fset": "the shorthand constructor of the tests and the README's examples",
     "pushout_epi_leg": "the public epi-leg route; the program calls its body, _epi_leg_square",
     "recheck_certificate": "re-checks a certificate from its evidence, for library callers",
-    "Relation.empty": "a public relation constructor beside diagonal",
-    "Relation.full": "a public relation constructor beside diagonal",
 }
 
 

@@ -66,7 +66,7 @@ class TestPointedTypes:
     def test_tabulation_needs_related_basepoints(self):
         a, b = pointed(1), pointed(1)
         with pytest.raises(PreconditionError):
-            pointed_span_from_relation(a, b, Relation.empty(a.carrier, b.carrier))
+            pointed_span_from_relation(a, b, Relation.from_pairs(a.carrier, b.carrier, ()))
 
 
 class TestPointedPushout:

@@ -212,7 +212,7 @@ class TestCoequalizerViaPushout:
 
     def test_full_relation_collapses(self):
         a = fset("1", "2", "3")
-        result = coequalizer_via_pushout(Relation.full(a, a))
+        result = coequalizer_via_pushout(Relation.from_pairs(a, a, itertools.product(a, a)))
         assert len(result.h.codomain) == 1
         assert len(kernel_pair(result.h).apex) == 9
 
@@ -559,7 +559,7 @@ class TestEquivalenceStages:
     def test_direct_route_reports_a_doctored_block_relation(self, s, monkeypatch):
         total = coproduct(*s.feet)[0]
         monkeypatch.setattr(
-            pushouts, "pushout_equivalence", lambda r: Relation.empty(total, total)
+            pushouts, "pushout_equivalence", lambda r: Relation.from_pairs(total, total, ())
         )
         with pytest.raises(InternalInvariantError) as caught:
             malcev_pushout_direct(s)
@@ -571,7 +571,7 @@ class TestEquivalenceStages:
 
     def test_epi_leg_route_reports_a_doctored_closure(self, s, monkeypatch):
         monkeypatch.setattr(
-            pushouts, "union", lambda r, _: Relation.empty(r.source, r.target)
+            pushouts, "union", lambda r, _: Relation.from_pairs(r.source, r.target, ())
         )
         with pytest.raises(InternalInvariantError) as caught:
             pushout_epi_leg(s)
@@ -611,7 +611,7 @@ class TestMalcevPushoutResultChecks:
         with pytest.raises(
             ValueError, match="e must be an endo-relation on the tagged coproduct"
         ):
-            MalcevPushoutResult(Relation.empty(*ends), result.square)
+            MalcevPushoutResult(Relation.from_pairs(*ends, ()), result.square)
 
 
 # Names that look like generated ones: coproduct tags, pair names and their

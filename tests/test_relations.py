@@ -298,7 +298,7 @@ class TestSpanRelationDictionary:
         a, b = fset("a"), fset("b")
         empty = fset()
         s = Span(empty, SetFunction(empty, a, ()), SetFunction(empty, b, ()))
-        assert span_to_relation(s) == Relation.empty(a, b)
+        assert span_to_relation(s) == Relation.from_pairs(a, b, ())
 
     @given(relations(max_size=3))
     def test_tabulation_round_trip(self, r):
@@ -313,7 +313,7 @@ class TestSpanRelationDictionary:
 
     def test_tabulate_empty_and_diagonal(self):
         a = fset("a", "b")
-        assert len(tabulate(Relation.empty(a, a)).apex) == 0
+        assert len(tabulate(Relation.from_pairs(a, a, ())).apex) == 0
         diag = tabulate(Relation.diagonal(a))
         assert is_iso(diag.left) and is_iso(diag.right)
 
@@ -489,7 +489,7 @@ class TestClosure:
 
     def test_one_step_completion(self):
         r = rel("ab", "xy", ("a", "x"), ("a", "y"), ("b", "x"))
-        assert difunctional_closure(r) == Relation.full(r.source, r.target)
+        assert difunctional_closure(r) == rel("ab", "xy", *itertools.product("ab", "xy"))
 
     @given(relations(max_size=4))
     def test_extensive_idempotent_difunctional(self, r):
@@ -546,7 +546,7 @@ class TestEquivalence:
     def test_diagonal_and_full(self):
         a = fset("1", "2", "3")
         assert is_equivalence(Relation.diagonal(a))
-        assert is_equivalence(Relation.full(a, a))
+        assert is_equivalence(Relation.from_pairs(a, a, itertools.product(a, a)))
 
     def test_missing_symmetry(self):
         r = rel("12", "12", ("1", "1"), ("2", "2"), ("1", "2"))
@@ -685,10 +685,10 @@ class TestBlockRelation:
     def test_all_empty_blocks(self):
         a, b = fset("a"), fset("b")
         assembled = assemble_block(
-            Relation.empty(a, a),
-            Relation.empty(b, a),
-            Relation.empty(a, b),
-            Relation.empty(b, b),
+            Relation.from_pairs(a, a, ()),
+            Relation.from_pairs(b, a, ()),
+            Relation.from_pairs(a, b, ()),
+            Relation.from_pairs(b, b, ()),
         )
         assert set(assembled.pairs()) == set()
 
@@ -696,8 +696,8 @@ class TestBlockRelation:
         a, b = fset("a"), fset("b")
         assembled = assemble_block(
             Relation.diagonal(a),
-            Relation.empty(b, a),
-            Relation.empty(a, b),
+            Relation.from_pairs(b, a, ()),
+            Relation.from_pairs(a, b, ()),
             Relation.diagonal(b),
         )
         assert assembled == Relation.diagonal(assembled.source)
@@ -707,8 +707,8 @@ class TestBlockRelation:
         with pytest.raises(ValueError, match="block"):
             assemble_block(
                 Relation.diagonal(a),
-                Relation.empty(a, b),
-                Relation.empty(a, b),
+                Relation.from_pairs(a, b, ()),
+                Relation.from_pairs(a, b, ()),
                 Relation.diagonal(b),
             )
 
@@ -717,10 +717,10 @@ class TestBlockRelation:
         """Block [0][1] must run from b to a; each candidate is right at one
         end only."""
         a, b = fset("a"), fset("b")
-        top_right = Relation.empty(a, a) if wrong_end == "source" else Relation.empty(b, b)
+        top_right = Relation.from_pairs(a, a, ()) if wrong_end == "source" else Relation.from_pairs(b, b, ())
         with pytest.raises(ValueError, match=r"block \[0\]\[1\]"):
             assemble_block(
-                Relation.diagonal(a), top_right, Relation.empty(a, b), Relation.diagonal(b)
+                Relation.diagonal(a), top_right, Relation.from_pairs(a, b, ()), Relation.diagonal(b)
             )
 
     def test_matched_pairs_block_equivalence(self):

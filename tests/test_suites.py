@@ -344,11 +344,12 @@ class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
         _, counts = _calls(
-            (fsets.canonical_pushout, enumeration.random_malcev_relation),
+            (fsets.canonical_pushout, enumeration._random_difunctional),
             lambda: run_all_suites(config),
         )
         spans = _distinct(suites._span_corpus(config))
-        assert counts == {"canonical_pushout": spans, "random_malcev_relation": 20}
+        # One draw per sample in each sampled corpus: 20 plain, 20 pointed.
+        assert counts == {"canonical_pushout": spans, "_random_difunctional": 20 + 20}
 
     def test_t2_and_d_share_one_direct_pushout_per_span(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
