@@ -81,10 +81,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     suite = sub.add_parser("suite", help="run the verification suites")
-    suite.add_argument("--max-size", type=int, default=3)
-    suite.add_argument("--samples", type=int, default=0)
-    suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--exhaustive", action="store_true")
+    suite.add_argument(
+        "--max-size",
+        type=int,
+        default=3,
+        help="largest carrier size in the corpora (default 3); T2/D (unless "
+        "--exhaustive) and P1 walk every relation only up to size 2, and "
+        "draw up to this size",
+    )
+    suite.add_argument(
+        "--samples",
+        type=int,
+        default=0,
+        help="seeded draws added to the T2/D span corpus (default 0); P1 "
+        "draws as many, or 25 when this is 0",
+    )
+    suite.add_argument(
+        "--seed", type=int, default=0, help="seed of the T2/D and the P1 draws"
+    )
+    suite.add_argument(
+        "--exhaustive",
+        action="store_true",
+        help="walk every T2/D relation up to --max-size, not only up to "
+        "size 2; P1 still walks only sizes up to 2",
+    )
     suite.add_argument(
         "--mutant",
         choices=mutants.KNOWN,

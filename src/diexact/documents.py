@@ -35,14 +35,15 @@ from .pointed import PointedMap, PointedSet, PointedSpan
 from .relations import Relation, is_equivalence
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
-_ELEMENT = re.compile(r"[A-Za-z0-9_*']+$")
+_ELEMENT_NAME = r"[A-Za-z0-9_*']+"  # the one spelling of an element name
+_ELEMENT = re.compile(_ELEMENT_NAME + "$")
 
 _SET = re.compile(r"set\s+(\S+)\s*=\s*\{(.*)\}$")
 _POINT = re.compile(r"point\s+(\S+)\s*=\s*(\S+)$")
 _FUN = re.compile(r"fun\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)\s*=\s*\{(.*)\}$")
 _REL = re.compile(r"rel\s+(\S+)\s*:\s*(\S+)\s*-\|>\s*(\S+)\s*=\s*\{(.*)\}$")
 _SPAN = re.compile(r"span\s+(\S+)\s*=\s*<\s*(\S+)\s*,\s*(\S+)\s*>$")
-_PAIR = re.compile(r"\(\s*([A-Za-z0-9_*']+)\s*,\s*([A-Za-z0-9_*']+)\s*\)")
+_PAIR = re.compile(rf"\(\s*({_ELEMENT_NAME})\s*,\s*({_ELEMENT_NAME})\s*\)")
 _SEPARATORS = re.compile(r"[\s,]*")
 
 

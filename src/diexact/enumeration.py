@@ -2,17 +2,17 @@
 seeded random sampling above them.
 
 Canonical test sets use prefixed names (``a1, a2, ...``), so every
-enumerated instance has a stable, diffable description.  Both sampled
-corpora, the plain spans here and the pointed spans of ``pointed``, draw
-each relation with ``_random_difunctional`` and intern the draws with
-``interned_samples``.  This module asks for no mutant.
+enumerated instance has a stable, diffable description.  Both span
+corpora, the plain spans of T2 and D and the pointed spans of P1, come
+from ``malcev_corpus``: one exhaustive walk, then one sampling loop whose
+draw is ``_random_difunctional``.  This module asks for no mutant.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .fsets import (
     CommutativeSquare,
@@ -26,6 +26,8 @@ from .fsets import (
 from .relations import Relation, difunctional_closure, is_difunctional, tabulate
 
 DENSITY = 0.3  # chance that a pair holds in a seeded random relation
+
+T = TypeVar("T")
 
 
 def letters(prefix: str, n: int) -> FiniteSet:
@@ -51,11 +53,9 @@ def difunctional_relations(source: FiniteSet, target: FiniteSet) -> Iterator[Rel
 def exhaustive_malcev_spans(max_size: int) -> Iterator[tuple[str, Span]]:
     """Tabulations of every difunctional relation over canonical sets of all
     size pairs up to the bound, each with a stable label."""
-    for m in range(max_size + 1):
-        for n in range(max_size + 1):
-            source, target = letters("a", m), letters("b", n)
-            for index, r in enumerate(difunctional_relations(source, target)):
-                yield f"|A|={m},|B|={n} #{index} R={r!r}", tabulate(r)
+    sources = [letters("a", n) for n in range(max_size + 1)]
+    targets = [letters("b", n) for n in range(max_size + 1)]
+    return malcev_corpus(sources, targets, max_size, None, 0, tabulate)
 
 
 def all_set_partitions(items: Sequence[str]) -> Iterator[list[list[str]]]:
@@ -123,8 +123,8 @@ def random_malcev_relation(rng: random.Random, max_size: int) -> Relation:
     return _random_difunctional(rng, source, target)
 
 
-def _sampled_label(r: Relation) -> str:
-    return f"sampled |A|={len(r.source)},|B|={len(r.target)} R={r!r}"
+def _sampled_label(r: Relation, word: str = "sampled") -> str:
+    return f"{word} |A|={len(r.source)},|B|={len(r.target)} R={r!r}"
 
 
 def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:
@@ -132,42 +132,40 @@ def random_malcev_span(rng: random.Random, max_size: int) -> tuple[str, Span]:
     return _sampled_label(r), tabulate(r)
 
 
-def interned_samples(
-    draws: Iterable[Relation], build: Callable[[Relation], tuple[str, object]]
-) -> list[tuple[str, object]]:
-    """The drawn relations in draw order, each labelled ``f"sample#{i} {label}"``
-    by the (label, instance) pair that ``build`` makes of it.
-
-    ``build`` runs once per distinct relation, keyed by (|A|, |B|, rows), so
-    equal draws share one instance; the table is local to the call.
-    """
-    built: dict[tuple[int, int, tuple[int, ...]], tuple[str, object]] = {}
-    samples = []
-    for i, r in enumerate(draws):
+def malcev_corpus(
+    sources: Sequence[FiniteSet],
+    targets: Sequence[FiniteSet],
+    bound: int,
+    rng: random.Random | None,
+    count: int,
+    build: Callable[[Relation], T],
+    pointed: bool = False,
+) -> Iterator[tuple[str, T]]:
+    """The one builder of both span corpora, each relation r given as
+    ``build(r)``: first every difunctional relation between a source and a
+    target of at most ``bound`` elements, labelled by its walk index; then
+    ``count`` draws ``_random_difunctional`` between an ``rng.choice`` of
+    the sources and one of the targets, labelled ``sample#i``, equal draws
+    (by |A|, |B| and rows) sharing one label and instance.  ``pointed``
+    keeps the relations that hold at the first pair (a canonical pointed
+    set lists its basepoint first), bases each draw there, and names both
+    kinds of label ``pointed``."""
+    walked, drawn = ("pointed ", "pointed") if pointed else ("", "sampled")
+    walked_sources = [a for a in sources if len(a) <= bound]
+    walked_targets = [b for b in targets if len(b) <= bound]
+    for source, target in itertools.product(walked_sources, walked_targets):
+        for index, r in enumerate(difunctional_relations(source, target)):
+            if not pointed or (r.rows and r.rows[0] & 1):
+                label = f"{walked}|A|={len(source)},|B|={len(target)} #{index} R={r!r}"
+                yield label, build(r)
+    built: dict[tuple[int, int, tuple[int, ...]], tuple[str, T]] = {}
+    for i in range(count):
+        r = _random_difunctional(rng, rng.choice(sources), rng.choice(targets), pointed)
         key = (len(r.source), len(r.target), r.rows)
         if key not in built:
-            built[key] = build(r)
+            built[key] = _sampled_label(r, drawn), build(r)
         label, instance = built[key]
-        samples.append((f"sample#{i} {label}", instance))
-    return samples
-
-
-def sample_malcev_spans(
-    rng: random.Random, count: int, max_size: int
-) -> list[tuple[str, Span]]:
-    """``count`` draws made as ``random_malcev_relation`` makes them, each
-    labelled ``sample#i`` and tabulated as ``random_malcev_span`` would;
-    the carriers are built once per size, and equal draws share one
-    ``Span``."""
-    sources = [letters("a", n) for n in range(max_size + 1)]
-    targets = [letters("b", n) for n in range(max_size + 1)]
-    draws = (
-        _random_difunctional(
-            rng, sources[rng.randint(0, max_size)], targets[rng.randint(0, max_size)]
-        )
-        for _ in range(count)
-    )
-    return interned_samples(draws, lambda r: (_sampled_label(r), tabulate(r)))
+        yield f"sample#{i} {label}", instance
 
 
 def _random_plain_square(rng: random.Random, max_size: int) -> CommutativeSquare | None:

@@ -6,17 +6,17 @@ no colimit code is duplicated.  The one-point pointed set is a zero object
 (initial and terminal), and the initial object is deliberately not strict,
 which ``zero_object_checks`` witnesses explicitly.
 
-Canonical enumeration fixes the basepoint name to ``*``.
+A canonical pointed set is ``*, x1, x2, ...``: the basepoint is named
+``*`` and listed first, which is where the pointed corpus of
+``enumeration.malcev_corpus`` looks for it.  This module draws nothing.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import mutants
-from .enumeration import _random_difunctional, interned_samples
 from .errors import PreconditionError
 from .fsets import (
     Cospan,
@@ -214,33 +214,6 @@ def zero_object_checks(max_size: int = 5) -> ZeroObjectReport:
         else:
             failures.append("strictness counterexample unexpectedly missing")
     return ZeroObjectReport(max_size=max_size, failures=tuple(failures), strictness_witness=witness)
-
-
-def sample_pointed_spans(
-    rng: random.Random, count: int, max_size: int
-) -> list[tuple[str, PointedSpan]]:
-    """``count`` seeded draws, each labelled ``sample#i`` and pointed at the
-    basepoint pair of its tabulation: |A| and |B| from 1 to ``max_size``,
-    then the based ``_random_difunctional`` between the canonical pointed
-    sets of those sizes.  The pointed sets are built once per size, and
-    equal draws share one ``PointedSpan``."""
-    sets = {n: canonical_pointed_set(n) for n in range(1, max_size + 1)}
-
-    def build(r: Relation) -> tuple[str, PointedSpan]:
-        a, b = sets[len(r.source)], sets[len(r.target)]
-        label = f"pointed |A|={len(a)},|B|={len(b)} R={r!r}"
-        return label, pointed_span_from_relation(a, b, r)
-
-    draws = (
-        _random_difunctional(
-            rng,
-            sets[rng.randint(1, max_size)].carrier,
-            sets[rng.randint(1, max_size)].carrier,
-            based=True,
-        )
-        for _ in range(count)
-    )
-    return interned_samples(draws, build)
 
 
 def pointed_span_from_relation(

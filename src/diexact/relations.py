@@ -8,8 +8,8 @@ them.  The witness and the closure read Riguet's characterisation (J.
 Riguet, *Relations binaires, fermetures, correspondances de Galois*, Bull.
 SMF 76, 1948): a relation is difunctional exactly when any two of its rows
 are equal or disjoint, so its connected blocks are rectangles.  Relations
-come from ``from_pairs``, ``empty``, ``full``, ``diagonal`` and the
-calculus; there is no public positional constructor.  ``from_pairs``
+come from ``from_pairs``, ``diagonal`` and the calculus; there is no
+public positional constructor.  ``from_pairs``
 reads a pair list in one loop over the carriers' index dicts, ``tabulate``
 lists the pairs in one comprehension over the rows' bits, and
 ``span_to_relation`` builds a span's relation once and keeps it on the

@@ -6,9 +6,11 @@ span corpus) and two exercise the pointed layer.  Instance order, sampling
 and report text are all deterministic functions of the configuration, so a
 report is byte-reproducible and diffable.
 
-T2 and D of one run share one span corpus and the direct route's result
-for each distinct span, both built once per run and dropped with it; T2
-compares every route's corner with one reference colimit per distinct span.
+The span corpus of T2 and D and the pointed corpus of P1 both come from
+``enumeration.malcev_corpus``.  T2 and D of one run share one span corpus
+and the direct route's result for each distinct span, both built once per
+run and dropped with it; T2 compares every route's corner with one
+reference colimit per distinct span.
 
 Every suite but P0 is a labelled corpus of instances plus one generator of
 the (check, witness) pairs an instance fails, run by the one loop ``_run``.
@@ -30,13 +32,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from . import mutants
 from .certificates import PushoutCertificate, certify, effectiveness_check
-from .enumeration import (
-    all_equivalences,
-    difunctional_relations,
-    exhaustive_malcev_spans,
-    letters,
-    sample_malcev_spans,
-)
+from .enumeration import all_equivalences, letters, malcev_corpus
 from .errors import InternalInvariantError, PreconditionError
 from .fsets import (
     CommutativeSquare,
@@ -51,12 +47,11 @@ from .fsets import (
     pullback,
 )
 from .pointed import (
-    BASEPOINT,
+    PointedSpan,
     canonical_pointed_set,
     pointed_malcev_pushout,
     pointed_pullback,
     pointed_span_from_relation,
-    sample_pointed_spans,
     zero_object_checks,
 )
 from .pushouts import (
@@ -75,6 +70,7 @@ from .relations import (
     is_transitive,
     rel_compose,
     span_to_relation,
+    tabulate,
 )
 
 _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
@@ -289,14 +285,16 @@ def suite_equivalences(config: SuiteConfig) -> SuiteReport:
 
 
 def _span_corpus(config: SuiteConfig) -> tuple[tuple[str, Span], ...]:
-    """The labelled spans of T2 and D; the sampled spans are tabulated once
-    per distinct relation.
+    """The labelled spans of T2 and D: ``malcev_corpus`` over ``letters``
+    carriers of sizes up to ``max_size``, walked up to the exhaustive bound.
 
     ``enumeration`` asks for no mutant, so the corpus does not depend on
     the one the configuration names.
     """
-    samples = sample_malcev_spans(random.Random(config.seed), config.samples, config.max_size)
-    return tuple(exhaustive_malcev_spans(config.exhaustive_bound)) + tuple(samples)
+    sources = [letters("a", n) for n in range(config.max_size + 1)]
+    targets = [letters("b", n) for n in range(config.max_size + 1)]
+    rng, bound = random.Random(config.seed), config.exhaustive_bound
+    return tuple(malcev_corpus(sources, targets, bound, rng, config.samples, tabulate))
 
 
 class _SpanRun:
@@ -400,20 +398,21 @@ def suite_zero_object(config: SuiteConfig) -> SuiteReport:
     return SuiteReport("P0", "zero-object-nonstrict-initial", bound, failures)
 
 
-def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, object]]:
-    corpus: list[tuple[str, object]] = []
+def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, PointedSpan]]:
+    """The labelled pointed spans of P1: the pointed ``malcev_corpus`` over
+    canonical pointed sets of sizes 1 to ``max(1, max_size)``, walked up
+    to ``SMALL_BOUND`` whatever ``exhaustive`` says, with 25 draws when
+    ``samples`` is 0."""
+    sets = {n: canonical_pointed_set(n) for n in range(1, max(1, config.max_size) + 1)}
+    carriers = [p.carrier for p in sets.values()]
+
+    def build(r: Relation) -> PointedSpan:
+        return pointed_span_from_relation(sets[len(r.source)], sets[len(r.target)], r)
+
     small = max(1, min(config.max_size, SMALL_BOUND))
-    for m in range(1, small + 1):
-        for n in range(1, small + 1):
-            a = canonical_pointed_set(m)
-            b = canonical_pointed_set(n)
-            for index, r in enumerate(difunctional_relations(a.carrier, b.carrier)):
-                if r.holds(BASEPOINT, BASEPOINT):
-                    label = f"pointed |A|={m},|B|={n} #{index} R={r!r}"
-                    corpus.append((label, pointed_span_from_relation(a, b, r)))
-    n_samples = config.samples if config.samples else 25
     rng = random.Random(config.seed)
-    return corpus + sample_pointed_spans(rng, n_samples, max(1, config.max_size))
+    count = config.samples or 25
+    return list(malcev_corpus(carriers, carriers, small, rng, count, build, pointed=True))
 
 
 def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:

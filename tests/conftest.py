@@ -4,12 +4,15 @@ and the references that several test modules build on."""
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Sequence
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from diexact.enumeration import malcev_corpus
 from diexact.fsets import FiniteSet, SetFunction, Span, span
+from diexact.pointed import PointedSpan, canonical_pointed_set, pointed_span_from_relation
 from diexact.relations import Relation, converse, difunctional_closure, rel_compose, tabulate, union
 
 def graph_of(f: SetFunction) -> Relation:
@@ -40,6 +43,21 @@ def fixpoint_closure(r: Relation) -> Relation:
         if step == current:
             return current
         current = step
+
+
+def sample_pointed_spans(
+    rng: random.Random, count: int, max_size: int
+) -> list[tuple[str, PointedSpan]]:
+    """``count`` seeded pointed spans drawn as P1 draws its samples: the
+    pointed ``malcev_corpus`` over canonical pointed sets of sizes 1 to
+    ``max_size``, with no exhaustive part."""
+    sets = {n: canonical_pointed_set(n) for n in range(1, max_size + 1)}
+    carriers = [p.carrier for p in sets.values()]
+
+    def build(r: Relation) -> PointedSpan:
+        return pointed_span_from_relation(sets[len(r.source)], sets[len(r.target)], r)
+
+    return list(malcev_corpus(carriers, carriers, 0, rng, count, build, pointed=True))
 
 
 settings.register_profile("suite", deadline=None)

@@ -51,7 +51,7 @@ from diexact.fsets import (
     kernel_pair,
     pullback,
 )
-from diexact.pointed import pointed_malcev_pushout, sample_pointed_spans, zero_object_checks
+from diexact.pointed import pointed_malcev_pushout, zero_object_checks
 from diexact.pushouts import (
     malcev_pushout_decomposed,
     malcev_pushout_direct,
@@ -66,6 +66,7 @@ from diexact.relations import (
     tabulate,
 )
 from diexact.suites import SuiteConfig, run_all_suites, suite_coproducts
+from conftest import sample_pointed_spans
 
 DIFUNCTIONAL_COUNTS = {
     (0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1,

@@ -31,8 +31,8 @@ from diexact.suites import (
     suite_equivalences,
     theorem_suites,
 )
-from conftest import fixpoint_closure
-from diexact.pointed import canonical_pointed_set, pointed_span_from_relation
+from conftest import fixpoint_closure, sample_pointed_spans
+from diexact.pointed import BASEPOINT, canonical_pointed_set, pointed_span_from_relation
 from diexact.relations import Relation, tabulate
 from test_pushouts import widened
 
@@ -132,6 +132,39 @@ class TestCorpusAgainstPerDrawBuilder:
         config = SuiteConfig(max_size=1, samples=300, seed=42)
         sampled = suites._span_corpus(config)[-300:]
         assert len({id(s) for _, s in sampled}) == _distinct(sampled) < 10
+
+
+class TestMalcevCorpus:
+    def test_pointed_walk_at_bound_three(self):
+        """The pointed walk keeps exactly the difunctional relations that
+        relate the basepoints, each under its index among all of them."""
+        carriers = [canonical_pointed_set(n).carrier for n in (1, 2, 3)]
+        walked = list(
+            enumeration.malcev_corpus(carriers, carriers, 3, None, 0, lambda r: r, pointed=True)
+        )
+        expected = [
+            (f"pointed |A|={len(a)},|B|={len(b)} #{index} R={r!r}", r)
+            for a, b in itertools.product(carriers, repeat=2)
+            for index, r in enumerate(difunctional_relations(a, b))
+            if r.holds(BASEPOINT, BASEPOINT)
+        ]
+        assert walked == expected
+        assert len(walked) == 87  # by a naive quantifier over all 2^(mn) relations
+
+    def test_canonical_pointed_sets_list_the_basepoint_first(self):
+        # the pointed walk's first-pair filter and the based draw both
+        # read the basepoint at index 0
+        for n in range(1, 7):
+            assert canonical_pointed_set(n).carrier.elements[0] == BASEPOINT
+
+    def test_seeded_pointed_label_is_frozen(self):
+        # seed 17 reads differently at density 0.25 or 0.35 and with the
+        # columns of each row drawn in reverse order
+        [(label, _)] = sample_pointed_spans(random.Random(17), 1, 4)
+        assert label == (
+            "sample#0 pointed |A|=4,|B|=3 R={(*,*), (*,x1), (x1,x2), (x2,*), "
+            "(x2,x1), (x3,*), (x3,x1)}"
+        )
 
 
 class TestReports:
