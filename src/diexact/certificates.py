@@ -49,6 +49,7 @@ from .fsets import (
     disagreement_text,
     fiber_pairs,
     first_disagreement,
+    is_mono,
     kernel_pair,
 )
 from .names import LEFT, RIGHT, pair_name, tagged
@@ -176,7 +177,7 @@ def _pushout_verdict(square: CommutativeSquare) -> Verdict:
             unreached[0],
         )
     classes = FiniteSet(tuple(seen.values()))
-    comparison = SetFunction(classes, square.corner, tuple(corner[d] for d in seen))
+    comparison = SetFunction._of_table(classes, square.corner, tuple(seen))
     return Verdict(True, "comparison with the canonical pushout is a bijection", comparison)
 
 
@@ -319,15 +320,13 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
         comparison = cert.is_pushout.evidence
         if not isinstance(comparison, SetFunction):
             return False
-        if len(set(comparison.values)) != len(comparison.values):
-            return False
-        if set(comparison.values) != set(square.corner.elements):
+        if not is_mono(comparison) or set(comparison.values) != set(square.corner.elements):
             return False
     if cert.is_pullback.ok:
         pairing = cert.is_pullback.evidence
         if not cert.commutes.ok or not isinstance(pairing, SetFunction):
             return False
-        if len(set(pairing.values)) != len(pairing.values):
+        if not is_mono(pairing):
             return False
         f, g = square.span.left, square.span.right
         expected = tuple(pair_name(a, b) for a, b in zip(f.values, g.values))
@@ -335,7 +334,7 @@ def recheck_certificate(cert: PushoutCertificate) -> bool:
             return False
         _, _, h_t, k_t = _tables(square)
         over = Counter(k_t)
-        if len(pairing.values) != sum(over[d] for d in h_t):
+        if len(pairing.domain) != sum(over[d] for d in h_t):
             return False
     if cert.is_stable.ok:
         if not cert.is_pushout.ok or cert.is_stable.evidence != cert.is_pushout.evidence:

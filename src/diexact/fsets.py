@@ -6,11 +6,11 @@ order, and constructed objects (pullbacks, coproducts, quotients) use
 deterministic element names, so equal constructions compare equal and
 reports diff cleanly.
 
-A ``SetFunction`` also carries ``table``, the codomain index of each value,
-built by the same pass that checks the values lie in the codomain.
-Composites, pullbacks and the oracles read values and tables by position;
-``f(x)`` looks a name up and is for callers outside those loops.  Every
-commutativity check is ``first_disagreement``, decided on those tables.
+A ``SetFunction`` stores only ``table``, the codomain position of each
+value.  Routes, oracles and composites read it by position; ``values`` is
+derived from it on every read, so loops read that before they start, and
+``f(x)`` is for callers outside loops.  Every commutativity check is
+``first_disagreement``, decided on those tables.
 
 Naming conventions for constructed elements:
 
@@ -89,37 +89,52 @@ def fset(*names: str) -> FiniteSet:
     return FiniteSet(tuple(names))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SetFunction:
-    """A total map between finite sets, stored as its values in domain
-    order.  Equality compares domain, codomain and values; there is no
-    intensional view.
-
-    ``table[i]`` is the codomain position of ``values[i]``.  It is derived
-    from the fields, so it takes no part in equality, hashing or ``repr``.
+    """A total map between finite sets, stored as ``table``, the codomain
+    position of each value in domain order; equality compares all three
+    fields.  The constructor is the one place where value names become a
+    table, and ``_of_table`` takes a table already known.
     """
 
     domain: FiniteSet
     codomain: FiniteSet
-    values: tuple[str, ...]
+    table: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        if len(values) != len(self.domain):
+    def __init__(self, domain: FiniteSet, codomain: FiniteSet, values: Iterable[str]) -> None:
+        values = tuple(values)
+        if len(values) != len(domain):
             raise ValueError(
                 f"function table has {len(values)} entries for a domain "
-                f"of size {len(self.domain)}"
+                f"of size {len(domain)}"
             )
-        index = self.codomain._index
+        index = codomain._index
         try:
             table = tuple([index[value] for value in values])
         except KeyError:
             value = next(v for v in values if v not in index)
             raise ValueError(
-                f"value {value!r} is not in the codomain {self.codomain}"
+                f"value {value!r} is not in the codomain {codomain}"
             ) from None
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _of_table(
+        cls, domain: FiniteSet, codomain: FiniteSet, table: tuple[int, ...]
+    ) -> "SetFunction":
+        f = object.__new__(cls)
+        object.__setattr__(f, "domain", domain)
+        object.__setattr__(f, "codomain", codomain)
+        object.__setattr__(f, "table", table)
+        return f
+
+    @property
+    def values(self) -> tuple[str, ...]:
+        """The value names in domain order, read off the table."""
+        names = self.codomain.elements
+        return tuple([names[j] for j in self.table])
 
     @classmethod
     def from_mapping(
@@ -134,7 +149,7 @@ class SetFunction:
         return cls(domain, codomain, tuple(mapping[e] for e in domain))
 
     def __call__(self, name: str) -> str:
-        return self.values[self.domain.index(name)]
+        return self.codomain.elements[self.table[self.domain.index(name)]]
 
     def __repr__(self) -> str:
         table = ", ".join(f"{a} |-> {b}" for a, b in zip(self.domain.elements, self.values))
@@ -142,27 +157,14 @@ class SetFunction:
 
 
 def identity(a: FiniteSet) -> SetFunction:
-    return SetFunction(a, a, a.elements)
+    return SetFunction._of_table(a, a, tuple(range(len(a))))
 
 
 def compose(g: SetFunction, f: SetFunction) -> SetFunction:
     """Pointwise composite g after f."""
     _require_composable(g, f)
-    values = g.values
-    return SetFunction(f.domain, g.codomain, tuple([values[i] for i in f.table]))
-
-
-def is_composite(outer: SetFunction, g: SetFunction, f: SetFunction) -> bool:
-    """Whether ``outer`` equals g after f, decided on index tables: no
-    composite is built, but feet that do not match raise the
-    ``CompositionError`` of ``compose``."""
-    _require_composable(g, f)
-    g_t = g.table
-    return (
-        outer.domain == f.domain
-        and outer.codomain == g.codomain
-        and outer.table == tuple([g_t[i] for i in f.table])
-    )
+    table = g.table
+    return SetFunction._of_table(f.domain, g.codomain, tuple([table[i] for i in f.table]))
 
 
 def _require_composable(g: SetFunction, f: SetFunction) -> None:
@@ -173,11 +175,11 @@ def _require_composable(g: SetFunction, f: SetFunction) -> None:
 
 
 def is_mono(f: SetFunction) -> bool:
-    return len(set(f.values)) == len(f.values)
+    return len(set(f.table)) == len(f.table)
 
 
 def is_epi(f: SetFunction) -> bool:
-    return set(f.values) == set(f.codomain.elements)
+    return len(set(f.table)) == len(f.codomain)
 
 
 def is_iso(f: SetFunction) -> bool:
@@ -187,8 +189,9 @@ def is_iso(f: SetFunction) -> bool:
 def inverse(f: SetFunction) -> SetFunction:
     if not is_iso(f):
         raise PreconditionError(f"cannot invert non-bijective function {f}")
-    table = {v: a for a, v in zip(f.domain.elements, f.values)}
-    return SetFunction(f.codomain, f.domain, tuple(table[b] for b in f.codomain))
+    # Domain positions sorted by image: entry j is the preimage of j.
+    table = tuple(sorted(range(len(f.table)), key=f.table.__getitem__))
+    return SetFunction._of_table(f.codomain, f.domain, table)
 
 
 def pair_set(
@@ -303,7 +306,7 @@ def first_disagreement(span_: Span, cospan_: Cospan) -> tuple[str, str, str] | N
     h_t, k_t = h.table, k.table
     for c, i, j in zip(span_.apex.elements, f.table, g.table):
         if h_t[i] != k_t[j]:
-            return c, h.values[i], k.values[j]
+            return c, h.codomain.elements[h_t[i]], k.codomain.elements[k_t[j]]
     return None
 
 
@@ -351,28 +354,29 @@ def is_kernel_pair_trivial(f: SetFunction) -> bool:
 
 @functools.lru_cache(maxsize=128)  # coproducts kept, one per pair of feet
 def coproduct(a: FiniteSet, b: FiniteSet) -> tuple[FiniteSet, SetFunction, SetFunction]:
-    """Tagged disjoint union with injections; tags ``l:`` and ``r:``.
+    """Tagged disjoint union with injections; tags ``l:`` and ``r:``, which
+    keep each summand's order, so each injection's table is a run.
 
     Memoized on its feet: the routes, ``copair``, ``assemble_block`` and
     ``canonical_pushout`` ask for the same coproduct many times, and all
     three returned values are immutable, so equal feet share one build.
     """
-    left = tuple([tagged(LEFT, x) for x in a.elements])
-    right = tuple([tagged(RIGHT, x) for x in b.elements])
-    total = FiniteSet(left + right)
-    return total, SetFunction(a, total, left), SetFunction(b, total, right)
+    total = FiniteSet(tuple([tagged(LEFT, x) for x in a] + [tagged(RIGHT, x) for x in b]))
+    inl = SetFunction._of_table(a, total, tuple(range(len(a))))
+    inr = SetFunction._of_table(b, total, tuple(range(len(a), len(total))))
+    return total, inl, inr
 
 
 def copair(f: SetFunction, g: SetFunction) -> SetFunction:
     """The map out of the tagged coproduct restricting to f and g.
 
     The coproduct lists every ``l:`` element, in the order of f's domain,
-    before every ``r:`` element, so the table is f's values then g's.
+    before every ``r:`` element, so the table is f's table then g's.
     """
     if f.codomain != g.codomain:
         raise CompositionError("copair requires a common codomain")
     total, _, _ = coproduct(f.domain, g.domain)
-    return SetFunction(total, f.codomain, f.values + g.values)
+    return SetFunction._of_table(total, f.codomain, f.table + g.table)
 
 
 def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[int, int]]) -> SetFunction:
@@ -407,10 +411,9 @@ def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
 
     Image elements keep their codomain names, so the inclusion is literal.
     """
-    image = FiniteSet(tuple(sorted(set(f.values))))
-    e = SetFunction(f.domain, image, f.values)
-    m = SetFunction(image, f.codomain, image.elements)
-    return e, m
+    values = f.values
+    image = FiniteSet(tuple(set(values)))
+    return SetFunction(f.domain, image, values), SetFunction(image, f.codomain, image.elements)
 
 
 def canonical_pushout(span_: Span) -> CommutativeSquare:
@@ -440,18 +443,15 @@ def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
     _require_commutes_with_span(square.span, candidate)
     corner = square.corner
     assigned: dict[str, str] = {}
-    for leg, cleg in (
-        (square.cospan.left, candidate.left),
-        (square.cospan.right, candidate.right),
-    ):
-        for image, target in zip(leg.values, cleg.values):
-            existing = assigned.setdefault(image, target)
-            if existing != target:
-                raise InternalInvariantError(
-                    "mediating-map",
-                    f"corner element {image!r} is forced to both "
-                    f"{existing!r} and {target!r}; the square is not a pushout",
-                )
+    images = square.cospan.left.values + square.cospan.right.values
+    for image, target in zip(images, candidate.left.values + candidate.right.values):
+        existing = assigned.setdefault(image, target)
+        if existing != target:
+            raise InternalInvariantError(
+                "mediating-map",
+                f"corner element {image!r} is forced to both "
+                f"{existing!r} and {target!r}; the square is not a pushout",
+            )
     unreached = [d for d in corner if d not in assigned]
     if unreached:
         raise InternalInvariantError(

@@ -46,7 +46,6 @@ from .fsets import (
     coproduct,
     identity,
     image_factorization,
-    is_composite,
     is_kernel_pair_trivial,
     is_mono,
     quotient_by_generated,
@@ -56,6 +55,7 @@ from .fsets import (
 )
 from .relations import (
     Relation,
+    _bits,
     assemble_block,
     converse,
     difunctionality_witness,
@@ -175,7 +175,7 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
             ) from None
     else:
         m, diagonal = len(s.left.codomain), mutants.active(mutants.NONSYMMETRIC)
-        bits = [(i, j) for i, row in enumerate(e.rows) for j in range(len(total)) if row >> j & 1]
+        bits = [(i, j) for i, row in enumerate(e.rows) for j in _bits(row)]
         links = [(i, j) for i, j in bits if not diagonal or (i < m) == (j < m)]
         quotient = quotient_by_generated(total, links)
     square = _square(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
@@ -257,19 +257,18 @@ def _epi_leg_square(s: Span) -> CommutativeSquare:
             "epi-leg-pushout",
             "1 u R°R of a difunctional relation is not an equivalence",
         ) from None
-    landings: dict[str, set[str]] = {b: set() for b in b_set}
-    for i, b in zip(s.left.table, s.right.values):
-        landings[b].add(h.values[i])
-    values = []
-    for b in b_set:
-        images = sorted(landings[b])
+    h_t = h.table
+    landings: list[set[int]] = [set() for _ in b_set]
+    for i, j in zip(s.left.table, s.right.table):
+        landings[j].add(h_t[i])
+    for b, images in zip(b_set, landings):
         if len(images) != 1:
+            names = [h.codomain.elements[d] for d in sorted(images)]
             raise InternalInvariantError(
                 "epi-leg-pushout",
-                f"induced leg is not well defined at {b!r}: preimages land in {images}",
+                f"induced leg is not well defined at {b!r}: preimages land in {names}",
             )
-        values.append(images[0])
-    k = SetFunction(b_set, h.codomain, tuple(values))
+    k = SetFunction._of_table(b_set, h.codomain, tuple([d for (d,) in landings]))
     return _square(s, Cospan(h, k))
 
 
@@ -289,14 +288,14 @@ class DecompositionTrace:
 
     def __post_init__(self) -> None:
         first, second, third = self.squares
-        if not is_composite(self.pasted.span.right, second.span.left, self.g1):
+        if self.pasted.span.right != compose(second.span.left, self.g1):
             raise ValueError("factorization does not recompose the original leg")
-        if not is_composite(first.cospan.right, third.span.left, second.span.right):
+        if first.cospan.right != compose(third.span.left, second.span.right):
             raise ValueError("second factorization does not recompose the induced leg")
         outer = self.pasted.cospan
-        if not (
-            is_composite(outer.left, third.cospan.left, first.cospan.left)
-            and is_composite(outer.right, third.cospan.right, second.cospan.left)
+        if (
+            outer.left != compose(third.cospan.left, first.cospan.left)
+            or outer.right != compose(third.cospan.right, second.cospan.left)
         ):
             raise ValueError("outer rectangle does not equal the pasted cospan")
 

@@ -37,8 +37,9 @@ from diexact.fsets import (
     quotient_by_generated,
     span,
 )
-from diexact.certificates import pullback_by_universal_property
-from diexact.relations import span_to_relation
+from diexact.certificates import is_pushout_square, pullback_by_universal_property
+from diexact.pushouts import malcev_pushout_decomposed, malcev_pushout_direct, pushout_epi_leg
+from diexact.relations import Relation, difunctional_closure, span_to_relation, tabulate
 
 
 def table(domain, codomain, mapping):
@@ -78,23 +79,26 @@ class TestSetFunction:
         assert f == g and hash(f) == hash(g)
         assert f != SetFunction(a, fset("x", "y", "z"), ("y", "x"))
 
-    def test_table_is_not_a_field_and_repr_unchanged(self):
+    def test_table_is_the_only_stored_form_and_repr_unchanged(self):
         f = SetFunction(fset("a", "b"), fset("x", "y"), ("y", "x"))
         assert [field.name for field in dataclasses.fields(f)] == [
             "domain",
             "codomain",
-            "values",
+            "table",
         ]
+        assert f.values == ("y", "x")
+        # Reading the names caches nothing beside the fields.
+        assert set(vars(f)) == {"domain", "codomain", "table"}
         assert repr(f) == "{a |-> y, b |-> x}"
 
-    def test_replace_rebuilds_the_table(self):
+    def test_replace_is_refused(self):
+        # The constructor takes value names, not the table field, so
+        # ``dataclasses.replace`` cannot rebuild a function from its fields.
         f = SetFunction(fset("a", "b"), fset("x", "y"), ("y", "x"))
-        wider = dataclasses.replace(f, codomain=fset("w", "x", "y"))
-        assert wider.table == (2, 1)
-        moved = dataclasses.replace(f, values=("x", "x"))
-        assert moved.table == (0, 0)
-        with pytest.raises(ValueError, match="value 'y' is not in the codomain"):
-            dataclasses.replace(f, codomain=fset("x"))
+        with pytest.raises(TypeError):
+            dataclasses.replace(f, codomain=fset("w", "x", "y"))
+        with pytest.raises(TypeError):
+            dataclasses.replace(f, table=(0, 0))
 
 
 class TestCompose:
@@ -657,3 +661,62 @@ class TestTablePaths:
             assert pullback_by_universal_property(
                 square, max_apex_size=2
             ) == reference_pullback_by_universal_property(square, 2)
+
+
+# ---------------------------------------------------------------------------
+# Functions built from a table they were handed, against the same function
+# built from its value names.
+
+
+def assert_valid_table(fn: SetFunction) -> None:
+    """Every table entry is a codomain position, and fn equals the function
+    its value names build."""
+    assert len(fn.table) == len(fn.domain)
+    assert all(type(j) is int and j in range(len(fn.codomain)) for j in fn.table)
+    assert fn == SetFunction(fn.domain, fn.codomain, fn.values)
+
+
+@st.composite
+def scrambled_malcev_spans(draw) -> Span:
+    """The tabulation of the difunctional closure of a drawn relation
+    between scrambled sets."""
+    a = draw(scrambled_sets("a"))
+    b = draw(scrambled_sets("b"))
+    cells = [c for c in itertools.product(a, b) if draw(st.booleans())]
+    return tabulate(difunctional_closure(Relation.from_pairs(a, b, cells)))
+
+
+class TestOfTable:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_fsets_constructions(self, data):
+        d = data.draw(scrambled_sets("d", min_size=1))
+        a = data.draw(scrambled_sets("a", min_size=1))
+        b = data.draw(scrambled_sets("b"))
+        h, k = draw_map(data, a, d), draw_map(data, b, d)
+        f = draw_map(data, data.draw(scrambled_sets("c")), a)
+        total, inl, inr = coproduct(a, b)
+        bijection = SetFunction(
+            FiniteSet(tuple("e" + x for x in d)), d, data.draw(st.permutations(d.elements))
+        )
+        built = [identity(a), identity(d), compose(h, f), copair(h, k), inl, inr]
+        built += [inverse(bijection), inverse(identity(d))]
+        for fn in built:
+            assert_valid_table(fn)
+        assert [inl(x) for x in a] == [f"l:{x}" for x in a]
+        assert [inr(y) for y in b] == [f"r:{y}" for y in b]
+        assert [inverse(bijection)(bijection(x)) for x in bijection.domain] == list(
+            bijection.domain
+        )
+
+    @settings(max_examples=200)
+    @given(scrambled_malcev_spans())
+    def test_route_legs_and_oracle_evidence(self, s):
+        trace = malcev_pushout_decomposed(s)
+        squares = trace.squares + (trace.pasted, malcev_pushout_direct(s).square)
+        if is_epi(s.right):
+            squares += (pushout_epi_leg(s),)
+        for square in squares:
+            for fn in (square.cospan.left, square.cospan.right):
+                assert_valid_table(fn)
+            assert_valid_table(is_pushout_square(square).evidence)

@@ -7,9 +7,10 @@ it replaced are kept here as references: a union-find that makes one
 joint-monicity dict, a pullback oracle that builds ``fiber_pairs``
 before it looks at the apex, a ``finditer`` pair-list scan that checks
 each gap as it meets it, a ``from_pairs`` that calls ``FiniteSet.index``
-per name, and a ``tabulate`` over the nested ``pairs()`` generator.  Each
-kernel must return exactly what its reference returns, refusals and their
-wording included.
+per name, a ``tabulate`` over the nested ``pairs()`` generator, and a
+mutant branch that tests every cell of the block relation for its links.
+Each kernel must return exactly what its reference returns, refusals and
+their wording included.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from diexact.fsets import (
     quotient_by_generated,
 )
 from diexact.names import LEFT, RIGHT, tagged
+from diexact import mutants, pushouts
 from diexact.pushouts import malcev_pushout_direct
 from diexact.relations import Relation, joint_monicity_witness, tabulate
 import test_documents
@@ -563,3 +565,44 @@ class TestTabulateAgainstPairs:
             apex = tabulate(r).apex.elements
             unordered += apex != tuple(pair_name(a, b) for a, b in r.pairs())
         assert unordered
+
+
+
+def cell_scan_links(e: Relation, m: int, diagonal: bool) -> list[tuple[int, int]]:
+    """The mutant branch's links found by testing every cell of every row:
+    each set bit (i, j) of e, or under nonsymmetric-closure those with i and
+    j in the same summand (the first m positions are the left foot's)."""
+    n = len(e.target)
+    bits = [(i, j) for i, row in enumerate(e.rows) for j in range(n) if row >> j & 1]
+    return [(i, j) for i, j in bits if not diagonal or (i < m) == (j < m)]
+
+
+def seeded_block_spans(seed: int, count: int):
+    """Mal'cev spans from seeded block relations: each side dealt into
+    random blocks, every block a rectangle, feet of up to 40 elements."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n, k = rng.randint(0, 40), rng.randint(0, 40), rng.randint(1, 12)
+        block_a = [rng.randrange(k) for _ in range(m)]
+        block_b = [rng.randrange(k) for _ in range(n)]
+        cells = [(i, j) for i in range(m) for j in range(n) if block_a[i] == block_b[j]]
+        yield tabulate(Relation._of_index_pairs(letters("a", m), letters("b", n), cells))
+
+
+class TestMutantLinksAgainstTheCellScan:
+    @pytest.mark.parametrize("mutant", sorted(mutants.KNOWN))
+    def test_seeded_block_relations(self, monkeypatch, mutant):
+        linked = []
+
+        def recording(total, links):
+            linked.append(links)
+            return quotient_by_generated(total, links)
+
+        monkeypatch.setattr(pushouts, "quotient_by_generated", recording)
+        for s in seeded_block_spans(27, 60):
+            with mutants.enabled(mutant):
+                result = malcev_pushout_direct(s)
+            diagonal = mutant == mutants.NONSYMMETRIC
+            m = len(s.left.codomain)
+            assert linked.pop() == cell_scan_links(result.e, m, diagonal)
+        assert linked == []

@@ -5,8 +5,9 @@ reference; one owner each for mutant names, generated element names and
 the text form of values; cross-validators that call no
 oracle, construction or route; fast oracles that build no colimit;
 suites that share one instance loop; suites and routes that repeat no
-construction; the calls the traced benchmark swaps, which stay bare-name
-calls; and no definition in the package without a program caller."""
+construction; no loop that reads a function's value names per element;
+the calls the traced benchmark swaps, which stay bare-name calls; and no
+definition in the package without a program caller."""
 
 import ast
 import random
@@ -307,6 +308,53 @@ def test_fast_oracles_build_no_colimit():
         if entry[2] in COLIMIT_BUILDERS
         or entry[2].startswith(("quotient_by_", "canonical_"))
     ] == []
+
+
+def _per_element_parts(node: ast.AST) -> list[ast.AST]:
+    """The parts of a loop or comprehension evaluated once per element: a
+    loop's body; a comprehension's element, its conditions and every
+    iterable after the first."""
+    if isinstance(node, (ast.For, ast.While)):
+        return node.body
+    if isinstance(node, ast.DictComp):
+        parts = [node.key, node.value]
+    elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        parts = [node.elt]
+    else:
+        return []
+    for i, generator in enumerate(node.generators):
+        parts += generator.ifs + ([generator.iter] if i else [])
+    return parts
+
+
+def _values_reads_in_loops(tree: ast.Module) -> list[int]:
+    """Lines where a loop body or comprehension element reads a ``.values``
+    attribute; a call ``.values()`` is a dict's and is not counted."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        node.lineno
+        for loop in ast.walk(tree)
+        for part in _per_element_parts(loop)
+        for node in ast.walk(part)
+        if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in called
+    )
+
+
+def test_no_loop_reads_function_values():
+    """``SetFunction.values`` derives the names from the table on every
+    read, so the package reads it in a loop's iterable or before the loop,
+    never once per element."""
+    assert _values_reads_in_loops(ast.parse("for i in t:\n    x = h.values[i]\n")) == [2]
+    assert _values_reads_in_loops(ast.parse("[f.values[i] for i in t]")) == [1]
+    assert _values_reads_in_loops(ast.parse("[x for g in t for x in g.values]")) == [1]
+    assert _values_reads_in_loops(ast.parse("for x in f.values:\n    d.values()\n")) == []
+    assert _values_reads_in_loops(ast.parse("[x for x in f.values if x]")) == []
+    reads = [
+        (path.name, line)
+        for path in SOURCES
+        for line in _values_reads_in_loops(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert reads == []
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
