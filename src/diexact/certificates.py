@@ -7,10 +7,10 @@ onto the square's corner is a bijection; it builds no colimit, so it shares
 no code with the constructions.  The pullback oracle tests whether the
 apex's pairing map onto the fiber-product pair set is a bijection, by
 counting: the apex's pair names must be distinct and as many as the fiber
-product, Σ over a of |k⁻¹(h(a))|.  ``fiber_pairs`` builds that pair set
-only when the count fails, to name the missing pair.  ``certify`` decides
-commutativity once and then runs both oracles on the square; called alone,
-each oracle checks commutativity itself.
+product, Σ over a of |k⁻¹(h(a))|.  The canonical ``pullback`` builds that
+pair set only when the count fails, to name the missing pair.  ``certify``
+decides commutativity once and then runs both oracles on the square; called
+alone, each oracle checks commutativity itself.
 Stability is decided fiberwise over the corner, and its evidence is the
 pushout oracle's comparison: one class of A + B lies over each corner
 element.  Each verdict stores enough evidence to re-check it without
@@ -47,10 +47,10 @@ from .fsets import (
     SetFunction,
     compose,
     disagreement_text,
-    fiber_pairs,
     first_disagreement,
     is_mono,
     kernel_pair,
+    pullback,
 )
 from .names import LEFT, RIGHT, pair_name, tagged
 from .relations import Relation, quotient_by_equivalence, span_to_relation
@@ -190,9 +190,9 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     the square commutes, so the pairing is a bijection iff those names are
     distinct and as many as the fiber product, Σ over a of |k⁻¹(h(a))|.
     Only a square that fails the count builds the fiber product's pair set,
-    with ``fiber_pairs``, to word the refusal: a pair-name clash among the
-    fiber pairs is refused there first, then the first apex name taken
-    twice, then the first pair with no apex element."""
+    the apex of the canonical ``pullback``, to word the refusal: a pair-name
+    clash among the fiber pairs is refused there first, then the first apex
+    name taken twice, then the first pair with no apex element."""
     _require_commuting(square)
     return _pullback_verdict(square)
 
@@ -206,7 +206,7 @@ def _pullback_verdict(square: CommutativeSquare) -> Verdict:
     if len(set(names)) == len(names) == sum([over[d] for d in h_t]):
         pairing = SetFunction(square.span.apex, FiniteSet(names), names)
         return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
-    pairs, _ = fiber_pairs(square.cospan.left, square.cospan.right)
+    pairs = pullback(square.cospan).apex
     seen: dict[str, str] = {}
     for c, name in zip(square.span.apex, names):
         if name in seen:

@@ -239,14 +239,14 @@ def cmd_pushout(args: argparse.Namespace) -> int:
     _require_block_budget(value)
 
     agreement: Verdict | None = None
-    if pointed is not None:
-        result = pointed_malcev_pushout(pointed)
-        square = result.underlying.square
-        header.append(f"basepoint = {result.corner.basepoint}")
-    elif args.method == "decomposed":
+    if args.method == "decomposed":
         square = malcev_pushout_decomposed(value).pasted
+    elif pointed is not None:
+        square = pointed_malcev_pushout(pointed).underlying.square
     else:
         square = malcev_pushout_direct(value).square
+    if pointed is not None:
+        header.append(f"basepoint = {square.cospan.left(pointed.left.codomain.basepoint)}")
 
     if args.method == "both":
         agreement = _agreement_verdict(value, square)

@@ -12,18 +12,17 @@ derived from it on every read, so loops read that before they start, and
 ``f(x)`` is for callers outside loops.  Every commutativity check is
 ``first_disagreement``, decided on those tables.
 
-Naming conventions for constructed elements:
+Constructed elements are named by three rules, each built from positions
+by one builder:
 
-* pullback / tabulation elements are ``"(a,b)"``;
-* coproduct elements are tagged ``"l:a"`` / ``"r:b"``;
-* quotient classes are named by their lexicographically least member.
+* pullback / tabulation elements are ``"(a,b)"``: ``pair_span``;
+* coproduct elements are tagged ``"l:a"`` / ``"r:b"``: ``coproduct``;
+* image elements keep their codomain names: ``image_factorization``.  Both
+  quotients, ``quotient_by_generated`` here and ``quotient_by_equivalence``
+  in ``relations``, end in it, so a class is named by its least member.
 
 The text of pair names and coproduct tags is spelled only in ``names``;
-constructed elements get their names from ``pair_name``, ``coproduct`` and
-the two quotients, ``quotient_by_generated`` here (index pairs, one
-union-find) and ``quotient_by_equivalence`` in ``relations`` (bitmask
-rows), each of which names a class by its least member; other modules call
-those functions and spell no such name themselves.
+other modules call these builders and spell no such name themselves.
 """
 
 from __future__ import annotations
@@ -194,40 +193,14 @@ def inverse(f: SetFunction) -> SetFunction:
     return SetFunction._of_table(f.codomain, f.domain, table)
 
 
-def pair_set(
-    pairs: Iterable[tuple[str, str]],
-) -> tuple[FiniteSet, tuple[tuple[str, str], ...]]:
-    """The set of the pairs' names, and the pair behind each of its elements
-    in carrier order.
-
-    ``pair_name`` is not injective (``("x,y", "z")`` and ``("x", "y,z")``
-    are both ``(x,y,z)``), so a clash is refused with both pairs named.  All
-    names are built in one pass, and they clash exactly when the dict from
-    name to pair is smaller than the list; only then does a second pass find
-    the first pair whose name was already taken, to word the refusal.
-    """
-    pairs = tuple(pairs)
-    names = [pair_name(a, b) for a, b in pairs]
-    by_name = dict(zip(names, pairs))
-    if len(by_name) != len(names):
-        first: dict[str, tuple[str, str]] = {}
-        for name, pair in zip(names, pairs):
-            if name in first:
-                raise PreconditionError(
-                    f"pairs {first[name]!r} and {pair!r} both get the element name {name!r}"
-                )
-            first[name] = pair
-    carrier = FiniteSet(tuple(by_name))
-    return carrier, tuple([by_name[name] for name in carrier])
-
-
 @dataclass(frozen=True)
 class Span:
     """Two functions out of a common apex.  Joint monicity is a predicate on
     spans, not an invariant of the type.
 
     ``relations.span_to_relation`` keeps the span's relation on it as
-    ``_relation``, which is not a field.
+    ``_relation``, which is not a field; ``relations.tabulate`` sets it as
+    it builds the span.
     """
 
     apex: FiniteSet
@@ -315,30 +288,46 @@ def disagreement_text(culprit: tuple[str, str, str]) -> str:
     return "apex element {!r} has images {!r} and {!r}".format(*culprit)
 
 
-def fiber_pairs(
-    h: SetFunction, k: SetFunction
-) -> tuple[FiniteSet, tuple[tuple[str, str], ...]]:
-    """``pair_set`` of the pairs (a, b) with ``h(a) == k(b)``.
+def pair_span(a: FiniteSet, b: FiniteSet, index_pairs: list[tuple[int, int]]) -> Span:
+    """The span of projections out of the pairs ``(a[i], b[j])`` that the
+    index pairs give: the apex is their names, sorted, and each leg's table
+    is read off the (i, j) behind each apex element.
 
-    k's domain is grouped by image once, so each element of h's domain
-    meets only the elements over its own image.
+    ``pair_name`` is not injective (``("x,y", "z")`` and ``("x", "y,z")``
+    are both ``(x,y,z)``), so a clash is refused with both pairs named.  All
+    names are built in one pass, and they clash exactly when the dict from
+    name to index pair is smaller than the list; only then does a second
+    pass find the first pair whose name was already taken, to word the
+    refusal.
     """
-    over: dict[int, list[str]] = {}
-    for b, d in zip(k.domain.elements, k.table):
-        over.setdefault(d, []).append(b)
-    return pair_set(
-        (a, b) for a, d in zip(h.domain.elements, h.table) for b in over.get(d, ())
-    )
+    a_names, b_names = a.elements, b.elements
+    names = [pair_name(a_names[i], b_names[j]) for i, j in index_pairs]
+    by_name = dict(zip(names, index_pairs))
+    if len(by_name) != len(names):
+        first: dict[str, tuple[str, str]] = {}
+        for name, (i, j) in zip(names, index_pairs):
+            pair = (a_names[i], b_names[j])
+            if name in first:
+                raise PreconditionError(
+                    f"pairs {first[name]!r} and {pair!r} both get the element name {name!r}"
+                )
+            first[name] = pair
+    apex = FiniteSet(tuple(by_name))
+    parts = [by_name[name] for name in apex.elements]
+    left = SetFunction._of_table(apex, a, tuple([i for i, _ in parts]))
+    return Span(apex, left, SetFunction._of_table(apex, b, tuple([j for _, j in parts])))
 
 
 def pullback(cospan_: Cospan) -> Span:
-    """Canonical pullback span: pairs with equal images, named ``"(a,b)"``.
-    It commutes with the cospan by construction."""
+    """Canonical pullback span: pairs with equal images, named ``"(a,b)"``,
+    found by grouping k's domain by image once.  It commutes with the
+    cospan by construction."""
     h, k = cospan_.left, cospan_.right
-    apex, parts = fiber_pairs(h, k)
-    proj_a = SetFunction(apex, h.domain, tuple([a for a, _ in parts]))
-    proj_b = SetFunction(apex, k.domain, tuple([b for _, b in parts]))
-    return Span(apex, proj_a, proj_b)
+    over: dict[int, list[int]] = {}
+    for j, d in enumerate(k.table):
+        over.setdefault(d, []).append(j)
+    pairs = [(i, j) for i, d in enumerate(h.table) for j in over.get(d, ())]
+    return pair_span(h.domain, k.domain, pairs)
 
 
 def kernel_pair(f: SetFunction) -> Span:
@@ -401,19 +390,22 @@ def quotient_by_generated(a: FiniteSet, pairs: Iterable[tuple[int, int]]) -> Set
             parent[i] = j
     for i, p in enumerate(parent):
         parent[i] = parent[p]
-    elements = a.elements
-    names = tuple([elements[i] for i in parent])
-    return SetFunction(a, FiniteSet(tuple(set(names))), names)
+    return image_factorization(SetFunction._of_table(a, a, tuple(parent)))[0]
 
 
 def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
     """Surjection-followed-by-inclusion factorization of f.
 
-    Image elements keep their codomain names, so the inclusion is literal.
+    Image elements keep their codomain names, so the inclusion is literal:
+    its table is the sorted positions f hits, and the surjection sends each
+    element to the rank of its position among them.
     """
-    values = f.values
-    image = FiniteSet(tuple(set(values)))
-    return SetFunction(f.domain, image, values), SetFunction(image, f.codomain, image.elements)
+    hit = sorted(set(f.table))
+    names = f.codomain.elements
+    image = FiniteSet(tuple([names[j] for j in hit]))
+    rank = {j: n for n, j in enumerate(hit)}
+    onto = SetFunction._of_table(f.domain, image, tuple([rank[j] for j in f.table]))
+    return onto, SetFunction._of_table(image, f.codomain, tuple(hit))
 
 
 def canonical_pushout(span_: Span) -> CommutativeSquare:

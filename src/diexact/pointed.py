@@ -13,6 +13,7 @@ A canonical pointed set is ``*, x1, x2, ...``: the basepoint is named
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -96,8 +97,10 @@ class PointedSpan:
         if self.left.domain != self.apex or self.right.domain != self.apex:
             raise ValueError("pointed span legs must share the apex")
 
-    @property
+    @functools.cached_property
     def underlying(self) -> Span:
+        """Built once, so every route and check shares one span and its
+        relation."""
         return Span(self.apex.carrier, self.left.function, self.right.function)
 
 
@@ -149,11 +152,14 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
     of basepoints."""
     if f.codomain != g.codomain:
         raise PreconditionError("pointed pullback needs a common codomain")
-    s = pullback(Cospan(f.function, g.function))
-    apex = PointedSet(s.apex, pair_name(f.domain.basepoint, g.domain.basepoint))
-    left = PointedMap(apex, f.domain, s.left)
-    right = PointedMap(apex, g.domain, s.right)
-    return PointedSpan(apex, left, right)
+    return _pointed_at_base_pair(pullback(Cospan(f.function, g.function)), f.domain, g.domain)
+
+
+def _pointed_at_base_pair(s: Span, a: PointedSet, b: PointedSet) -> PointedSpan:
+    """A span of pairs between the carriers of a and b, pointed at the pair
+    of their basepoints."""
+    apex = PointedSet(s.apex, pair_name(a.basepoint, b.basepoint))
+    return PointedSpan(apex, PointedMap(apex, a, s.left), PointedMap(apex, b, s.right))
 
 
 def zero_object() -> PointedSet:
@@ -225,8 +231,4 @@ def pointed_span_from_relation(
         raise PreconditionError(
             "relation must relate the basepoints for its tabulation to be pointed"
         )
-    s = tabulate(r)
-    apex = PointedSet(s.apex, pair_name(a.basepoint, b.basepoint))
-    left = PointedMap(apex, a, s.left)
-    right = PointedMap(apex, b, s.right)
-    return PointedSpan(apex, left, right)
+    return _pointed_at_base_pair(tabulate(r), a, b)

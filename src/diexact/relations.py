@@ -10,10 +10,10 @@ SMF 76, 1948): a relation is difunctional exactly when any two of its rows
 are equal or disjoint, so its connected blocks are rectangles.  Relations
 come from ``from_pairs``, ``diagonal`` and the calculus; there is no
 public positional constructor.  ``from_pairs``
-reads a pair list in one loop over the carriers' index dicts, ``tabulate``
-lists the pairs in one comprehension over the rows' bits, and
-``span_to_relation`` builds a span's relation once and keeps it on the
-span.
+reads a pair list in one loop over the carriers' index dicts; ``tabulate``
+hands the rows' bits, as index pairs, to ``fsets.pair_span`` and keeps the
+relation on the span it returns; and ``span_to_relation`` builds any other
+span's relation once and keeps it on the span.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .fsets import (
     SetFunction,
     Span,
     coproduct,
+    image_factorization,
     pair_name,
-    pair_set,
+    pair_span,
 )
 
 
@@ -155,10 +156,11 @@ def span_to_relation(s: Span) -> Relation:
     to both.  Equals right-graph composed with the converse of left-graph.
 
     It is built once per span, from the span's own leg tables, and kept on
-    the span as ``_relation``.  Like ``FiniteSet._index`` that is not a
-    field, so equality, hashing and ``repr`` ignore it, and
-    ``dataclasses.replace`` gives a span without it.  The relation refers to
-    the feet only, never back to the span.
+    the span as ``_relation``; a tabulation gets it from ``tabulate`` and
+    never builds it.  Like ``FiniteSet._index`` that is not a field, so
+    equality, hashing and ``repr`` ignore it, and ``dataclasses.replace``
+    gives a span without it.  The relation refers to the feet only, never
+    back to the span.
     """
     try:
         return s._relation
@@ -169,15 +171,12 @@ def span_to_relation(s: Span) -> Relation:
 
 
 def tabulate(r: Relation) -> Span:
-    """Jointly monic span of projections from the pair set of r, listed by
-    one comprehension over the rows' bits."""
-    names = r.target.elements
-    apex, parts = pair_set(
-        [(a, names[j]) for a, row in zip(r.source.elements, r.rows) for j in _bits(row)]
-    )
-    left = SetFunction(apex, r.source, tuple([a for a, _ in parts]))
-    right = SetFunction(apex, r.target, tuple([b for _, b in parts]))
-    return Span(apex, left, right)
+    """Jointly monic span of projections from the pair set of r: the
+    ``pair_span`` of the rows' bits, with r kept on it as ``_relation``."""
+    pairs = [(i, j) for i, row in enumerate(r.rows) for j in _bits(row)]
+    s = pair_span(r.source, r.target, pairs)
+    object.__setattr__(s, "_relation", r)
+    return s
 
 
 def is_difunctional(r: Relation) -> bool:
@@ -301,17 +300,15 @@ def quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
 
     The classes of an equivalence are its distinct rows (Riguet), so each
     element's class is named by the element at the lowest set bit of its
-    row, which is the least member since carriers are sorted.  The classes
-    are the elements that name their own, already in order.
+    row, which is the least member since carriers are sorted; the quotient
+    is the surjective part of the image factorization of that map.
     """
     if e.source != a or e.target != a:
         raise PreconditionError(f"relation is not an endo-relation on {a}")
     if not is_equivalence(e):
         raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
-    names = a.elements
-    least = [(row & -row).bit_length() - 1 for row in e.rows]
-    corner = FiniteSet(tuple([names[i] for i, j in enumerate(least) if i == j]))
-    return SetFunction(a, corner, tuple([names[j] for j in least]))
+    least = tuple([(row & -row).bit_length() - 1 for row in e.rows])
+    return image_factorization(SetFunction._of_table(a, a, least))[0]
 
 
 def joint_monicity_witness(s: Span) -> tuple[str, str, tuple[str, str]] | None:

@@ -1,10 +1,10 @@
 """Base change of a square along a map into its corner.
 
 ``pull_square_back`` builds the pulled-back square out of named sets and
-functions and is the reference: ``stable_by_all_pullbacks`` decides each
-base change on the square's fibers, numbering the pulled-back elements by
-offsets, and must give the verdict that the pushout oracle gives on the
-square built here.
+functions, each fiber product by its own ``fiber_pairs``, and is the
+reference: ``stable_by_all_pullbacks`` decides each base change on the
+square's fibers, numbering the pulled-back elements by offsets, and must
+give the verdict that the pushout oracle gives on the square built here.
 """
 
 import itertools
@@ -32,13 +32,20 @@ from diexact.fsets import (
     SetFunction,
     Span,
     compose,
-    fiber_pairs,
     fset,
     identity,
     pair_name,
 )
 from test_certificates import commuting_squares_up_to_two, matched_pairs_square
 from test_suites import _calls
+
+
+def fiber_pairs(h: SetFunction, x: SetFunction) -> tuple[FiniteSet, list[tuple[str, str]]]:
+    """The set of the named pairs (a, t) with ``h(a) == x(t)``, and the pair
+    behind each of its elements in carrier order."""
+    parts = {pair_name(a, t): (a, t) for a in h.domain for t in x.domain if h(a) == x(t)}
+    carrier = FiniteSet(tuple(parts))
+    return carrier, [parts[name] for name in carrier]
 
 
 def pull_square_back(square: CommutativeSquare, x: SetFunction) -> CommutativeSquare:

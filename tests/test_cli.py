@@ -159,6 +159,19 @@ class TestPushoutCommand:
         assert "basepoint = l:*" in out
         assert "corner = {l:*, l:a1, r:b1}" in out
 
+    def test_pointed_document_runs_the_method_it_names(self, tmp_path, capsys):
+        """drop-basepoint-link sabotages the direct route only, so the
+        decomposed route certifies the pointed document and the direct one
+        fails."""
+        path = write(tmp_path, "p.txt", POINTED_WEDGE)
+        codes = {}
+        for method in ("decomposed", "direct"):
+            codes[method] = main(
+                ["pushout", "--method", method, "--mutant", "drop-basepoint-link", path]
+            )
+            assert "basepoint = l:*" in capsys.readouterr().out
+        assert codes == {"decomposed": 0, "direct": 1}
+
     def test_missing_input_file_is_a_usage_error(self, tmp_path, capsys):
         path = str(tmp_path / "no-such-file.txt")
         assert main(["pushout", path]) == 2

@@ -90,7 +90,7 @@ PUSHOUT_DIGESTS = (
     "7bf47c4e1982568f129793b00875f06e3ca81daa2deeb07e0cfc8c5cd25f011f",
     "a085f74156670a49cefcd7b80be655a043b22d3ccfdb04f6f1f22095bf3d5444",
     "c62bca25089433ac003cf4acb0c09a170d983699693daa4d061cc68c52240f70",
-    "cf258361a955866a2805e32528a99fb943620210e3d2a16283f2dd5bf7c1be74",
+    "440a53d5a96044630df5c9875700c7e93539266bd53cdad8110938d5a571182f",
     "619e054e2267de1d7a22cc351035027a19ffadbf81afb45ecd48e96fd5f2e3ba",
     "9c42cfb1c58d21421eb644dbd4d8959dec14d82167a6c032d16c381cd69dd848",
     "37976127ac1f993d3e513b32ba5a59610caf04db3618747f0995a4c306c5fc38",

@@ -33,13 +33,20 @@ from diexact.fsets import (
     kernel_pair,
     mediating_map,
     pair_name,
+    pair_span,
     pullback,
     quotient_by_generated,
     span,
 )
 from diexact.certificates import is_pushout_square, pullback_by_universal_property
 from diexact.pushouts import malcev_pushout_decomposed, malcev_pushout_direct, pushout_epi_leg
-from diexact.relations import Relation, difunctional_closure, span_to_relation, tabulate
+from diexact.relations import (
+    Relation,
+    difunctional_closure,
+    quotient_by_equivalence,
+    span_to_relation,
+    tabulate,
+)
 
 
 def table(domain, codomain, mapping):
@@ -701,6 +708,15 @@ class TestOfTable:
         )
         built = [identity(a), identity(d), compose(h, f), copair(h, k), inl, inr]
         built += [inverse(bijection), inverse(identity(d))]
+        position = st.sampled_from(range(len(a)))
+        cells = data.draw(st.sets(st.tuples(position, st.integers(0, 3))))
+        pairs = [(i, j) for i, j in cells if j < len(b)]
+        for s in (pair_span(a, b, pairs), pullback(Cospan(h, k)), kernel_pair(h)):
+            built += [s.left, s.right]
+        built += image_factorization(h) + image_factorization(k)
+        links = data.draw(st.lists(st.tuples(position, position)))
+        built.append(quotient_by_generated(a, links))
+        built.append(quotient_by_equivalence(a, span_to_relation(kernel_pair(h))))
         for fn in built:
             assert_valid_table(fn)
         assert [inl(x) for x in a] == [f"l:{x}" for x in a]

@@ -3,14 +3,15 @@
 Each kernel below decides the common, passing case with one tight loop or
 one builtin, and walks its input again only to word a refusal.  The loops
 it replaced are kept here as references: a union-find that makes one
-``find()`` call per link endpoint, a per-pair clash dict, a per-apex
-joint-monicity dict, a pullback oracle that builds ``fiber_pairs``
-before it looks at the apex, a ``finditer`` pair-list scan that checks
-each gap as it meets it, a ``from_pairs`` that calls ``FiniteSet.index``
-per name, a ``tabulate`` over the nested ``pairs()`` generator, and a
-mutant branch that tests every cell of the block relation for its links.
-Each kernel must return exactly what its reference returns, refusals and
-their wording included.
+``find()`` call per link endpoint, a per-pair clash dict of named pairs, a
+per-apex joint-monicity dict, a pullback oracle that builds the fiber
+pairs before it looks at the apex, a ``finditer`` pair-list scan that
+checks each gap as it meets it, a ``from_pairs`` that calls
+``FiniteSet.index`` per name, a ``tabulate`` over the nested ``pairs()``
+generator, a mutant branch that tests every cell of the block relation for
+its links, and a quotient by equivalence and an image factorization that
+build their functions from value names.  Each kernel must return exactly
+what its reference returns, refusals and their wording included.
 """
 
 from __future__ import annotations
@@ -45,15 +46,22 @@ from diexact.fsets import (
     Span,
     all_functions,
     coproduct,
-    fiber_pairs,
+    image_factorization,
     pair_name,
-    pair_set,
+    pair_span,
     quotient_by_generated,
 )
 from diexact.names import LEFT, RIGHT, tagged
 from diexact import mutants, pushouts
-from diexact.pushouts import malcev_pushout_direct
-from diexact.relations import Relation, joint_monicity_witness, tabulate
+from diexact.pushouts import malcev_pushout_direct, pushout_equivalence
+from diexact.relations import (
+    Relation,
+    difunctional_closure,
+    is_equivalence,
+    joint_monicity_witness,
+    quotient_by_equivalence,
+    tabulate,
+)
 import test_documents
 from test_cli import FUZZ_SEEDS, _fuzzed
 from test_documents import PAIR_LIST_TOKENS
@@ -150,7 +158,9 @@ def reference_base_change(fibers, x: tuple[int, ...]) -> bool:
 
 
 def reference_pair_set(pairs):
-    """``pair_set`` with one clash-dict step per pair."""
+    """The set of the pairs' names, and the pair behind each of its elements
+    in carrier order, with one clash-dict step per pair: what ``pair_span``
+    names and projects."""
     by_name: dict[str, tuple[str, str]] = {}
     for pair in pairs:
         name = pair_name(*pair)
@@ -174,9 +184,11 @@ def reference_joint_monicity_witness(s: Span):
 
 
 def reference_pullback_verdict(square: CommutativeSquare) -> Verdict:
-    """``is_pullback_square`` that builds ``fiber_pairs`` first and then
-    names every apex pair against it."""
-    pairs, _ = fiber_pairs(square.cospan.left, square.cospan.right)
+    """``is_pullback_square`` that builds the fiber pairs first, in the
+    canonical pullback's order, and then names every apex pair against
+    them."""
+    h, k = square.cospan.left, square.cospan.right
+    pairs, _ = reference_pair_set((a, b) for a in h.domain for b in k.domain if h(a) == k(b))
     f, g = square.span.left, square.span.right
     names = tuple([pair_name(a, b) for a, b in zip(f.values, g.values)])
     seen: dict[str, str] = {}
@@ -284,14 +296,31 @@ class TestPushoutKernelsAgainstCallPerFind:
         assert verdicts[True] and verdicts[False]
 
 
+def pair_span_outcome(pairs):
+    """``pair_span`` on named pairs between the sets of their own names, as
+    the reference's carrier and parts, or its refusal."""
+    a = FiniteSet(tuple({x: None for x, _ in pairs}))
+    b = FiniteSet(tuple({y: None for _, y in pairs}))
+    index_pairs = [(a.index(x), b.index(y)) for x, y in pairs]
+    try:
+        s = pair_span(a, b, index_pairs)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    assert s.left.codomain is a and s.right.codomain is b
+    return s.apex, tuple(zip(s.left.values, s.right.values))
+
+
 class TestPairSetAgainstTheClashDict:
+    """``pair_span`` against the clash dict of named pairs: the same apex,
+    the same pair behind each apex element, the same refusals."""
+
     def test_carrier_and_parts(self):
         rng = random.Random(5)
         for _ in range(200):
             names = [f"{rng.choice('xyz')}{rng.randint(1, 20)}" for _ in range(12)]
             pairs = list(dict.fromkeys(zip(names[:6] * 3, names[6:] * 3)))
             rng.shuffle(pairs)
-            assert pair_set(iter(pairs)) == reference_pair_set(iter(pairs))
+            assert pair_span_outcome(pairs) == reference_pair_set(iter(pairs))
 
     @pytest.mark.parametrize(
         "pairs, text",
@@ -307,7 +336,7 @@ class TestPairSetAgainstTheClashDict:
         ],
     )
     def test_refusal_text(self, pairs, text):
-        assert outcome(pair_set, iter(pairs)) == (PreconditionError, text)
+        assert pair_span_outcome(pairs) == (PreconditionError, text)
         assert outcome(reference_pair_set, iter(pairs)) == (PreconditionError, text)
 
 
@@ -350,7 +379,7 @@ class TestJointMonicityAgainstTheApexDict:
 
 
 class TestPullbackOracleAgainstFiberPairsFirst:
-    """The counting oracle and the one that builds ``fiber_pairs`` first
+    """The counting oracle and the one that builds the fiber pairs first
     return the same ``Verdict``, or refuse with the same text."""
 
     def check(self, square: CommutativeSquare) -> bool:
@@ -435,8 +464,9 @@ def index_calling_from_pairs(source: FiniteSet, target: FiniteSet, pairs) -> Rel
 
 
 def pairs_based_tabulate(r: Relation) -> Span:
-    """``tabulate`` over the nested ``Relation.pairs`` generator."""
-    apex, parts = pair_set(r.pairs())
+    """``tabulate`` over the nested ``Relation.pairs`` generator, with legs
+    built from their value names."""
+    apex, parts = reference_pair_set(r.pairs())
     left = SetFunction(apex, r.source, tuple([a for a, _ in parts]))
     right = SetFunction(apex, r.target, tuple([b for _, b in parts]))
     return Span(apex, left, right)
@@ -606,3 +636,77 @@ class TestMutantLinksAgainstTheCellScan:
             m = len(s.left.codomain)
             assert linked.pop() == cell_scan_links(result.e, m, diagonal)
         assert linked == []
+
+
+def name_built_quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
+    """``quotient_by_equivalence`` with its corner and its values built from
+    names: the classes are the elements that name their own."""
+    assert e.source == a == e.target and is_equivalence(e)
+    names = a.elements
+    least = [(row & -row).bit_length() - 1 for row in e.rows]
+    corner = FiniteSet(tuple([names[i] for i, j in enumerate(least) if i == j]))
+    return SetFunction(a, corner, tuple([names[j] for j in least]))
+
+
+def name_built_image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
+    """``image_factorization`` with the image and both maps built from the
+    value names."""
+    values = f.values
+    image = FiniteSet(tuple(set(values)))
+    return SetFunction(f.domain, image, values), SetFunction(image, f.codomain, image.elements)
+
+
+def partition_equivalence(a: FiniteSet, blocks) -> Relation:
+    """The equivalence on a whose classes are the blocks of positions."""
+    rows = [0] * len(a)
+    for block in blocks:
+        mask = sum(1 << i for i in block)
+        for i in block:
+            rows[i] = mask
+    return Relation._of_rows(a, a, tuple(rows))
+
+
+class TestLeastMemberQuotientsAgainstNames:
+    """Both quotients and the image factorization, which build from
+    positions, against the same constructions built from names."""
+
+    def check_quotients(self, a: FiniteSet, e: Relation, links) -> None:
+        q = quotient_by_equivalence(a, e)
+        assert q == name_built_quotient_by_equivalence(a, e)
+        assert quotient_by_generated(a, links) == call_per_find_quotient(a, links) == q
+        assert image_factorization(q) == name_built_image_factorization(q)
+
+    def test_every_partition_up_to_five(self):
+        count = 0
+        for n in range(6):
+            a = letters("x", n)
+            for blocks in set_partitions(list(range(n))):
+                links = [(block[-1], i) for block in blocks for i in block]
+                self.check_quotients(a, partition_equivalence(a, blocks), links)
+                count += 1
+        assert count == 1 + 1 + 2 + 5 + 15 + 52
+
+    def test_every_function_up_to_three_to_three(self):
+        count = 0
+        for m, n in itertools.product(range(4), repeat=2):
+            for f in all_functions(letters("a", m), letters("b", n)):
+                assert image_factorization(f) == name_built_image_factorization(f)
+                kernel = [[i for i, d in enumerate(f.table) if d == e] for e in set(f.table)]
+                links = [(block[0], i) for block in kernel for i in block]
+                self.check_quotients(f.domain, partition_equivalence(f.domain, kernel), links)
+                count += 1
+        assert count == sum(n**m for m, n in itertools.product(range(4), repeat=2))
+
+    def test_seeded_7x7_relations(self):
+        """The block equivalence of each closed relation on A + B, with the
+        relation's own cells as links, and the legs of its tabulation."""
+        for r in seeded_7x7_relations(28, 500):
+            closed = difunctional_closure(r)
+            e = pushout_equivalence(closed)
+            m = len(r.source)
+            n = len(r.target)
+            cells = [(i, j) for i, row in enumerate(closed.rows) for j in range(n) if row >> j & 1]
+            self.check_quotients(e.source, e, [(i, m + j) for i, j in cells])
+            s = tabulate(r)
+            for leg in (s.left, s.right):
+                assert image_factorization(leg) == name_built_image_factorization(leg)

@@ -5,9 +5,10 @@ reference; one owner each for mutant names, generated element names and
 the text form of values; cross-validators that call no
 oracle, construction or route; fast oracles that build no colimit;
 suites that share one instance loop; suites and routes that repeat no
-construction; no loop that reads a function's value names per element;
-the calls the traced benchmark swaps, which stay bare-name calls; and no
-definition in the package without a program caller."""
+construction; generated carriers built from positions by one builder
+each; no loop that reads a function's value names per element; the calls
+the traced benchmark swaps, which stay bare-name calls; and no definition
+in the package without a program caller."""
 
 import ast
 import random
@@ -541,6 +542,49 @@ def test_block_quotient_leaves_the_quotients_to_their_kernels():
     }
     assert {"quotient_by_equivalence", "quotient_by_generated"} <= named
     assert named.isdisjoint({"SetFunction", "FiniteSet"})
+
+
+# The builders of generated carriers, and the one builder each must end in.
+CARRIER_BUILDERS = {
+    ("fsets.py", "pair_span"): None,
+    ("fsets.py", "pullback"): "pair_span",
+    ("relations.py", "tabulate"): "pair_span",
+    ("fsets.py", "image_factorization"): None,
+    ("fsets.py", "quotient_by_generated"): "image_factorization",
+    ("relations.py", "quotient_by_equivalence"): "image_factorization",
+}
+
+
+def _bare_call_sites(module: str, name: str) -> list[str]:
+    """The top-level function, or ``Class.method``, of each call of a bare
+    name in a module."""
+    sites = []
+    for node in _top_level(module):
+        is_class = isinstance(node, ast.ClassDef)
+        for member in node.body if is_class else [node]:
+            sites += [
+                f"{node.name}.{member.name}" if is_class else getattr(node, "name", "")
+                for inner in ast.walk(member)
+                if isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Name)
+                and inner.func.id == name
+            ]
+    return sites
+
+
+def test_generated_carriers_are_built_from_positions():
+    """Pairs become a carrier only in ``pair_span``, and both least-member
+    quotients end in ``image_factorization``; none of these builders looks
+    a value up by name through the name-valued ``SetFunction`` constructor,
+    and in ``fsets`` and ``relations`` only ``pair_span`` and the relation's
+    ``repr`` spell a pair name."""
+    for (module, name), builder in CARRIER_BUILDERS.items():
+        called = _bare_calls(module, (name,))
+        assert "SetFunction" not in called, name
+        assert builder is None or builder in called, name
+    naming = _bare_call_sites("fsets.py", "pair_name")
+    naming += _bare_call_sites("relations.py", "pair_name")
+    assert naming == ["pair_span", "Relation.__repr__"]
 
 
 def test_the_decomposed_route_calls_the_epi_leg_body():

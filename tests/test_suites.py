@@ -462,6 +462,22 @@ class TestSharedObjects:
             mutated = suites._span_corpus(dataclasses.replace(config, mutant=mutant))
         assert mutated == plain
 
+    def test_p1_builds_one_span_relation_per_distinct_pointed_span(self, monkeypatch):
+        """The pointed route and the transfer check read one underlying span,
+        built once per pointed span, so they share its one relation."""
+        config = SuiteConfig(max_size=3, samples=300, seed=42)
+        built = []
+        build = Relation._of_index_pairs
+
+        def counted(source, target, pairs):
+            built.append(build(source, target, pairs))
+            return built[-1]
+
+        monkeypatch.setattr(Relation, "_of_index_pairs", staticmethod(counted))
+        report = suites.suite_pointed_pushouts(config)
+        assert report.passed
+        assert len(built) == _distinct(suites._pointed_corpus(config)) == 56
+
     def test_coproduct_is_built_once_per_pair_of_feet(self):
         fsets.coproduct.cache_clear()
         run_all_suites(SuiteConfig(max_size=2, samples=5, seed=4))
