@@ -10,7 +10,13 @@ A ``SetFunction`` stores only ``table``, the codomain position of each
 value.  Routes, oracles and composites read it by position; ``values`` is
 derived from it on every read, so loops read that before they start, and
 ``f(x)`` is for callers outside loops.  Every commutativity check is
-``first_disagreement``, decided on those tables.
+``first_disagreement``, decided on those tables, and a fact decided about a
+span is decided once: a checked ``CommutativeSquare`` marks its cospan with
+the span it commutes with, so ``_require_commutes_with_span`` returns at
+once for that exact pair, and the span keeps its reference colimit's
+cospan (as ``relations`` keeps its relation) for every later
+``canonical_pushout``.  Only a checked construction sets a mark, and a mark
+refers to its span weakly, so no span is kept alive by a cospan.
 
 Constructed elements are named by three rules, each built from positions
 by one builder:
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -198,9 +205,13 @@ class Span:
     """Two functions out of a common apex.  Joint monicity is a predicate on
     spans, not an invariant of the type.
 
-    ``relations.span_to_relation`` keeps the span's relation on it as
-    ``_relation``, which is not a field; ``relations.tabulate`` sets it as
-    it builds the span.
+    Facts about a span are kept on it, once decided, as attributes that
+    are not fields, so equality, hashing and ``repr`` ignore them and
+    ``dataclasses.replace`` gives a span without them: its relation
+    ``_relation`` (``relations.span_to_relation``, or ``relations.tabulate``
+    as it builds the span), the cospan ``_pushout`` of its reference colimit
+    (``canonical_pushout``) and its Mal'cev verdict ``_malcev``
+    (``pushouts.require_malcev``).  None of them refers back to the span.
     """
 
     apex: FiniteSet
@@ -243,17 +254,23 @@ class CommutativeSquare:
     """A span and a cospan with matching feet whose two composites agree.
 
     Commutativity is checked at construction, on index tables by
-    ``first_disagreement``; only the gate ``pushouts._square``, while a
-    mutant is on, and doctored test squares bypass it via ``_unchecked``.
+    ``first_disagreement``, and the checked cospan is marked with its span
+    (``_commutes_with``, a weak reference, not a field); a cospan already
+    marked with this very span is not decided again.  Only the gate
+    ``pushouts._square``, while a mutant is on, and doctored test squares
+    bypass the check via ``_unchecked``, which sets no mark.
     """
 
     span: Span
     cospan: Cospan
 
     def __post_init__(self) -> None:
+        if _commutes(self.span, self.cospan):
+            return
         culprit = first_disagreement(self.span, self.cospan)
         if culprit is not None:
             raise ValueError(f"square does not commute: {disagreement_text(culprit)}")
+        object.__setattr__(self.cospan, "_commutes_with", weakref.ref(self.span))
 
     @classmethod
     def _unchecked(cls, span_: Span, cospan_: Cospan) -> "CommutativeSquare":
@@ -265,6 +282,14 @@ class CommutativeSquare:
     @property
     def corner(self) -> FiniteSet:
         return self.cospan.corner
+
+
+def _commutes(span_: Span, cospan_: Cospan) -> bool:
+    """True when a checked square has marked the cospan with this very
+    span; a mark only ever records a decided fact about two immutable
+    values."""
+    mark = getattr(cospan_, "_commutes_with", None)
+    return mark is not None and mark() is span_
 
 
 def first_disagreement(span_: Span, cospan_: Cospan) -> tuple[str, str, str] | None:
@@ -415,14 +440,21 @@ def canonical_pushout(span_: Span) -> CommutativeSquare:
 
     This is the unmutated reference colimit for the suites' corner checks,
     the CLI's AGREEMENT line and the sampled squares of ``enumeration``; the
-    certified constructions and the verification oracles never call it.
+    certified constructions and the verification oracles never call it.  It
+    reads no mutant, so it is built once per span: the span keeps the
+    cospan as ``_pushout`` and a later call wraps it in a square whose
+    check the cospan's mark settles.  The span keeps the cospan, not the
+    square, because the square refers back to the span.
     """
-    a_set, b_set = span_.feet
-    total, inl, inr = coproduct(a_set, b_set)
-    left, right = inl.table, inr.table
-    links = zip(span_.left.table, span_.right.table)
-    q = quotient_by_generated(total, [(left[i], right[j]) for i, j in links])
-    return CommutativeSquare(span_, Cospan(compose(q, inl), compose(q, inr)))
+    cospan_ = getattr(span_, "_pushout", None)
+    if cospan_ is None:
+        total, inl, inr = coproduct(*span_.feet)
+        left, right = inl.table, inr.table
+        links = zip(span_.left.table, span_.right.table)
+        q = quotient_by_generated(total, [(left[i], right[j]) for i, j in links])
+        cospan_ = Cospan(compose(q, inl), compose(q, inr))
+        object.__setattr__(span_, "_pushout", cospan_)
+    return CommutativeSquare(span_, cospan_)
 
 
 def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
@@ -431,27 +463,32 @@ def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
 
     Requires the square's cospan to determine the map (jointly epic corner,
     no conflicting constraints); both hold whenever the square is a pushout.
+    The candidate is checked against the square's span unless a checked
+    square marked it with that very span.  The map is built from index
+    tables: each corner position is sent to the candidate position its
+    first preimage is sent to, and names are read only to word a refusal.
     """
     _require_commutes_with_span(square.span, candidate)
-    corner = square.corner
-    assigned: dict[str, str] = {}
-    images = square.cospan.left.values + square.cospan.right.values
-    for image, target in zip(images, candidate.left.values + candidate.right.values):
+    corner, names = square.corner, candidate.corner.elements
+    assigned: dict[int, int] = {}
+    images = square.cospan.left.table + square.cospan.right.table
+    for image, target in zip(images, candidate.left.table + candidate.right.table):
         existing = assigned.setdefault(image, target)
         if existing != target:
             raise InternalInvariantError(
                 "mediating-map",
-                f"corner element {image!r} is forced to both "
-                f"{existing!r} and {target!r}; the square is not a pushout",
+                f"corner element {corner.elements[image]!r} is forced to both "
+                f"{names[existing]!r} and {names[target]!r}; the square is not a pushout",
             )
-    unreached = [d for d in corner if d not in assigned]
-    if unreached:
+    if len(assigned) != len(corner):
+        unreached = next(d for d in range(len(corner)) if d not in assigned)
         raise InternalInvariantError(
             "mediating-map",
-            f"corner element {unreached[0]!r} is not reached by either leg; "
+            f"corner element {corner.elements[unreached]!r} is not reached by either leg; "
             "the square is not a pushout",
         )
-    return SetFunction(corner, candidate.corner, tuple(assigned[d] for d in corner))
+    table = tuple([assigned[d] for d in range(len(corner))])
+    return SetFunction._of_table(corner, candidate.corner, table)
 
 
 def canonical_comparison(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
@@ -466,6 +503,11 @@ def canonical_comparison(square: CommutativeSquare, candidate: Cospan) -> SetFun
 
 
 def _require_commutes_with_span(span_: Span, candidate: Cospan) -> None:
+    """Refuse a candidate that does not fit or commute with the span; a
+    candidate that a checked square marked with this very span fits and
+    commutes, so it returns at once."""
+    if _commutes(span_, candidate):
+        return
     if (
         candidate.left.domain != span_.left.codomain
         or candidate.right.domain != span_.right.codomain

@@ -100,7 +100,8 @@ class PointedSpan:
     @functools.cached_property
     def underlying(self) -> Span:
         """Built once, so every route and check shares one span and its
-        relation."""
+        relation; a pointed span of pairs is given the span it was made
+        from."""
         return Span(self.apex.carrier, self.left.function, self.right.function)
 
 
@@ -157,9 +158,13 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
 
 def _pointed_at_base_pair(s: Span, a: PointedSet, b: PointedSet) -> PointedSpan:
     """A span of pairs between the carriers of a and b, pointed at the pair
-    of their basepoints."""
+    of their basepoints.  Its underlying span is s itself, which equals the
+    one ``underlying`` would build, so a relation already kept on s (as
+    ``tabulate`` keeps it) is not built again."""
     apex = PointedSet(s.apex, pair_name(a.basepoint, b.basepoint))
-    return PointedSpan(apex, PointedMap(apex, a, s.left), PointedMap(apex, b, s.right))
+    ps = PointedSpan(apex, PointedMap(apex, a, s.left), PointedMap(apex, b, s.right))
+    object.__setattr__(ps, "underlying", s)
+    return ps
 
 
 def zero_object() -> PointedSet:

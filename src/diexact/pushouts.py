@@ -13,7 +13,9 @@ Three independent construction routes live here:
 ``pushout_epi_leg`` is ``require_malcev`` followed by the epi-leg body,
 ``_epi_leg_square``.  The decomposed route calls that body directly for its
 two epi-leg stages, after its own ``is_malcev_span`` check of each stage
-span, so no stage span has its Mal'cev precondition decided twice.
+span, so no stage span has its Mal'cev precondition decided twice; and
+``require_malcev`` keeps an accepted span's verdict on the span, so the
+direct and decomposed routes of one span decide it once between them.
 
 The routes share no colimit code with the verification oracles, which
 decide squares on index tables, so that oracle verdicts about them are
@@ -113,7 +115,17 @@ def _square(s: Span, cospan: Cospan) -> CommutativeSquare:
 
 def require_malcev(s: Span) -> Relation:
     """Raise with an element-level witness unless the span is Mal'cev;
-    return the span's relation, which the check decided on."""
+    return the span's relation, which the check decided on.
+
+    It reads no mutant, so an accepted span keeps its verdict as
+    ``_malcev``, the relation itself (not a field, like ``_relation``), and
+    the direct and decomposed routes of one span decide it once.  A refused
+    span keeps nothing and is refused again, with the same witness, by the
+    next call."""
+    try:
+        return s._malcev
+    except AttributeError:
+        pass
     jm = joint_monicity_witness(s)
     if jm is not None:
         raise NotJointlyMonicError(*jm)
@@ -121,6 +133,7 @@ def require_malcev(s: Span) -> Relation:
     witness = difunctionality_witness(r)
     if witness is not None:
         raise NotMalcevError(witness)
+    object.__setattr__(s, "_malcev", r)
     return r
 
 
@@ -245,11 +258,20 @@ def pushout_epi_leg(s: Span) -> CommutativeSquare:
 def _epi_leg_square(s: Span) -> CommutativeSquare:
     """The epi-leg route after its Mal'cev precondition, which the caller
     has decided: ``pushout_epi_leg`` by ``require_malcev``, the decomposed
-    route by its own stage checks."""
+    route by its own stage checks.
+
+    The induced leg sends each b to the class of ``first``, the least
+    element of A related to it (the right leg is surjective, so there is
+    one).  It is well defined at b when the column of b in ``R°``, every
+    element of A related to b, lies in that class, the row of ``first`` in
+    the closure: one mask test per element of B,
+    ``column & ~closure.rows[first]``.
+    """
     require_epi(s.right, "right leg of an epi-leg pushout")
     a_set, b_set = s.feet
     r = span_to_relation(s)
-    closure = union(Relation.diagonal(a_set), rel_compose(converse(r), r))
+    r_conv = converse(r)
+    closure = union(Relation.diagonal(a_set), rel_compose(r_conv, r))
     try:
         h = quotient_by_equivalence(a_set, closure)
     except NotEquivalenceError:
@@ -257,18 +279,16 @@ def _epi_leg_square(s: Span) -> CommutativeSquare:
             "epi-leg-pushout",
             "1 u R°R of a difunctional relation is not an equivalence",
         ) from None
-    h_t = h.table
-    landings: list[set[int]] = [set() for _ in b_set]
-    for i, j in zip(s.left.table, s.right.table):
-        landings[j].add(h_t[i])
-    for b, images in zip(b_set, landings):
-        if len(images) != 1:
-            names = [h.codomain.elements[d] for d in sorted(images)]
+    h_t, classes = h.table, closure.rows
+    firsts = [(column & -column).bit_length() - 1 for column in r_conv.rows]
+    for b, column, first in zip(b_set, r_conv.rows, firsts):
+        if column & ~classes[first]:
+            names = [h.codomain.elements[d] for d in sorted({h_t[i] for i in _bits(column)})]
             raise InternalInvariantError(
                 "epi-leg-pushout",
                 f"induced leg is not well defined at {b!r}: preimages land in {names}",
             )
-    k = SetFunction._of_table(b_set, h.codomain, tuple([d for (d,) in landings]))
+    k = SetFunction._of_table(b_set, h.codomain, tuple([h_t[i] for i in firsts]))
     return _square(s, Cospan(h, k))
 
 

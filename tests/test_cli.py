@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from diexact import cli, mutants
+from diexact import cli, fsets, mutants, relations
 from diexact.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -277,6 +277,95 @@ class TestBlockBudget:
         monkeypatch.setattr(cli, "BLOCK_CELL_BUDGET", 15)
         assert main(["pushout", path]) == 3
         assert "= 16 cells, above the budget of 15" in capsys.readouterr().err
+
+
+BLOCKS = """\
+set A = {a1, a2, a3, a4}
+set B = {b1, b2, b3}
+rel R : A -|> B = {(a1,b1), (a2,b1), (a3,b2), (a3,b3)}
+"""
+
+
+def _recorded(functions, run):
+    """Run ``run()`` and record every call of the functions, however the
+    caller looks it up, as (name, caller's name, arguments)."""
+    names = {function.__code__: function.__name__ for function in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append((names[frame.f_code], frame.f_back.f_code.co_name, dict(frame.f_locals)))
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestFactsDecidedOnce:
+    """``--method both`` on an accepted tabulated document builds one
+    reference colimit, settles each commutativity that a checked square
+    already decided by its cospan's mark, and decides the Mal'cev
+    precondition of the input span once; under a mutant the unchecked
+    direct square is still decided."""
+
+    def run_both(self, tmp_path, monkeypatch, *flags):
+        results = []
+        route = cli.malcev_pushout_direct
+
+        def direct(s):
+            results.append(route(s))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "malcev_pushout_direct", direct)
+        functions = (
+            fsets.canonical_pushout,
+            fsets.quotient_by_generated,
+            fsets.first_disagreement,
+            relations.joint_monicity_witness,
+            relations.difunctionality_witness,
+        )
+        path = write(tmp_path, "r.txt", BLOCKS)
+        (code, out, _), calls = _recorded(functions, lambda: run_here(["pushout", *flags, path]))
+        (result,) = results
+        return code, out, result.square, calls
+
+    def test_each_fact_is_decided_once(self, tmp_path, monkeypatch):
+        code, out, square, calls = self.run_both(tmp_path, monkeypatch)
+        assert code == 0 and "AGREEMENT: true" in out
+        value = square.span
+
+        def callers(name):
+            return [caller for called, caller, _ in calls if called == name]
+
+        assert callers("canonical_pushout") == ["canonical_comparison"] * 2
+        assert callers("quotient_by_generated").count("canonical_pushout") == 1
+        # Six checked squares (direct, four of the decomposed route, the
+        # reference colimit) and certify's COMMUTES; no comparison decides.
+        assert len(callers("first_disagreement")) == 7
+        assert set(callers("first_disagreement")) == {"__post_init__", "commutes_verdict"}
+        monic = [args["s"] for called, _, args in calls if called == "joint_monicity_witness"]
+        assert [s is value for s in monic].count(True) == 1
+        witnessed = [args["r"] for called, _, args in calls if called == "difunctionality_witness"]
+        assert [r is relations.span_to_relation(value) for r in witnessed] == [True]
+
+    @pytest.mark.parametrize("mutant", (None,) + mutants.KNOWN)
+    def test_the_direct_square_is_decided_unless_it_was_checked(
+        self, mutant, tmp_path, monkeypatch
+    ):
+        flags = ("--mutant", mutant) if mutant else ()
+        _, _, square, calls = self.run_both(tmp_path, monkeypatch, *flags)
+        deciding = [
+            caller
+            for called, caller, args in calls
+            if called == "first_disagreement"
+            and args["span_"] is square.span
+            and args["cospan_"] is square.cospan
+        ]
+        checked = "__post_init__" if mutant is None else "_require_commutes_with_span"
+        assert deciding == [checked, "commutes_verdict"]
 
 
 class TestOneParser:

@@ -9,9 +9,11 @@ pairs before it looks at the apex, a ``finditer`` pair-list scan that
 checks each gap as it meets it, a ``from_pairs`` that calls
 ``FiniteSet.index`` per name, a ``tabulate`` over the nested ``pairs()``
 generator, a mutant branch that tests every cell of the block relation for
-its links, and a quotient by equivalence and an image factorization that
-build their functions from value names.  Each kernel must return exactly
-what its reference returns, refusals and their wording included.
+its links, a quotient by equivalence, an image factorization and a
+mediating map that build their functions from value names, and an epi-leg
+route that checks its induced leg by gathering the landing classes of
+every apex element.  Each kernel must return exactly what its reference
+returns, refusals and their wording included.
 """
 
 from __future__ import annotations
@@ -38,29 +40,44 @@ from diexact.enumeration import (
     letters,
     sample_commuting_squares,
 )
-from diexact.errors import ParseError, PreconditionError
+from diexact.errors import (
+    InternalInvariantError,
+    NotEquivalenceError,
+    ParseError,
+    PreconditionError,
+)
 from diexact.fsets import (
     CommutativeSquare,
+    Cospan,
     FiniteSet,
     SetFunction,
     Span,
+    _require_commutes_with_span,
     all_functions,
+    canonical_pushout,
     coproduct,
     image_factorization,
+    is_epi,
+    mediating_map,
     pair_name,
     pair_span,
     quotient_by_generated,
+    require_epi,
 )
 from diexact.names import LEFT, RIGHT, tagged
 from diexact import mutants, pushouts
-from diexact.pushouts import malcev_pushout_direct, pushout_equivalence
+from diexact.pushouts import _epi_leg_square, malcev_pushout_direct, pushout_equivalence
 from diexact.relations import (
     Relation,
+    converse,
     difunctional_closure,
+    is_difunctional,
     is_equivalence,
     joint_monicity_witness,
     quotient_by_equivalence,
+    span_to_relation,
     tabulate,
+    union,
 )
 import test_documents
 from test_cli import FUZZ_SEEDS, _fuzzed
@@ -710,3 +727,146 @@ class TestLeastMemberQuotientsAgainstNames:
             s = tabulate(r)
             for leg in (s.left, s.right):
                 assert image_factorization(leg) == name_built_image_factorization(leg)
+
+
+def refusal_outcome(function, *args):
+    """What a call returns, or the type and text of the precondition or
+    internal-invariant error it raises."""
+    try:
+        return function(*args)
+    except (PreconditionError, InternalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def landings_epi_leg_square(s: Span) -> CommutativeSquare:
+    """``_epi_leg_square`` that checks the induced leg with one set of
+    landing classes per element of B, filled by one step per apex element.
+    It composes through ``pushouts.rel_compose``, as the route does, so a
+    test can doctor both closures alike."""
+    require_epi(s.right, "right leg of an epi-leg pushout")
+    a_set, b_set = s.feet
+    r = span_to_relation(s)
+    closure = union(Relation.diagonal(a_set), pushouts.rel_compose(converse(r), r))
+    try:
+        h = quotient_by_equivalence(a_set, closure)
+    except NotEquivalenceError:
+        raise InternalInvariantError(
+            "epi-leg-pushout",
+            "1 u R°R of a difunctional relation is not an equivalence",
+        ) from None
+    h_t = h.table
+    landings: list[set[int]] = [set() for _ in b_set]
+    for i, j in zip(s.left.table, s.right.table):
+        landings[j].add(h_t[i])
+    for b, images in zip(b_set, landings):
+        if len(images) != 1:
+            names = [h.codomain.elements[d] for d in sorted(images)]
+            raise InternalInvariantError(
+                "epi-leg-pushout",
+                f"induced leg is not well defined at {b!r}: preimages land in {names}",
+            )
+    k = SetFunction._of_table(b_set, h.codomain, tuple([d for (d,) in landings]))
+    return CommutativeSquare(s, Cospan(h, k))
+
+
+def seeded_onto_spans(seed: int, count: int):
+    """Spans whose right leg is onto: random legs out of apexes of up to 14
+    elements, so most are neither jointly monic nor difunctional, and the
+    tabulations of seeded block relations with no empty column."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(0, 6)
+        right = list(range(n)) + [rng.randrange(n) for _ in range(rng.randint(0, 8) if n else 0)]
+        rng.shuffle(right)
+        apex = letters("c", len(right))
+        a, b = letters("a", m), letters("b", n)
+        left = [rng.randrange(m) for _ in right]
+        yield Span(
+            apex,
+            SetFunction._of_table(apex, a, tuple(left)),
+            SetFunction._of_table(apex, b, tuple(right)),
+        )
+    yield from (s for s in seeded_block_spans(seed, count) if is_epi(s.right))
+
+
+class TestInducedLegAgainstLandings:
+    """The epi-leg route's column-mask test of the induced leg against the
+    per-apex landing sets it replaced."""
+
+    def test_seeded_spans_with_onto_right_legs(self):
+        seen = {"square": 0, "non-difunctional square": 0, "refused": 0}
+        for s in seeded_onto_spans(29, 400):
+            kernel = refusal_outcome(_epi_leg_square, s)
+            assert kernel == refusal_outcome(landings_epi_leg_square, s)
+            if isinstance(kernel, CommutativeSquare):
+                seen["square"] += 1
+                seen["non-difunctional square"] += not is_difunctional(span_to_relation(s))
+            else:
+                assert kernel[0] is InternalInvariantError
+                assert not is_difunctional(span_to_relation(s))
+                seen["refused"] += 1
+        assert all(seen.values()), seen
+
+    def test_a_closure_without_its_r_conv_r_term_is_refused_alike(self, monkeypatch):
+        """With R°R left out of both closures, the quotient is the identity,
+        so every b related to two elements of A is refused, with the same
+        text, by the mask test and by the landing sets."""
+
+        def nothing(s: Relation, r: Relation) -> Relation:
+            return Relation._of_rows(r.source, s.target, (0,) * len(r.source))
+
+        monkeypatch.setattr(pushouts, "rel_compose", nothing)
+        refused = 0
+        for s in seeded_onto_spans(30, 200):
+            kernel = refusal_outcome(_epi_leg_square, s)
+            assert kernel == refusal_outcome(landings_epi_leg_square, s)
+            refused += not isinstance(kernel, CommutativeSquare)
+        assert refused > 100
+
+
+def name_built_mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
+    """``mediating_map`` with its map built from value names, one dict step
+    per element of A + B."""
+    _require_commutes_with_span(square.span, candidate)
+    corner = square.corner
+    assigned: dict[str, str] = {}
+    images = square.cospan.left.values + square.cospan.right.values
+    for image, target in zip(images, candidate.left.values + candidate.right.values):
+        existing = assigned.setdefault(image, target)
+        if existing != target:
+            raise InternalInvariantError(
+                "mediating-map",
+                f"corner element {image!r} is forced to both "
+                f"{existing!r} and {target!r}; the square is not a pushout",
+            )
+    unreached = [d for d in corner if d not in assigned]
+    if unreached:
+        raise InternalInvariantError(
+            "mediating-map",
+            f"corner element {unreached[0]!r} is not reached by either leg; "
+            "the square is not a pushout",
+        )
+    return SetFunction(corner, candidate.corner, tuple(assigned[d] for d in corner))
+
+
+class TestMediatingMapAgainstNames:
+    def test_sampled_squares_and_their_reference_colimits(self):
+        """Each sampled square against its span's reference colimit, both
+        ways round, and against its own cospan: the squares that are not
+        pushouts give both refusals."""
+        seen = {"map": 0, "forced to both": 0, "not reached": 0}
+        for square in SAMPLED_SQUARES:
+            canon = canonical_pushout(square.span)
+            for mediated, candidate in (
+                (square, canon.cospan),
+                (canon, square.cospan),
+                (square, square.cospan),
+            ):
+                kernel = refusal_outcome(mediating_map, mediated, candidate)
+                assert kernel == refusal_outcome(name_built_mediating_map, mediated, candidate)
+                if isinstance(kernel, SetFunction):
+                    seen["map"] += 1
+                else:
+                    assert kernel[0] is InternalInvariantError
+                    seen["forced to both" if "forced" in kernel[1] else "not reached"] += 1
+        assert all(seen.values()), seen
