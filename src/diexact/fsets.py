@@ -16,7 +16,8 @@ the span it commutes with, so ``_require_commutes_with_span`` returns at
 once for that exact pair, and the span keeps its reference colimit's
 cospan (as ``relations`` keeps its relation) for every later
 ``canonical_pushout``.  Only a checked construction sets a mark, and a mark
-refers to its span weakly, so no span is kept alive by a cospan.
+refers to its span weakly, so no span is kept alive by a cospan.  Every
+fact kept on a value is read and kept by one helper, ``_kept``.
 
 Constructed elements are named by three rules, each built from positions
 by one builder:
@@ -37,7 +38,7 @@ import functools
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import (
     CompositionError,
@@ -47,6 +48,8 @@ from .errors import (
     PreconditionError,
 )
 from .names import LEFT, RIGHT, pair_name, tagged
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,8 @@ class Span:
     ``_relation`` (``relations.span_to_relation``, or ``relations.tabulate``
     as it builds the span), the cospan ``_pushout`` of its reference colimit
     (``canonical_pushout``) and its Mal'cev verdict ``_malcev``
-    (``pushouts.require_malcev``).  None of them refers back to the span.
+    (``pushouts.require_malcev``), each read and kept by ``_kept``.  None
+    of them refers back to the span.
     """
 
     apex: FiniteSet
@@ -255,18 +259,18 @@ class CommutativeSquare:
 
     Commutativity is checked at construction, on index tables by
     ``first_disagreement``, and the checked cospan is marked with its span
-    (``_commutes_with``, a weak reference, not a field); a cospan already
-    marked with this very span is not decided again.  Only the gate
-    ``pushouts._square``, while a mutant is on, and doctored test squares
-    bypass the check via ``_unchecked``, which sets no mark.
+    (``_commutes_with``, a weak reference, not a field), which
+    ``_require_commutes_with_span`` reads.  ``_unchecked`` bypasses the
+    check and sets no mark; it is used by the gate ``pushouts._square``
+    while a mutant is on, by doctored test squares, and by
+    ``canonical_pushout`` for a cospan that was checked against the same
+    span when the span kept it.
     """
 
     span: Span
     cospan: Cospan
 
     def __post_init__(self) -> None:
-        if _commutes(self.span, self.cospan):
-            return
         culprit = first_disagreement(self.span, self.cospan)
         if culprit is not None:
             raise ValueError(f"square does not commute: {disagreement_text(culprit)}")
@@ -274,6 +278,8 @@ class CommutativeSquare:
 
     @classmethod
     def _unchecked(cls, span_: Span, cospan_: Cospan) -> "CommutativeSquare":
+        """A square whose commutativity is not decided here and whose
+        cospan gets no mark; the class docstring names its three uses."""
         sq = object.__new__(cls)
         object.__setattr__(sq, "span", span_)
         object.__setattr__(sq, "cospan", cospan_)
@@ -282,6 +288,19 @@ class CommutativeSquare:
     @property
     def corner(self) -> FiniteSet:
         return self.cospan.corner
+
+
+def _kept(value: object, name: str, build: Callable[[], T]) -> T:
+    """The fact ``name`` kept on an immutable value, built by ``build`` and
+    kept as an attribute that is not a field the first time it is asked
+    for.  A build that raises keeps nothing, so the next call decides
+    again."""
+    try:
+        return getattr(value, name)
+    except AttributeError:
+        fact = build()
+        object.__setattr__(value, name, fact)
+        return fact
 
 
 def _commutes(span_: Span, cospan_: Cospan) -> bool:
@@ -442,19 +461,19 @@ def canonical_pushout(span_: Span) -> CommutativeSquare:
     the CLI's AGREEMENT line and the sampled squares of ``enumeration``; the
     certified constructions and the verification oracles never call it.  It
     reads no mutant, so it is built once per span: the span keeps the
-    cospan as ``_pushout`` and a later call wraps it in a square whose
-    check the cospan's mark settles.  The span keeps the cospan, not the
-    square, because the square refers back to the span.
+    cospan as ``_pushout``, checked against the span as it is kept, and
+    every call wraps it in an ``_unchecked`` square.  The span keeps the
+    cospan, not the square, because the square refers back to the span.
     """
-    cospan_ = getattr(span_, "_pushout", None)
-    if cospan_ is None:
+
+    def reference_colimit() -> Cospan:
         total, inl, inr = coproduct(*span_.feet)
         left, right = inl.table, inr.table
         links = zip(span_.left.table, span_.right.table)
         q = quotient_by_generated(total, [(left[i], right[j]) for i, j in links])
-        cospan_ = Cospan(compose(q, inl), compose(q, inr))
-        object.__setattr__(span_, "_pushout", cospan_)
-    return CommutativeSquare(span_, cospan_)
+        return CommutativeSquare(span_, Cospan(compose(q, inl), compose(q, inr))).cospan
+
+    return CommutativeSquare._unchecked(span_, _kept(span_, "_pushout", reference_colimit))
 
 
 def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:

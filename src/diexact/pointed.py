@@ -13,8 +13,7 @@ A canonical pointed set is ``*, x1, x2, ...``: the basepoint is named
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator
 
 from . import mutants
@@ -24,6 +23,7 @@ from .fsets import (
     FiniteSet,
     SetFunction,
     Span,
+    _kept,
     all_functions,
     is_iso,
     pullback,
@@ -89,20 +89,33 @@ class PointedMap:
 
 @dataclass(frozen=True)
 class PointedSpan:
+    """A span of pointed maps.  Its underlying span may be given at
+    construction: it must be the span of the legs' functions, and a
+    pointed span of pairs is given the span it was made from, with every
+    fact already kept on that span."""
+
     apex: PointedSet
     left: PointedMap
     right: PointedMap
+    given: InitVar[Span | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, given: Span | None) -> None:
         if self.left.domain != self.apex or self.right.domain != self.apex:
             raise ValueError("pointed span legs must share the apex")
+        if given is not None:
+            if given != Span(self.apex.carrier, self.left.function, self.right.function):
+                raise ValueError("given span is not the span of the pointed legs")
+            object.__setattr__(self, "_underlying", given)
 
-    @functools.cached_property
+    @property
     def underlying(self) -> Span:
         """Built once, so every route and check shares one span and its
-        relation; a pointed span of pairs is given the span it was made
-        from."""
-        return Span(self.apex.carrier, self.left.function, self.right.function)
+        relation."""
+        return _kept(
+            self,
+            "_underlying",
+            lambda: Span(self.apex.carrier, self.left.function, self.right.function),
+        )
 
 
 @dataclass(frozen=True)
@@ -158,13 +171,11 @@ def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
 
 def _pointed_at_base_pair(s: Span, a: PointedSet, b: PointedSet) -> PointedSpan:
     """A span of pairs between the carriers of a and b, pointed at the pair
-    of their basepoints.  Its underlying span is s itself, which equals the
-    one ``underlying`` would build, so a relation already kept on s (as
-    ``tabulate`` keeps it) is not built again."""
+    of their basepoints.  Its underlying span is given as s itself, so a
+    relation already kept on s (as ``tabulate`` keeps it) is not built
+    again."""
     apex = PointedSet(s.apex, pair_name(a.basepoint, b.basepoint))
-    ps = PointedSpan(apex, PointedMap(apex, a, s.left), PointedMap(apex, b, s.right))
-    object.__setattr__(ps, "underlying", s)
-    return ps
+    return PointedSpan(apex, PointedMap(apex, a, s.left), PointedMap(apex, b, s.right), s)
 
 
 def zero_object() -> PointedSet:

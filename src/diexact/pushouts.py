@@ -43,6 +43,7 @@ from .fsets import (
     FiniteSet,
     SetFunction,
     Span,
+    _kept,
     compose,
     copair,
     coproduct,
@@ -118,23 +119,22 @@ def require_malcev(s: Span) -> Relation:
     return the span's relation, which the check decided on.
 
     It reads no mutant, so an accepted span keeps its verdict as
-    ``_malcev``, the relation itself (not a field, like ``_relation``), and
-    the direct and decomposed routes of one span decide it once.  A refused
-    span keeps nothing and is refused again, with the same witness, by the
-    next call."""
-    try:
-        return s._malcev
-    except AttributeError:
-        pass
-    jm = joint_monicity_witness(s)
-    if jm is not None:
-        raise NotJointlyMonicError(*jm)
-    r = span_to_relation(s)
-    witness = difunctionality_witness(r)
-    if witness is not None:
-        raise NotMalcevError(witness)
-    object.__setattr__(s, "_malcev", r)
-    return r
+    ``_malcev``, the relation itself (kept by ``_kept``, like
+    ``_relation``), and the direct and decomposed routes of one span decide
+    it once.  A refused span keeps nothing and is refused again, with the
+    same witness, by the next call."""
+
+    def decide() -> Relation:
+        jm = joint_monicity_witness(s)
+        if jm is not None:
+            raise NotJointlyMonicError(*jm)
+        r = span_to_relation(s)
+        witness = difunctionality_witness(r)
+        if witness is not None:
+            raise NotMalcevError(witness)
+        return r
+
+    return _kept(s, "_malcev", decide)
 
 
 def pushout_equivalence(r: Relation) -> Relation:
@@ -246,10 +246,12 @@ def pushout_epi_leg(s: Span) -> CommutativeSquare:
     """Pushout square of a Mal'cev span whose right leg is surjective.
 
     Quotients the left foot by ``1 u R°R``, then induces the second leg by
-    picking any preimage through the surjection; agreement across all
-    preimage choices is asserted, not assumed, since it is exactly the
-    coequalizer argument being exercised.  No relation on ``A + B`` is
-    involved, so only the square is returned.
+    picking the least preimage through the surjection.  Agreement across
+    all preimage choices is asserted, not assumed, since it is exactly the
+    coequalizer argument being exercised: the closure is checked to hold
+    every preimage, and the square gate ``_square`` checks that the two
+    legs commute.  No relation on ``A + B`` is involved, so only the square
+    is returned.
     """
     require_malcev(s)
     return _epi_leg_square(s)
@@ -265,7 +267,11 @@ def _epi_leg_square(s: Span) -> CommutativeSquare:
     one).  It is well defined at b when the column of b in ``R°``, every
     element of A related to b, lies in that class, the row of ``first`` in
     the closure: one mask test per element of B,
-    ``column & ~closure.rows[first]``.
+    ``column & ~closure.rows[first]``.  The closure contains ``R°R``, so the
+    test guards the closure's construction only (``rel_compose`` and
+    ``union``); it reads no value of h.  That h sends every preimage of b
+    to the class k gives it is the commutativity of the square, which
+    ``_square`` checks unless a mutant is on, with its ``ValueError``.
     """
     require_epi(s.right, "right leg of an epi-leg pushout")
     a_set, b_set = s.feet

@@ -26,6 +26,7 @@ from .fsets import (
     FiniteSet,
     SetFunction,
     Span,
+    _kept,
     coproduct,
     image_factorization,
     pair_name,
@@ -162,12 +163,9 @@ def span_to_relation(s: Span) -> Relation:
     gives a span without it.  The relation refers to the feet only, never
     back to the span.
     """
-    try:
-        return s._relation
-    except AttributeError:
-        r = Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
-        object.__setattr__(s, "_relation", r)
-        return r
+    return _kept(
+        s, "_relation", lambda: Relation._of_index_pairs(*s.feet, zip(s.left.table, s.right.table))
+    )
 
 
 def tabulate(r: Relation) -> Span:

@@ -341,7 +341,7 @@ class TestFactsDecidedOnce:
             return [caller for called, caller, _ in calls if called == name]
 
         assert callers("canonical_pushout") == ["canonical_comparison"] * 2
-        assert callers("quotient_by_generated").count("canonical_pushout") == 1
+        assert callers("quotient_by_generated").count("reference_colimit") == 1
         # Six checked squares (direct, four of the decomposed route, the
         # reference colimit) and certify's COMMUTES; no comparison decides.
         assert len(callers("first_disagreement")) == 7

@@ -11,6 +11,7 @@ the traced benchmark swaps, which stay bare-name calls; and no definition
 in the package without a program caller."""
 
 import ast
+import dataclasses
 import random
 from pathlib import Path
 
@@ -107,12 +108,17 @@ def test_nonsymmetric_closure_is_the_forward_closure():
 @pytest.mark.parametrize("mutant", mutants.KNOWN)
 def test_mutants_leave_the_reference_and_the_oracle_alone(mutant):
     """Under every mutant, the reference colimit and the pushout oracle's
-    verdict on an unmutated square are what they are without it."""
+    verdict on an unmutated square are what they are without it.  A span
+    keeps its reference colimit, so the mutant half builds it on fresh
+    equal spans, which keep nothing, and so runs its body under the
+    mutant."""
     corpus = [s for _, s in exhaustive_malcev_spans(2)]
     squares = [malcev_pushout_direct(s).square for s in corpus]
     expected = [(canonical_pushout(s), is_pushout_square(q)) for s, q in zip(corpus, squares)]
+    fresh = [dataclasses.replace(s) for s in corpus]
+    assert not any(hasattr(s, "_pushout") for s in fresh)
     with mutants.enabled(mutant):
-        got = [(canonical_pushout(s), is_pushout_square(q)) for s, q in zip(corpus, squares)]
+        got = [(canonical_pushout(s), is_pushout_square(q)) for s, q in zip(fresh, squares)]
     assert got == expected
 
 
