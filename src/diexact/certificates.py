@@ -52,7 +52,7 @@ from .fsets import (
     kernel_pair,
     pullback,
 )
-from .names import LEFT, RIGHT, pair_name, tagged
+from .names import LEFT, RIGHT, pair_name, pair_names, tagged
 from .relations import Relation, quotient_by_equivalence, span_to_relation
 
 @dataclass(frozen=True)
@@ -199,9 +199,9 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
 
 def _pullback_verdict(square: CommutativeSquare) -> Verdict:
     """``is_pullback_square`` on a square known to commute."""
-    f, g = square.span.left, square.span.right
-    names = tuple(map(pair_name, f.values, g.values))
-    _, _, h_t, k_t = _tables(square)
+    f_t, g_t, h_t, k_t = _tables(square)
+    a, b = square.span.feet
+    names = pair_names(a.elements, b.elements, zip(f_t, g_t))
     over = Counter(k_t)
     if len(set(names)) == len(names) == sum([over[d] for d in h_t]):
         pairing = SetFunction(square.span.apex, FiniteSet(names), names)

@@ -117,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Cells of the dense block relation on A + B, (|A| + |B|)^2, that ``pushout``
 # accepts.  A bijection document with |A| = |B| = 8192, at the budget, took
-# 0.9-1.6 s (medians of 8 runs 1.0-1.4 s, in four processes) and 75 MB peak
-# RSS in process under ``--method both`` on a shared 2-vCPU Intel Xeon VM
-# with CPython 3.11.7.
+# 0.84-1.27 s (medians of 8 runs 0.95-1.02 s, in four processes) and 74 MB
+# peak RSS in process under ``--method both`` on a shared 2-vCPU Intel Xeon
+# VM with CPython 3.11.7.
 BLOCK_CELL_BUDGET = 1 << 28
 
 

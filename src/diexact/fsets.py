@@ -26,7 +26,8 @@ by one builder:
 * coproduct elements are tagged ``"l:a"`` / ``"r:b"``: ``coproduct``;
 * image elements keep their codomain names: ``image_factorization``.  Both
   quotients, ``quotient_by_generated`` here and ``quotient_by_equivalence``
-  in ``relations``, end in it, so a class is named by its least member.
+  in ``relations``, end in it, so a class is named by its least member.  An
+  onto map is its own surjective part, and its inclusion is the identity.
 
 The text of pair names and coproduct tags is spelled only in ``names``;
 other modules call these builders and spell no such name themselves.
@@ -47,7 +48,7 @@ from .errors import (
     NotMonoError,
     PreconditionError,
 )
-from .names import LEFT, RIGHT, pair_name, tagged
+from .names import LEFT, RIGHT, pair_names, tagged
 
 T = TypeVar("T")
 
@@ -161,8 +162,9 @@ class SetFunction:
         return self.codomain.elements[self.table[self.domain.index(name)]]
 
     def __repr__(self) -> str:
-        table = ", ".join(f"{a} |-> {b}" for a, b in zip(self.domain.elements, self.values))
-        return "{" + table + "}"
+        names = self.codomain.elements
+        pairs = zip(self.domain.elements, self.table)
+        return "{" + ", ".join([f"{a} |-> {names[j]}" for a, j in pairs]) + "}"
 
 
 def identity(a: FiniteSet) -> SetFunction:
@@ -337,15 +339,17 @@ def pair_span(a: FiniteSet, b: FiniteSet, index_pairs: list[tuple[int, int]]) ->
     index pairs give: the apex is their names, sorted, and each leg's table
     is read off the (i, j) behind each apex element.
 
-    ``pair_name`` is not injective (``("x,y", "z")`` and ``("x", "y,z")``
+    A pair name is not injective (``("x,y", "z")`` and ``("x", "y,z")``
     are both ``(x,y,z)``), so a clash is refused with both pairs named.  All
-    names are built in one pass, and they clash exactly when the dict from
-    name to index pair is smaller than the list; only then does a second
-    pass find the first pair whose name was already taken, to word the
-    refusal.
+    names are built in one ``pair_names`` pass, and they clash exactly when
+    the dict from name to index pair is smaller than the list; only then
+    does a second pass find the first pair whose name was already taken, to
+    word the refusal.  Each leg's codomain is the foot itself, so an onto
+    leg is its own surjective part under ``image_factorization``, and its
+    inclusion is the identity of the foot.
     """
     a_names, b_names = a.elements, b.elements
-    names = [pair_name(a_names[i], b_names[j]) for i, j in index_pairs]
+    names = pair_names(a_names, b_names, index_pairs)
     by_name = dict(zip(names, index_pairs))
     if len(by_name) != len(names):
         first: dict[str, tuple[str, str]] = {}
@@ -442,9 +446,13 @@ def image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
 
     Image elements keep their codomain names, so the inclusion is literal:
     its table is the sorted positions f hits, and the surjection sends each
-    element to the rank of its position among them.
+    element to the rank of its position among them.  An onto f is its own
+    surjective part, returned as itself, and its inclusion is the identity
+    of its codomain.
     """
     hit = sorted(set(f.table))
+    if len(hit) == len(f.codomain):
+        return f, identity(f.codomain)
     names = f.codomain.elements
     image = FiniteSet(tuple([names[j] for j in hit]))
     rank = {j: n for n, j in enumerate(hit)}

@@ -12,10 +12,12 @@ Three independent construction routes live here:
 
 ``pushout_epi_leg`` is ``require_malcev`` followed by the epi-leg body,
 ``_epi_leg_square``.  The decomposed route calls that body directly for its
-two epi-leg stages, after its own ``is_malcev_span`` check of each stage
-span, so no stage span has its Mal'cev precondition decided twice; and
-``require_malcev`` keeps an accepted span's verdict on the span, so the
-direct and decomposed routes of one span decide it once between them.
+two epi-leg stages, after its own ``is_malcev_span`` check of each new stage
+span; when the right leg is onto, stage 1 runs on the input span itself,
+whose verdict ``require_malcev`` has just kept.  So no stage span has its
+Mal'cev precondition decided twice; and ``require_malcev`` keeps an
+accepted span's verdict on the span, so the direct and decomposed routes of
+one span decide it once between them.
 
 The routes share no colimit code with the verification oracles, which
 decide squares on index tables, so that oracle verdicts about them are
@@ -307,6 +309,8 @@ class DecompositionTrace:
     amalgamation.  ``pasted`` is the outer rectangle on the original span.
     The factors are legs of the squares: the first square's span is
     ``<f, g1>``, the second's ``<g2, f1'>`` and the third's ``<f2', g2'>``.
+    When g is onto, g1 is g and the first square's span is the input span
+    itself, the same object as ``pasted.span``.
     """
 
     squares: tuple[CommutativeSquare, CommutativeSquare, CommutativeSquare]
@@ -338,11 +342,14 @@ class DecompositionTrace:
 def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
     """Pushout of a Mal'cev span by factorize-and-amalgamate.
 
-    Stage 1 factors the right leg and pushes out along its surjective part;
-    stage 2 factors the induced map, pushes out again, and discharges the
-    injectivity obligation on the new induced map twice over (kernel-pair
-    triviality and direct injectivity, compared); stage 3 amalgamates the
-    remaining span of injections.  Any failed obligation falsifies the
+    Stage 1 factors the right leg and pushes out along its surjective part.
+    When g is onto, that part is g itself and stage 1 runs on the input
+    span, whose Mal'cev precondition ``require_malcev`` has just decided;
+    only a new stage span has it checked again.  Stage 2 factors the
+    induced map, pushes out again, and discharges the injectivity
+    obligation on the new induced map twice over (kernel-pair triviality
+    and direct injectivity, compared); stage 3 amalgamates the remaining
+    span of injections.  Any failed obligation falsifies the
     construction itself and aborts loudly.
 
     The skip-mono-check mutant jumps from stage 1 straight to the
@@ -353,11 +360,14 @@ def malcev_pushout_decomposed(s: Span) -> DecompositionTrace:
     f, g = s.left, s.right
 
     g1, g2 = image_factorization(g)
-    stage_one_span = span(f, g1)
-    if not is_malcev_span(stage_one_span):
-        raise InternalInvariantError(
-            "stage-1", "span against the surjective factor is not Mal'cev"
-        )
+    if g1 is g:
+        stage_one_span = s
+    else:
+        stage_one_span = span(f, g1)
+        if not is_malcev_span(stage_one_span):
+            raise InternalInvariantError(
+                "stage-1", "span against the surjective factor is not Mal'cev"
+            )
     first = _epi_leg_square(stage_one_span)
     h1, f_prime = first.cospan.left, first.cospan.right
 

@@ -9,9 +9,11 @@ Riguet, *Relations binaires, fermetures, correspondances de Galois*, Bull.
 SMF 76, 1948): a relation is difunctional exactly when any two of its rows
 are equal or disjoint, so its connected blocks are rectangles.  Relations
 come from ``from_pairs``, ``diagonal`` and the calculus; there is no
-public positional constructor.  ``from_pairs``
-reads a pair list in one loop over the carriers' index dicts; ``tabulate``
-hands the rows' bits, as index pairs, to ``fsets.pair_span`` and keeps the
+public positional constructor.  ``from_pairs`` reads a pair list in one
+loop, which ORs each pair's column bit, looked up in one dict built per
+call, into its row; ``tabulate`` decodes each distinct row once (a
+difunctional relation has at most one per block, and the empty row), hands
+the rows' bits, as index pairs, to ``fsets.pair_span`` and keeps the
 relation on the span it returns; and ``span_to_relation`` builds any other
 span's relation once and keeps it on the span.
 """
@@ -29,9 +31,9 @@ from .fsets import (
     _kept,
     coproduct,
     image_factorization,
-    pair_name,
     pair_span,
 )
+from .names import pair_name
 
 
 def _bits(row: int) -> Iterator[int]:
@@ -63,14 +65,16 @@ class Relation:
         cls, source: FiniteSet, target: FiniteSet, pairs: Iterable[tuple[str, str]]
     ) -> "Relation":
         """The relation holding at each named pair.  One loop subscripts the
-        carriers' index dicts; at the first pair naming an element outside
-        its carrier, source before target, ``FiniteSet.index`` words the
-        ``KeyError``."""
+        source's index dict and a dict from each target name to its column
+        bit, built once per call; at the first pair naming an element
+        outside its carrier, source before target, ``FiniteSet.index``
+        words the ``KeyError``."""
         rows = [0] * len(source)
-        row_of, column_of = source._index, target._index
+        row_of = source._index
+        bit_of = {name: 1 << j for name, j in target._index.items()}
         try:
             for a, b in pairs:
-                rows[row_of[a]] |= 1 << column_of[b]
+                rows[row_of[a]] |= bit_of[b]
         except KeyError:
             source.index(a)
             target.index(b)
@@ -170,8 +174,13 @@ def span_to_relation(s: Span) -> Relation:
 
 def tabulate(r: Relation) -> Span:
     """Jointly monic span of projections from the pair set of r: the
-    ``pair_span`` of the rows' bits, with r kept on it as ``_relation``."""
-    pairs = [(i, j) for i, row in enumerate(r.rows) for j in _bits(row)]
+    ``pair_span`` of the rows' bits, with r kept on it as ``_relation``.
+
+    Each distinct row is decoded once and its bit list read by every row
+    equal to it; the pairs keep their row-major order.  A difunctional
+    relation has at most one distinct row per block, and the empty row."""
+    decoded = {row: list(_bits(row)) for row in set(r.rows)}
+    pairs = [(i, j) for i, row in enumerate(r.rows) for j in decoded[row]]
     s = pair_span(r.source, r.target, pairs)
     object.__setattr__(s, "_relation", r)
     return s

@@ -43,9 +43,9 @@ from .fsets import (
     is_iso,
     kernel_pair,
     mediating_map,
-    pair_name,
     pullback,
 )
+from .names import pair_name
 from .pointed import (
     PointedSpan,
     canonical_pointed_set,

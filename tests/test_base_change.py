@@ -34,8 +34,8 @@ from diexact.fsets import (
     compose,
     fset,
     identity,
-    pair_name,
 )
+from diexact.names import pair_name
 from test_certificates import commuting_squares_up_to_two, matched_pairs_square
 from test_suites import _calls
 

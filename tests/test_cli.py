@@ -8,11 +8,12 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from diexact import cli, fsets, mutants, relations
+from diexact import cli, fsets, mutants, names, relations
 from diexact.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -304,12 +305,25 @@ def _recorded(functions, run):
     return result, calls
 
 
+def _block_document(n: int, unrelated: int = 0) -> str:
+    """One n x n block, and ``unrelated`` elements of B that no element of
+    A relates to, so that the right leg is onto exactly when it is 0."""
+    a = [f"a{i:02d}" for i in range(n)]
+    b = [f"b{j:02d}" for j in range(n + unrelated)]
+    pairs = ", ".join(f"({x},{y})" for x in a for y in b[:n])
+    sets = f"set A = {{{', '.join(a)}}}\nset B = {{{', '.join(b)}}}\n"
+    return sets + f"rel R : A -|> B = {{{pairs}}}\n"
+
+
 class TestFactsDecidedOnce:
     """``--method both`` on an accepted tabulated document builds one
     reference colimit, settles each commutativity that a checked square
     already decided by its cospan's mark, and decides the Mal'cev
     precondition of the input span once; under a mutant the unchecked
-    direct square is still decided."""
+    direct square is still decided.  Its per-pair passes decode each
+    distinct row once, spell pair names in one ``pair_names`` comprehension
+    per carrier, and run stage 1 of the decomposed route on the input span
+    when its right leg is onto."""
 
     def run_both(self, tmp_path, monkeypatch, *flags):
         results = []
@@ -366,6 +380,49 @@ class TestFactsDecidedOnce:
         ]
         checked = "__post_init__" if mutant is None else "_require_commutes_with_span"
         assert deciding == [checked, "commutes_verdict"]
+
+    WORK = (
+        relations._bits,
+        names.pair_name,
+        names.pair_names,
+        relations.Relation._of_index_pairs,
+        relations.joint_monicity_witness,
+        relations.is_difunctional,
+        fsets.first_disagreement,
+    )
+
+    def work(self, tmp_path, document):
+        path = write(tmp_path, "r.txt", document)
+        args = ["pushout", "--method", "both", path]
+        (code, out, _), calls = _recorded(self.WORK, lambda: run_here(args))
+        assert code == 0 and "AGREEMENT: true" in out
+        return calls, Counter(called for called, _, _ in calls)
+
+    def test_a_one_block_32x32_document(self, tmp_path):
+        """A generator is entered once per resume, 33 times to decode a row
+        of 32 bits: tabulate decodes its one distinct row once, not each of
+        its 32 equal rows.  The three carriers of pairs are the tabulation,
+        stage 2's kernel pair and the PULLBACK oracle's pairing."""
+        calls, counts = self.work(tmp_path, _block_document(32))
+        assert counts == {
+            "_bits": 436,
+            "pair_names": 3,
+            "_of_index_pairs": 1,
+            "joint_monicity_witness": 2,
+            "is_difunctional": 1,
+            "first_disagreement": 7,
+        }
+        naming = [caller for called, caller, _ in calls if called == "pair_names"]
+        assert naming == ["pair_span", "pair_span", "_pullback_verdict"]
+
+    def test_a_right_leg_that_is_not_onto(self, tmp_path):
+        """Stage 1 then runs on a span against the image of the right leg,
+        and decides that span's Mal'cev obligation itself."""
+        _, counts = self.work(tmp_path, _block_document(4, unrelated=1))
+        assert counts["pair_name"] == 0 and counts["pair_names"] == 3
+        assert counts["_of_index_pairs"] == 2
+        assert counts["joint_monicity_witness"] == 3
+        assert counts["is_difunctional"] == 2
 
 
 class TestOneParser:

@@ -32,12 +32,12 @@ from diexact.fsets import (
     is_mono,
     kernel_pair,
     mediating_map,
-    pair_name,
     pair_span,
     pullback,
     quotient_by_generated,
     span,
 )
+from diexact.names import pair_name
 from diexact.certificates import is_pushout_square, pullback_by_universal_property
 from diexact.pushouts import malcev_pushout_decomposed, malcev_pushout_direct, pushout_epi_leg
 from diexact.relations import (

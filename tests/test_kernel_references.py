@@ -12,12 +12,16 @@ generator, a mutant branch that tests every cell of the block relation for
 its links, a quotient by equivalence, an image factorization and a
 mediating map that build their functions from value names, and an epi-leg
 route that checks its induced leg by gathering the landing classes of
-every apex element.  Each kernel must return exactly what its reference
+every apex element.  Beside them: ``pair_name`` once per pair against the
+one ``pair_names`` comprehension, an image factorization that builds a new
+image and ranks every map, onto or not, and a ``SetFunction`` repr over the
+derived value names.  Each kernel must return exactly what its reference
 returns, refusals and their wording included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -55,16 +59,16 @@ from diexact.fsets import (
     _require_commutes_with_span,
     all_functions,
     canonical_pushout,
+    compose,
     coproduct,
     image_factorization,
     is_epi,
     mediating_map,
-    pair_name,
     pair_span,
     quotient_by_generated,
     require_epi,
 )
-from diexact.names import LEFT, RIGHT, tagged
+from diexact.names import LEFT, RIGHT, pair_name, pair_names, tagged
 from diexact import mutants, pushouts
 from diexact.pushouts import _epi_leg_square, malcev_pushout_direct, pushout_equivalence
 from diexact.relations import (
@@ -613,6 +617,52 @@ class TestTabulateAgainstPairs:
             unordered += apex != tuple(pair_name(a, b) for a, b in r.pairs())
         assert unordered
 
+    @pytest.mark.parametrize("drop", (False, True))
+    def test_seeded_block_relations_with_repeated_rows(self, drop):
+        """The shapes of the pushout documents: n elements a side dealt into
+        k in {1, 2, n/8, n/4} blocks, so the rows of a block are equal,
+        and with ``drop`` one pair removed, so that one row differs."""
+        repeated = 0
+        for r in seeded_block_relations(26, drop):
+            s, t = tabulate(r), pairs_based_tabulate(r)
+            assert s == t, r
+            assert (s.left.table, s.right.table) == (t.left.table, t.right.table), r
+            repeated += len(set(r.rows)) < len(r.rows)
+        assert repeated == 34
+
+
+def seeded_block_relations(seed: int, drop: bool):
+    """Each side of n in {8, 16, 24, 32, 48} dealt into k blocks for every
+    k in {1, 2, n/8, n/4}, twice over; with ``drop``, less one pair."""
+    rng = random.Random(seed)
+    for n in (8, 16, 24, 32, 48):
+        for k in sorted({1, 2, n // 8, n // 4}) * 2:
+            block_a = rng.sample([x % k for x in range(n)], n)
+            block_b = rng.sample([x % k for x in range(n)], n)
+            cells = [(i, j) for i in range(n) for j in range(n) if block_a[i] == block_b[j]]
+            if drop:
+                cells.pop(rng.randrange(len(cells)))
+            yield Relation._of_index_pairs(letters("a", n), letters("b", n), cells)
+
+
+def index_pairs(r: Relation) -> list[tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(r.rows) for j in range(len(r.target)) if row >> j & 1]
+
+
+class TestPairNamesAgainstPairName:
+    def test_every_relation_up_to_3x3_and_seeded_7x7(self):
+        """Over the stems of ``seeded_7x7_relations`` too, whose pair names
+        sort out of index order; the index pairs may come as one pass of an
+        iterator."""
+        checked = 0
+        for r in itertools.chain(relations_up_to_3x3(), seeded_7x7_relations(31, 2000)):
+            a, b = r.source.elements, r.target.elements
+            pairs = index_pairs(r)
+            expected = [pair_name(a[i], b[j]) for i, j in pairs]
+            assert pair_names(a, b, pairs) == expected == pair_names(a, b, iter(pairs)), r
+            checked += 1
+        assert checked == 689 + 2000
+
 
 
 def cell_scan_links(e: Relation, m: int, diagonal: bool) -> list[tuple[int, int]]:
@@ -671,6 +721,94 @@ def name_built_image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunc
     values = f.values
     image = FiniteSet(tuple(set(values)))
     return SetFunction(f.domain, image, values), SetFunction(image, f.codomain, image.elements)
+
+
+def rank_built_image_factorization(f: SetFunction) -> tuple[SetFunction, SetFunction]:
+    """``image_factorization`` that builds a new image and ranks every
+    value, onto or not."""
+    hit = sorted(set(f.table))
+    names = f.codomain.elements
+    image = FiniteSet(tuple([names[j] for j in hit]))
+    rank = {j: n for n, j in enumerate(hit)}
+    onto = SetFunction._of_table(f.domain, image, tuple([rank[j] for j in f.table]))
+    return onto, SetFunction._of_table(image, f.codomain, tuple(hit))
+
+
+def seeded_maps(seed: int, count: int):
+    """Maps between sets of up to seven elements named by the stems of
+    ``seeded_7x7_relations``, a third of them made onto."""
+    rng = random.Random(seed)
+    stems = ["a", "a'", "a*", "a_", "a''", "*a", "_a", "a_'", "'a", "a**"]
+    for _ in range(count):
+        n = rng.randint(0, 7)
+        m = rng.randint(1, 7) if n else 0
+        table = [rng.randrange(n) for _ in range(m)]
+        if rng.random() < 1 / 3 and m >= n:
+            table[:n] = range(n)
+            rng.shuffle(table)
+        domain = FiniteSet(tuple(rng.sample(stems, m)))
+        codomain = FiniteSet(tuple(x.replace("a", "b") for x in rng.sample(stems, n)))
+        yield SetFunction._of_table(domain, codomain, tuple(table))
+
+
+class TestImageFactorizationAgainstRanks:
+    def check(self, f: SetFunction) -> bool:
+        onto, inclusion = image_factorization(f)
+        assert (onto, inclusion) == rank_built_image_factorization(f), f
+        assert (onto is f) == is_epi(f), f
+        return onto is f
+
+    def test_every_function_up_to_three_to_three(self):
+        functions = [
+            f
+            for m, n in itertools.product(range(4), repeat=2)
+            for f in all_functions(letters("a", m), letters("b", n))
+        ]
+        onto = [self.check(f) for f in functions]
+        assert any(onto) and not all(onto)
+
+    def test_seeded_maps_up_to_seven_to_seven(self):
+        onto = [self.check(f) for f in seeded_maps(32, 2000)]
+        assert 300 < sum(onto) < 1700
+
+    def test_the_decomposed_route_against_rank_built_factors(self, monkeypatch):
+        """With every factorization built anew, stage 1 runs on a copy of
+        the input span; the trace is equal, and its first square's span is
+        the input span exactly when the right leg is onto."""
+        spans = [s for _, s in exhaustive_malcev_spans(3)]
+        traces = [pushouts.malcev_pushout_decomposed(s) for s in spans]
+        monkeypatch.setattr(pushouts, "image_factorization", rank_built_image_factorization)
+        for s, trace in zip(spans, traces):
+            assert trace == pushouts.malcev_pushout_decomposed(dataclasses.replace(s)), s
+            assert (trace.squares[0].span is s) == is_epi(s.right), s
+
+
+def values_based_repr(f: SetFunction) -> str:
+    """``SetFunction.__repr__`` over the derived value names."""
+    return "{" + ", ".join(f"{a} |-> {b}" for a, b in zip(f.domain.elements, f.values)) + "}"
+
+
+class TestReprAgainstValues:
+    def test_every_function_up_to_three_to_three_and_seeded_maps(self):
+        functions = itertools.chain(
+            (
+                f
+                for m, n in itertools.product(range(4), repeat=2)
+                for f in all_functions(letters("a", m), letters("b", n))
+            ),
+            seeded_maps(33, 2000),
+        )
+        for f in functions:
+            assert repr(f) == values_based_repr(f)
+
+    def test_the_legs_and_composites_of_tabulations(self):
+        """Each leg of a tabulation and the composite to the corner of its
+        reference colimit, as a report prints them."""
+        for r in seeded_7x7_relations(34, 300):
+            s = tabulate(r)
+            composite = compose(canonical_pushout(s).cospan.left, s.left)
+            for f in (s.left, s.right, composite):
+                assert repr(f) == values_based_repr(f)
 
 
 def partition_equivalence(a: FiniteSet, blocks) -> Relation:

@@ -582,15 +582,19 @@ def test_generated_carriers_are_built_from_positions():
     """Pairs become a carrier only in ``pair_span``, and both least-member
     quotients end in ``image_factorization``; none of these builders looks
     a value up by name through the name-valued ``SetFunction`` constructor,
-    and in ``fsets`` and ``relations`` only ``pair_span`` and the relation's
-    ``repr`` spell a pair name."""
+    and in ``fsets`` and ``relations`` only ``pair_span``, by ``pair_names``,
+    and the relation's ``repr``, by ``pair_name``, spell a pair name."""
     for (module, name), builder in CARRIER_BUILDERS.items():
         called = _bare_calls(module, (name,))
         assert "SetFunction" not in called, name
         assert builder is None or builder in called, name
-    naming = _bare_call_sites("fsets.py", "pair_name")
-    naming += _bare_call_sites("relations.py", "pair_name")
-    assert naming == ["pair_span", "Relation.__repr__"]
+    naming = [
+        (site, name)
+        for module in ("fsets.py", "relations.py")
+        for name in ("pair_name", "pair_names")
+        for site in _bare_call_sites(module, name)
+    ]
+    assert naming == [("pair_span", "pair_names"), ("Relation.__repr__", "pair_name")]
 
 
 def test_the_decomposed_route_calls_the_epi_leg_body():
