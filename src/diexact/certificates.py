@@ -7,10 +7,10 @@ onto the square's corner is a bijection; it builds no colimit, so it shares
 no code with the constructions.  The pullback oracle tests whether the
 apex's pairing map onto the fiber-product pair set is a bijection, by
 counting: the apex's pair names must be distinct and as many as the fiber
-product, Σ over a of |k⁻¹(h(a))|.  The canonical ``pullback`` builds that
-pair set only when the count fails, to name the missing pair.  ``certify``
-decides commutativity once and then runs both oracles on the square; called
-alone, each oracle checks commutativity itself.
+product, Σ over a of |k⁻¹(h(a))|.  Only when the count fails does it name
+the fiber pairs, to find the missing one; it builds no pullback span.
+``certify`` decides commutativity once and then runs both oracles on the
+square; called alone, each oracle checks commutativity itself.
 Stability is decided fiberwise over the corner, and its evidence is the
 pushout oracle's comparison: one class of A + B lies over each corner
 element.  Each verdict stores enough evidence to re-check it without
@@ -47,10 +47,11 @@ from .fsets import (
     SetFunction,
     compose,
     disagreement_text,
+    fiber_pairs,
     first_disagreement,
     is_mono,
     kernel_pair,
-    pullback,
+    refuse_pair_clash,
 )
 from .names import LEFT, RIGHT, pair_name, pair_names, tagged
 from .relations import Relation, quotient_by_equivalence, span_to_relation
@@ -189,10 +190,11 @@ def is_pullback_square(square: CommutativeSquare) -> Verdict:
     names its pair ``(f(c),g(c))``, which lies in the fiber product because
     the square commutes, so the pairing is a bijection iff those names are
     distinct and as many as the fiber product, Σ over a of |k⁻¹(h(a))|.
-    Only a square that fails the count builds the fiber product's pair set,
-    the apex of the canonical ``pullback``, to word the refusal: a pair-name
-    clash among the fiber pairs is refused there first, then the first apex
-    name taken twice, then the first pair with no apex element."""
+    Only a square that fails the count names the fiber product's pairs, to
+    word the refusal, and builds no span of them: a pair-name clash among
+    the fiber pairs is refused first (by ``refuse_pair_clash``, as the
+    canonical ``pullback`` refuses it), then the first apex name taken
+    twice, then the least fiber pair name with no apex element."""
     _require_commuting(square)
     return _pullback_verdict(square)
 
@@ -206,7 +208,10 @@ def _pullback_verdict(square: CommutativeSquare) -> Verdict:
     if len(set(names)) == len(names) == sum([over[d] for d in h_t]):
         pairing = SetFunction(square.span.apex, FiniteSet(names), names)
         return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
-    pairs = pullback(square.cospan).apex
+    pairs = fiber_pairs(square.cospan)
+    fiber = pair_names(a.elements, b.elements, pairs)
+    if len(set(fiber)) != len(fiber):
+        refuse_pair_clash(a, b, fiber, pairs)
     seen: dict[str, str] = {}
     for c, name in zip(square.span.apex, names):
         if name in seen:
@@ -216,11 +221,11 @@ def _pullback_verdict(square: CommutativeSquare) -> Verdict:
                 (seen[name], c, name),
             )
         seen[name] = c
-    missing = [p for p in pairs if p not in seen]
+    missing = min([name for name in fiber if name not in seen])
     return Verdict(
         False,
-        f"pair {missing[0]} has equal images under the cospan but no apex element",
-        missing[0],
+        f"pair {missing} has equal images under the cospan but no apex element",
+        missing,
     )
 
 

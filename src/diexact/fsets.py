@@ -16,8 +16,14 @@ the span it commutes with, so ``_require_commutes_with_span`` returns at
 once for that exact pair, and the span keeps its reference colimit's
 cospan (as ``relations`` keeps its relation) for every later
 ``canonical_pushout``.  Only a checked construction sets a mark, and a mark
-refers to its span weakly, so no span is kept alive by a cospan.  Every
-fact kept on a value is read and kept by one helper, ``_kept``.
+refers to its span weakly, so no span is kept alive by a cospan.
+``FiniteSet``, ``SetFunction`` and ``Span`` keep their hash the same way,
+as ``_hash``: the hash of the field tuple, the value the dataclass hash
+gives, so set and dict order do not move, while a memo keyed by spans, or
+``coproduct``'s cache keyed by feet, hashes no value's fields twice.  A
+kept hash, like a weak mark, holds only in the process that made it, and
+no value leaves its process.  Every fact kept on a value is read and kept
+by one helper, ``_kept``.
 
 Constructed elements are named by three rules, each built from positions
 by one builder:
@@ -58,7 +64,8 @@ class FiniteSet:
     """An ordered set of distinct element names (opaque strings).
 
     ``_index`` maps each name to its position; building it is also the
-    duplicate check.  It is not a field, so equality and hashing ignore it.
+    duplicate check.  It is not a field, so equality and hashing ignore it,
+    and so is the hash ``_hash``, kept once asked for.
     """
 
     elements: tuple[str, ...]
@@ -90,6 +97,9 @@ class FiniteSet:
     def __repr__(self) -> str:
         return "{" + ", ".join(self.elements) + "}"
 
+    def __hash__(self) -> int:
+        return _kept(self, "_hash", lambda: hash((self.elements,)))
+
 
 EMPTY = FiniteSet(())
 
@@ -103,8 +113,9 @@ def fset(*names: str) -> FiniteSet:
 class SetFunction:
     """A total map between finite sets, stored as ``table``, the codomain
     position of each value in domain order; equality compares all three
-    fields.  The constructor is the one place where value names become a
-    table, and ``_of_table`` takes a table already known.
+    fields, and their hash is kept as ``_hash`` once asked for.  The
+    constructor is the one place where value names become a table, and
+    ``_of_table`` takes a table already known.
     """
 
     domain: FiniteSet
@@ -166,6 +177,9 @@ class SetFunction:
         pairs = zip(self.domain.elements, self.table)
         return "{" + ", ".join([f"{a} |-> {names[j]}" for a, j in pairs]) + "}"
 
+    def __hash__(self) -> int:
+        return _kept(self, "_hash", lambda: hash((self.domain, self.codomain, self.table)))
+
 
 def identity(a: FiniteSet) -> SetFunction:
     return SetFunction._of_table(a, a, tuple(range(len(a))))
@@ -215,9 +229,10 @@ class Span:
     ``dataclasses.replace`` gives a span without them: its relation
     ``_relation`` (``relations.span_to_relation``, or ``relations.tabulate``
     as it builds the span), the cospan ``_pushout`` of its reference colimit
-    (``canonical_pushout``) and its Mal'cev verdict ``_malcev``
-    (``pushouts.require_malcev``), each read and kept by ``_kept``.  None
-    of them refers back to the span.
+    (``canonical_pushout``), its Mal'cev verdict ``_malcev``
+    (``pushouts.require_malcev``) and its hash ``_hash``, the hash of the
+    field tuple, each read and kept by ``_kept``.  None of them refers
+    back to the span.
     """
 
     apex: FiniteSet
@@ -231,6 +246,9 @@ class Span:
     @property
     def feet(self) -> tuple[FiniteSet, FiniteSet]:
         return self.left.codomain, self.right.codomain
+
+    def __hash__(self) -> int:
+        return _kept(self, "_hash", lambda: hash((self.apex, self.left, self.right)))
 
 
 def span(left: SetFunction, right: SetFunction) -> Span:
@@ -343,39 +361,50 @@ def pair_span(a: FiniteSet, b: FiniteSet, index_pairs: list[tuple[int, int]]) ->
     are both ``(x,y,z)``), so a clash is refused with both pairs named.  All
     names are built in one ``pair_names`` pass, and they clash exactly when
     the dict from name to index pair is smaller than the list; only then
-    does a second pass find the first pair whose name was already taken, to
-    word the refusal.  Each leg's codomain is the foot itself, so an onto
-    leg is its own surjective part under ``image_factorization``, and its
-    inclusion is the identity of the foot.
+    does ``refuse_pair_clash`` walk them again, to word the refusal.  Each
+    leg's codomain is the foot itself, so an onto leg is its own surjective
+    part under ``image_factorization``, and its inclusion is the identity
+    of the foot.
     """
-    a_names, b_names = a.elements, b.elements
-    names = pair_names(a_names, b_names, index_pairs)
+    names = pair_names(a.elements, b.elements, index_pairs)
     by_name = dict(zip(names, index_pairs))
     if len(by_name) != len(names):
-        first: dict[str, tuple[str, str]] = {}
-        for name, (i, j) in zip(names, index_pairs):
-            pair = (a_names[i], b_names[j])
-            if name in first:
-                raise PreconditionError(
-                    f"pairs {first[name]!r} and {pair!r} both get the element name {name!r}"
-                )
-            first[name] = pair
+        refuse_pair_clash(a, b, names, index_pairs)
     apex = FiniteSet(tuple(by_name))
     parts = [by_name[name] for name in apex.elements]
     left = SetFunction._of_table(apex, a, tuple([i for i, _ in parts]))
     return Span(apex, left, SetFunction._of_table(apex, b, tuple([j for _, j in parts])))
 
 
-def pullback(cospan_: Cospan) -> Span:
-    """Canonical pullback span: pairs with equal images, named ``"(a,b)"``,
-    found by grouping k's domain by image once.  It commutes with the
-    cospan by construction."""
+def refuse_pair_clash(
+    a: FiniteSet, b: FiniteSet, names: list[str], index_pairs: list[tuple[int, int]]
+) -> None:
+    """Refuse the first of the index pairs whose name, in ``names``, an
+    earlier pair already has, with both pairs named."""
+    first: dict[str, tuple[str, str]] = {}
+    for name, (i, j) in zip(names, index_pairs):
+        pair = (a.elements[i], b.elements[j])
+        if name in first:
+            raise PreconditionError(
+                f"pairs {first[name]!r} and {pair!r} both get the element name {name!r}"
+            )
+        first[name] = pair
+
+
+def fiber_pairs(cospan_: Cospan) -> list[tuple[int, int]]:
+    """The index pairs (i, j) with equal images ``h(i) = k(j)``, by i and
+    then j, found by grouping k's domain by image once."""
     h, k = cospan_.left, cospan_.right
     over: dict[int, list[int]] = {}
     for j, d in enumerate(k.table):
         over.setdefault(d, []).append(j)
-    pairs = [(i, j) for i, d in enumerate(h.table) for j in over.get(d, ())]
-    return pair_span(h.domain, k.domain, pairs)
+    return [(i, j) for i, d in enumerate(h.table) for j in over.get(d, ())]
+
+
+def pullback(cospan_: Cospan) -> Span:
+    """Canonical pullback span: the ``fiber_pairs``, named ``"(a,b)"``.  It
+    commutes with the cospan by construction."""
+    return pair_span(cospan_.left.domain, cospan_.right.domain, fiber_pairs(cospan_))
 
 
 def kernel_pair(f: SetFunction) -> Span:

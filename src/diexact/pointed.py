@@ -103,7 +103,8 @@ class PointedSpan:
         if self.left.domain != self.apex or self.right.domain != self.apex:
             raise ValueError("pointed span legs must share the apex")
         if given is not None:
-            if given != Span(self.apex.carrier, self.left.function, self.right.function):
+            legs = (self.apex.carrier, self.left.function, self.right.function)
+            if (given.apex, given.left, given.right) != legs:
                 raise ValueError("given span is not the span of the pointed legs")
             object.__setattr__(self, "_underlying", given)
 
@@ -128,21 +129,28 @@ class PointedPushoutResult:
     k: PointedMap
 
 
-def pointed_malcev_pushout(ps: PointedSpan) -> PointedPushoutResult:
+def pointed_malcev_pushout(
+    ps: PointedSpan, plain: MalcevPushoutResult | None = None
+) -> PointedPushoutResult:
     """Pushout of a pointed Mal'cev span: the underlying pushout with the
     corner pointed at the (shared) image of the basepoints.
 
+    ``plain``, when given, is the direct route's result on the underlying
+    span, and the route re-points it instead of building it again; the
+    suites build it once and also compare it with the pointed corner.
     Both legs send basepoints to basepoints and the square commutes, so the
-    image is well defined.  The drop-basepoint-link mutant removes the
-    basepoint pair from the relation before quotienting, which breaks
-    exactly that guarantee; so, like the route squares of ``pushouts``, the
-    right leg is checked to preserve the basepoint unless a mutant is on.
+    image is well defined.  The drop-basepoint-link mutant ignores
+    ``plain`` and removes the basepoint pair from the relation before
+    quotienting, which breaks exactly that guarantee; so, like the route
+    squares of ``pushouts``, the right leg is checked to preserve the
+    basepoint unless a mutant is on.
     """
-    s = ps.underlying
     if mutants.active(mutants.DROP_BASEPOINT):
         result = _pushout_without_basepoint_link(ps)
+    elif plain is None:
+        result = malcev_pushout_direct(ps.underlying)
     else:
-        result = malcev_pushout_direct(s)
+        result = plain
     a_pointed, b_pointed = ps.left.codomain, ps.right.codomain
     corner = PointedSet(result.corner, result.h(a_pointed.basepoint))
     h = PointedMap(a_pointed, corner, result.h)

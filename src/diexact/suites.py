@@ -10,18 +10,22 @@ The span corpus of T2 and D and the pointed corpus of P1 both come from
 ``enumeration.malcev_corpus``.  T2 and D of one run share one span corpus
 and the direct route's result for each distinct span, both built once per
 run and dropped with it; T2 compares every route's corner with one
-reference colimit per distinct span.
+reference colimit per distinct span.  P1 builds one direct pushout per
+distinct pointed span, which the pointed route re-points and the transfer
+check compares with.
 
 Every suite but P0 is a labelled corpus of instances plus one generator of
 the (check, witness) pairs an instance fails, run by the one loop ``_run``.
 ``_run`` enables ``SuiteConfig.mutant`` (see ``mutants``), counts the
 instances, records a failure per pair and turns an error raised while
 checking an instance into a ``construction`` failure.  It builds and checks
-each distinct instance once per suite; an equal instance repeated later
-reports that instance's failures under its own label.  P0 checks the
-zero-object facts, which no mutant touches, and enables none.  Every mutant
-must make at least one suite fail with an element-level witness, which is
-how the suites themselves are tested for teeth.
+each distinct instance once per suite, looking each key up once (the
+spans and their sets and functions keep their hashes, so a lookup walks
+no fields); an equal instance repeated later reports that instance's
+failures under its own label.  P0 checks the zero-object facts, which no
+mutant touches, and enables none.  Every mutant must make at least one
+suite fail with an element-level witness, which is how the suites
+themselves are tested for teeth.
 """
 
 from __future__ import annotations
@@ -192,9 +196,10 @@ def _run(
     with mutants.enabled(config.mutant):
         for label, key in labelled:
             total += 1
-            if key not in memo:
-                memo[key] = tuple(caught(key))
-            failures += (SuiteFailure(label, check, witness) for check, witness in memo[key])
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = tuple(caught(key))
+            failures += (SuiteFailure(label, check, witness) for check, witness in found)
     return SuiteReport(name, description, total, tuple(failures))
 
 
@@ -309,9 +314,10 @@ class _SpanRun:
         self._direct: dict[Span, MalcevPushoutResult] = {}
 
     def direct(self, s: Span) -> MalcevPushoutResult:
-        if s not in self._direct:
-            self._direct[s] = malcev_pushout_direct(s)
-        return self._direct[s]
+        result = self._direct.get(s)
+        if result is None:
+            result = self._direct[s] = malcev_pushout_direct(s)
+        return result
 
 
 def _corner_failures(
@@ -415,39 +421,50 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, PointedSpan]]:
     return list(malcev_corpus(carriers, carriers, small, rng, count, build, pointed=True))
 
 
+def _pointed_pushout_failures(ps: PointedSpan) -> Checks:
+    """P1's checks of one pointed span.  The span's one direct pushout
+    ``plain`` is both what the pointed route re-points and what the
+    ``transfer`` check compares the pointed corner's carrier with; a
+    mutant in ``pointed`` that builds its own quotient makes them differ."""
+    plain = malcev_pushout_direct(ps.underlying)
+    result = pointed_malcev_pushout(ps, plain)
+    yield from _certificate_failures(certify(result.underlying.square))
+    base_a = ps.left.codomain.basepoint
+    base_b = ps.right.codomain.basepoint
+    corner_base = result.corner.basepoint
+    for side, leg, base in (("left", result.h, base_a), ("right", result.k, base_b)):
+        image = leg.function(base)
+        if image != corner_base:
+            yield (
+                f"basepoint:{side}",
+                f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
+            )
+    if result.underlying.square.corner != plain.corner:
+        yield (
+            "transfer",
+            f"pointed corner carrier {result.underlying.square.corner} "
+            f"differs from the plain pushout corner {plain.corner}",
+        )
+    pulled_base = pointed_pullback(result.h, result.k).apex.basepoint
+    expected_base = pair_name(base_a, base_b)
+    if pulled_base != expected_base:
+        yield (
+            "pointed-pullback",
+            f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
+        )
+
+
 def suite_pointed_pushouts(config: SuiteConfig) -> SuiteReport:
     """Pointed Mal'cev pushouts: certified on the underlying sets, with
-    basepoint bookkeeping and the underlying-set transfer equality."""
-
-    def checks(ps) -> Checks:
-        result = pointed_malcev_pushout(ps)
-        yield from _certificate_failures(certify(result.underlying.square))
-        base_a = ps.left.codomain.basepoint
-        base_b = ps.right.codomain.basepoint
-        corner_base = result.corner.basepoint
-        for side, leg, base in (("left", result.h, base_a), ("right", result.k, base_b)):
-            image = leg.function(base)
-            if image != corner_base:
-                yield (
-                    f"basepoint:{side}",
-                    f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
-                )
-        plain = malcev_pushout_direct(ps.underlying)
-        if result.underlying.square.corner != plain.corner:
-            yield (
-                "transfer",
-                f"pointed corner carrier {result.underlying.square.corner} "
-                f"differs from the plain pushout corner {plain.corner}",
-            )
-        pulled_base = pointed_pullback(result.h, result.k).apex.basepoint
-        expected_base = pair_name(base_a, base_b)
-        if pulled_base != expected_base:
-            yield (
-                "pointed-pullback",
-                f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
-            )
-
-    return _run(config, "P1", "pointed-pushout-certificates", _pointed_corpus(config), checks)
+    basepoint bookkeeping and the underlying-set transfer equality, one
+    direct pushout per distinct pointed span."""
+    return _run(
+        config,
+        "P1",
+        "pointed-pushout-certificates",
+        _pointed_corpus(config),
+        _pointed_pushout_failures,
+    )
 
 
 def pointed_diexact_suite(config: SuiteConfig) -> RunReport:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -106,6 +107,77 @@ class TestSetFunction:
             dataclasses.replace(f, codomain=fset("w", "x", "y"))
         with pytest.raises(TypeError):
             dataclasses.replace(f, table=(0, 0))
+
+
+class TestKeptHash:
+    """``FiniteSet``, ``SetFunction`` and ``Span`` keep their hash, once
+    asked for, as ``_hash``, an attribute that is not a field: the hash of
+    the field tuple, as the dataclass would compute it."""
+
+    @staticmethod
+    def fresh():
+        a, b = fset("b", "a"), fset("x", "y")
+        f = SetFunction(a, b, ("y", "x"))
+        return [a, f, Span(a, f, SetFunction(a, b, ("x", "x")))]
+
+    def test_the_kept_hash_is_the_hash_of_the_field_tuple(self):
+        for value in self.fresh():
+            fields = tuple(getattr(value, field.name) for field in dataclasses.fields(value))
+            assert "_hash" not in vars(value)
+            assert hash(value) == hash(fields) == vars(value)["_hash"]
+            assert "_hash" not in {field.name for field in dataclasses.fields(value)}
+
+    def test_equal_values_built_by_different_paths_hash_equal(self):
+        a, b = fset("b", "a"), FiniteSet(("a", "b"))
+        assert a == b and hash(a) == hash(b)
+        by_names = SetFunction(a, fset("y", "x"), ("y", "x"))
+        by_table = SetFunction._of_table(b, FiniteSet(("x", "y")), (1, 0))
+        assert by_names == by_table and hash(by_names) == hash(by_table)
+        s = pair_span(a, b, [(0, 1), (1, 0)])
+        twin = span(
+            SetFunction(fset("(a,b)", "(b,a)"), a, ("a", "b")),
+            SetFunction(fset("(b,a)", "(a,b)"), b, ("b", "a")),
+        )
+        assert s == twin and hash(s) == hash(twin)
+
+    def test_replace_gives_a_value_without_it(self):
+        for value in self.fresh():
+            hash(value)
+            if isinstance(value, SetFunction):
+                # ``replace`` is refused (see ``TestSetFunction``); the
+                # constructor builds the equal function afresh.
+                twin = SetFunction(value.domain, value.codomain, value.values)
+            else:
+                twin = dataclasses.replace(value)
+            assert "_hash" in vars(value) and "_hash" not in vars(twin)
+            assert hash(twin) == hash(value)
+
+    def test_equality_and_repr_ignore_it(self):
+        for value, twin in zip(self.fresh(), self.fresh()):
+            before = repr(value)
+            object.__setattr__(value, "_hash", hash(value) + 1)
+            assert value == twin and repr(value) == repr(twin) == before
+
+    def test_a_kept_hash_walks_no_field(self):
+        """Once a span is hashed, looking it up again hashes none of its
+        sets or functions."""
+        s = self.fresh()[2]
+        memo = {s: "kept"}
+        codes = {cls.__hash__.__code__: cls.__name__ for cls in (FiniteSet, SetFunction)}
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                entered.append(codes[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            found = memo[s], memo[dataclasses.replace(s)]
+        finally:
+            sys.setprofile(None)
+        assert found == ("kept", "kept")
+        # The fresh twin hashes its fields, whose hashes are kept already.
+        assert sorted(entered) == ["FiniteSet", "SetFunction", "SetFunction"]
 
 
 class TestCompose:

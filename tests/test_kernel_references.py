@@ -5,7 +5,8 @@ one builtin, and walks its input again only to word a refusal.  The loops
 it replaced are kept here as references: a union-find that makes one
 ``find()`` call per link endpoint, a per-pair clash dict of named pairs, a
 per-apex joint-monicity dict, a pullback oracle that builds the fiber
-pairs before it looks at the apex, a ``finditer`` pair-list scan that
+pairs before it looks at the apex, one that builds the canonical pullback
+span to word a refusal, a ``finditer`` pair-list scan that
 checks each gap as it meets it, a ``from_pairs`` that calls
 ``FiniteSet.index`` per name, a ``tabulate`` over the nested ``pairs()``
 generator, a mutant branch that tests every cell of the block relation for
@@ -25,6 +26,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -34,6 +36,8 @@ from diexact.certificates import (
     Verdict,
     _base_change_is_pushout,
     _fibers,
+    _pullback_verdict,
+    _tables,
     is_pullback_square,
     is_pushout_square,
 )
@@ -65,6 +69,7 @@ from diexact.fsets import (
     is_epi,
     mediating_map,
     pair_span,
+    pullback,
     quotient_by_generated,
     require_epi,
 )
@@ -455,6 +460,83 @@ class TestPullbackOracleAgainstFiberPairsFirst:
             assert refused == outcome(reference_pullback_verdict, candidate)
             assert refused[0] is PreconditionError and text in refused[1]
 
+
+
+def pullback_built_verdict(square: CommutativeSquare) -> Verdict:
+    """``_pullback_verdict`` that builds the canonical ``pullback`` span, both
+    legs and the ``Span``, to read the fiber pairs off its apex when a
+    square fails the count."""
+    f_t, g_t, h_t, k_t = _tables(square)
+    a, b = square.span.feet
+    names = pair_names(a.elements, b.elements, zip(f_t, g_t))
+    over = Counter(k_t)
+    if len(set(names)) == len(names) == sum([over[d] for d in h_t]):
+        pairing = SetFunction(square.span.apex, FiniteSet(names), names)
+        return Verdict(True, "apex tabulates the cospan's fiber product", pairing)
+    pairs = pullback(square.cospan).apex
+    seen: dict[str, str] = {}
+    for c, name in zip(square.span.apex, names):
+        if name in seen:
+            return Verdict(
+                False,
+                f"apex elements {seen[name]!r} and {c!r} both tabulate {name}",
+                (seen[name], c, name),
+            )
+        seen[name] = c
+    missing = [p for p in pairs if p not in seen]
+    return Verdict(
+        False,
+        f"pair {missing[0]} has equal images under the cospan but no apex element",
+        missing[0],
+    )
+
+
+class TestPullbackRefusalAgainstTheBuiltPullback:
+    """A refused square is worded from the fiber pairs' names alone, with
+    the text and evidence that reading them off the built pullback gives."""
+
+    def check(self, square: CommutativeSquare) -> Verdict | tuple:
+        verdict = outcome(_pullback_verdict, square)
+        assert verdict == outcome(pullback_built_verdict, square), square
+        return verdict
+
+    def test_the_refused_sampled_squares(self):
+        squares = sample_commuting_squares(random.Random(0), 3000, 3)
+        refused = [square for square in squares if not is_pullback_square(square).ok]
+        assert len(refused) == 1303
+        kinds = Counter(self.check(square).detail.split()[0] for square in refused)
+        assert kinds == {"pair": 872, "apex": 431}
+
+    def test_duplicate_and_missing_apex_pairs(self):
+        rng, kinds = random.Random(17), Counter()
+        for square in SAMPLED_SQUARES:
+            fiber = fiber_index_pairs(square)
+            if len(fiber) < 2:
+                continue
+            for pairs in (fiber + fiber[:1], fiber[1:] + fiber[-1:], rng.sample(fiber, 1)):
+                rng.shuffle(pairs)
+                verdict = self.check(with_apex(square, pairs))
+                assert not verdict.ok
+                kinds[verdict.detail.split()[0]] += 1
+        assert kinds["pair"] > 100 and kinds["apex"] > 200
+
+    def test_pair_names_that_do_not_sort_in_index_order(self):
+        """Reference colimits of tabulations over the stems of
+        ``seeded_7x7_relations``: a relation that is not difunctional leaves
+        fiber pairs out of the apex, and the least missing name is often
+        not the first missing pair in index order."""
+        refused = 0
+        for r in seeded_7x7_relations(31, 300):
+            square = canonical_pushout(tabulate(r))
+            refused += not self.check(square).ok
+        assert refused > 100
+
+    def test_a_pair_name_clash_among_the_fiber_pairs(self):
+        square = malcev_pushout_direct(pair_name_clash()).square
+        for pairs in (fiber_index_pairs(square) * 2, fiber_index_pairs(square)[:1]):
+            refused = self.check(with_apex(square, pairs))
+            assert refused[0] is PreconditionError
+            assert "both get the element name '(x,y,z)'" in refused[1]
 
 
 COMMA_GAP = re.compile(r"\s*,[\s,]*")

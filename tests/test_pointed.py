@@ -7,7 +7,7 @@ import pytest
 from diexact import mutants
 from diexact.certificates import certify
 from diexact.errors import PreconditionError
-from diexact.fsets import fset
+from diexact.fsets import Span, fset
 from diexact.pointed import (
     PointedMap,
     PointedSet,
@@ -62,6 +62,16 @@ class TestPointedTypes:
         legs[wrong_leg] = to_foot(other)
         with pytest.raises(ValueError, match="pointed span legs must share the apex"):
             PointedSpan(apex, legs["left"], legs["right"])
+
+    def test_a_given_span_must_be_the_span_of_the_legs(self):
+        a = pointed(2)
+        ps = pointed_span_from_relation(a, a, base_relation(a, a, ("x1", "*")))
+        s = ps.underlying
+        assert PointedSpan(ps.apex, ps.left, ps.right, s).underlying is s
+        other_apex = pointed_span_from_relation(a, a, base_relation(a, a)).underlying
+        for given in (Span(s.apex, s.right, s.left), Span(s.apex, s.left, s.left), other_apex):
+            with pytest.raises(ValueError, match="^given span is not the span of the pointed legs$"):
+                PointedSpan(ps.apex, ps.left, ps.right, given)
 
     def test_tabulation_needs_related_basepoints(self):
         a, b = pointed(1), pointed(1)

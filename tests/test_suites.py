@@ -19,6 +19,7 @@ from diexact.enumeration import (
 )
 from diexact.errors import InternalInvariantError, PreconditionError
 from diexact.mutants import KNOWN as KNOWN_MUTANTS
+from diexact.names import pair_name
 from diexact.suites import (
     RunReport,
     SuiteConfig,
@@ -274,6 +275,38 @@ def fresh_direct(run, s):
     return suites.malcev_pushout_direct(s)
 
 
+def fresh_pointed_pushout_failures(ps):
+    """Reference for ``suites._pointed_pushout_failures``: the pointed route
+    builds its own direct pushout, and the transfer check builds a second
+    one to compare with."""
+    result = pointed.pointed_malcev_pushout(ps)
+    yield from suites._certificate_failures(certificates.certify(result.underlying.square))
+    base_a = ps.left.codomain.basepoint
+    base_b = ps.right.codomain.basepoint
+    corner_base = result.corner.basepoint
+    for side, leg, base in (("left", result.h, base_a), ("right", result.k, base_b)):
+        image = leg.function(base)
+        if image != corner_base:
+            yield (
+                f"basepoint:{side}",
+                f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
+            )
+    plain = pushouts.malcev_pushout_direct(ps.underlying)
+    if result.underlying.square.corner != plain.corner:
+        yield (
+            "transfer",
+            f"pointed corner carrier {result.underlying.square.corner} "
+            f"differs from the plain pushout corner {plain.corner}",
+        )
+    pulled_base = pointed.pointed_pullback(result.h, result.k).apex.basepoint
+    expected_base = pair_name(base_a, base_b)
+    if pulled_base != expected_base:
+        yield (
+            "pointed-pullback",
+            f"pullback basepoint {pulled_base!r} is not {expected_base!r}",
+        )
+
+
 class TestFreshReference:
     @pytest.mark.parametrize("mutant", (None,) + KNOWN_MUTANTS)
     @pytest.mark.parametrize(
@@ -289,12 +322,29 @@ class TestFreshReference:
         memoized = run_all_suites(config)
         monkeypatch.setattr(suites, "_run", fresh_run)
         monkeypatch.setattr(suites._SpanRun, "direct", fresh_direct)
+        monkeypatch.setattr(suites, "_pointed_pushout_failures", fresh_pointed_pushout_failures)
         fresh = run_all_suites(config)
         assert [s.name for s in fresh.suites] == [s.name for s in memoized.suites]
         for ours, reference in zip(memoized.suites, fresh.suites):
             assert ours.total == reference.total, ours.name
             assert ours.failures == reference.failures, ours.name
         assert fresh.passed == (mutant is None)
+
+    def test_drop_basepoint_link_keeps_its_transfer_witnesses(self, monkeypatch):
+        """The mutant's own quotient is still compared with the one
+        unmutated direct pushout: P1 reports the transfer failures, with
+        the witnesses, that a second transfer build finds."""
+        config = SuiteConfig(max_size=3, samples=300, seed=42, mutant=mutants.DROP_BASEPOINT)
+
+        def transfers(report):
+            return [f for f in report.failures if f.check == "transfer"]
+
+        ours = transfers(suites.suite_pointed_pushouts(config))
+        monkeypatch.setattr(suites, "_pointed_pushout_failures", fresh_pointed_pushout_failures)
+        reference = transfers(suites.suite_pointed_pushouts(config))
+        assert ours == reference
+        assert len({f.witness for f in ours}) > 1
+        assert all("differs from the plain pushout corner" in f.witness for f in ours)
 
 
 class TestMutants:
@@ -363,14 +413,14 @@ def _distinct(corpus) -> int:
 
 
 def _direct_pushouts_per_run(config, report) -> int:
-    """One per distinct T2 span, which D reads too; two per distinct P1
-    instance (the pointed route and the transfer check); one per T1a and
-    T1b instance."""
+    """One per distinct T2 span, which D reads too; one per distinct P1
+    instance, which the pointed route re-points and the transfer check
+    compares with; one per T1a and T1b instance."""
     total = {s.name: s.total for s in report.suites}
     spans = _distinct(suites._span_corpus(config))
     pointed_spans = _distinct(suites._pointed_corpus(config))
     assert spans < total["T2"] and pointed_spans < total["P1"]
-    return spans + 2 * pointed_spans + total["T1a"] + total["T1b"]
+    return spans + pointed_spans + total["T1a"] + total["T1b"]
 
 
 class TestSharedObjects:
