@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument(
         "--exhaustive",
         action="store_true",
-        help="walk every T2/D relation up to --max-size, not only up to "
-        "size 2; P1 still walks only sizes up to 2",
+        help="walk every T2/D and P1 relation up to --max-size, not only "
+        "up to size 2",
     )
     suite.add_argument(
         "--mutant",
@@ -243,7 +243,7 @@ def cmd_pushout(args: argparse.Namespace) -> int:
     if args.method == "decomposed":
         square = malcev_pushout_decomposed(value).pasted
     elif pointed is not None:
-        square = pointed_malcev_pushout(pointed).underlying.square
+        square = pointed_malcev_pushout(pointed).square
     else:
         square = malcev_pushout_direct(value).square
     if pointed is not None:

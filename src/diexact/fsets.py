@@ -11,19 +11,15 @@ value.  Routes, oracles and composites read it by position; ``values`` is
 derived from it on every read, so loops read that before they start, and
 ``f(x)`` is for callers outside loops.  Every commutativity check is
 ``first_disagreement``, decided on those tables, and a fact decided about a
-span is decided once: a checked ``CommutativeSquare`` marks its cospan with
-the span it commutes with, so ``_require_commutes_with_span`` returns at
-once for that exact pair, and the span keeps its reference colimit's
-cospan (as ``relations`` keeps its relation) for every later
-``canonical_pushout``.  Only a checked construction sets a mark, and a mark
-refers to its span weakly, so no span is kept alive by a cospan.
+span is decided once: the span keeps its reference colimit's cospan (as
+``relations`` keeps its relation) for every later ``canonical_pushout``.
 ``FiniteSet``, ``SetFunction`` and ``Span`` keep their hash the same way,
 as ``_hash``: the hash of the field tuple, the value the dataclass hash
 gives, so set and dict order do not move, while a memo keyed by spans, or
 ``coproduct``'s cache keyed by feet, hashes no value's fields twice.  A
-kept hash, like a weak mark, holds only in the process that made it, and
-no value leaves its process.  Every fact kept on a value is read and kept
-by one helper, ``_kept``.
+kept hash holds only in the process that made it, and no value leaves its
+process.  Every fact kept on a value is read and kept by one helper,
+``_kept``.
 
 Constructed elements are named by three rules, each built from positions
 by one builder:
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
@@ -278,13 +273,10 @@ class CommutativeSquare:
     """A span and a cospan with matching feet whose two composites agree.
 
     Commutativity is checked at construction, on index tables by
-    ``first_disagreement``, and the checked cospan is marked with its span
-    (``_commutes_with``, a weak reference, not a field), which
-    ``_require_commutes_with_span`` reads.  ``_unchecked`` bypasses the
-    check and sets no mark; it is used by the gate ``pushouts._square``
-    while a mutant is on, by doctored test squares, and by
-    ``canonical_pushout`` for a cospan that was checked against the same
-    span when the span kept it.
+    ``first_disagreement``.  ``_unchecked`` bypasses the check; it is used
+    by the gate ``pushouts._square`` while a mutant is on, by doctored test
+    squares, and by ``canonical_pushout`` for a cospan that was checked
+    against the same span when the span kept it.
     """
 
     span: Span
@@ -294,12 +286,11 @@ class CommutativeSquare:
         culprit = first_disagreement(self.span, self.cospan)
         if culprit is not None:
             raise ValueError(f"square does not commute: {disagreement_text(culprit)}")
-        object.__setattr__(self.cospan, "_commutes_with", weakref.ref(self.span))
 
     @classmethod
     def _unchecked(cls, span_: Span, cospan_: Cospan) -> "CommutativeSquare":
-        """A square whose commutativity is not decided here and whose
-        cospan gets no mark; the class docstring names its three uses."""
+        """A square whose commutativity is not decided here; the class
+        docstring names its three uses."""
         sq = object.__new__(cls)
         object.__setattr__(sq, "span", span_)
         object.__setattr__(sq, "cospan", cospan_)
@@ -321,14 +312,6 @@ def _kept(value: object, name: str, build: Callable[[], T]) -> T:
         fact = build()
         object.__setattr__(value, name, fact)
         return fact
-
-
-def _commutes(span_: Span, cospan_: Cospan) -> bool:
-    """True when a checked square has marked the cospan with this very
-    span; a mark only ever records a decided fact about two immutable
-    values."""
-    mark = getattr(cospan_, "_commutes_with", None)
-    return mark is not None and mark() is span_
 
 
 def first_disagreement(span_: Span, cospan_: Cospan) -> tuple[str, str, str] | None:
@@ -517,20 +500,35 @@ def mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
     """The map from the square's corner to the candidate corner commuting
     with both cospans.
 
-    Requires the square's cospan to determine the map (jointly epic corner,
-    no conflicting constraints); both hold whenever the square is a pushout.
-    The candidate is checked against the square's span unless a checked
-    square marked it with that very span.  The map is built from index
-    tables: each corner position is sent to the candidate position its
-    first preimage is sent to, and names are read only to word a refusal.
+    Requires ``square`` to commute, as ``canonical_pushout``'s square does
+    for every program caller, and its cospan to determine the map (jointly
+    epic corner, no conflicting constraints); both hold whenever the square
+    is a pushout.  The map is built from index tables: each corner position
+    is sent to the candidate position its first preimage is sent to, and
+    names are read only to word a refusal.  The square sends ``f(c)`` and
+    ``g(c)`` to one corner position for each apex element c, so a candidate
+    that does not commute with the span sends that position to two
+    targets: commutativity is decided only at such a conflict, by
+    ``first_disagreement``, to choose the refusal.
     """
-    _require_commutes_with_span(square.span, candidate)
+    span_ = square.span
+    if (
+        candidate.left.domain != span_.left.codomain
+        or candidate.right.domain != span_.right.codomain
+    ):
+        raise PreconditionError("candidate cospan does not fit the span's feet")
     corner, names = square.corner, candidate.corner.elements
     assigned: dict[int, int] = {}
     images = square.cospan.left.table + square.cospan.right.table
     for image, target in zip(images, candidate.left.table + candidate.right.table):
         existing = assigned.setdefault(image, target)
         if existing != target:
+            culprit = first_disagreement(span_, candidate)
+            if culprit is not None:
+                raise PreconditionError(
+                    "candidate cospan does not commute with the span: "
+                    + disagreement_text(culprit)
+                )
             raise InternalInvariantError(
                 "mediating-map",
                 f"corner element {corner.elements[image]!r} is forced to both "
@@ -556,25 +554,6 @@ def canonical_comparison(square: CommutativeSquare, candidate: Cospan) -> SetFun
     """
     canon = canonical_pushout(square.span)
     return mediating_map(canon, candidate)
-
-
-def _require_commutes_with_span(span_: Span, candidate: Cospan) -> None:
-    """Refuse a candidate that does not fit or commute with the span; a
-    candidate that a checked square marked with this very span fits and
-    commutes, so it returns at once."""
-    if _commutes(span_, candidate):
-        return
-    if (
-        candidate.left.domain != span_.left.codomain
-        or candidate.right.domain != span_.right.codomain
-    ):
-        raise PreconditionError("candidate cospan does not fit the span's feet")
-    culprit = first_disagreement(span_, candidate)
-    if culprit is not None:
-        raise PreconditionError(
-            "candidate cospan does not commute with the span: "
-            + disagreement_text(culprit)
-        )
 
 
 def all_functions(domain: FiniteSet, codomain: FiniteSet) -> Iterator[SetFunction]:

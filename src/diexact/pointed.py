@@ -19,6 +19,7 @@ from typing import Iterator
 from . import mutants
 from .errors import PreconditionError
 from .fsets import (
+    CommutativeSquare,
     Cospan,
     FiniteSet,
     SetFunction,
@@ -29,12 +30,7 @@ from .fsets import (
     pullback,
 )
 from .names import pair_name
-from .pushouts import (
-    MalcevPushoutResult,
-    _block_quotient,
-    malcev_pushout_direct,
-    require_malcev,
-)
+from .pushouts import _block_quotient, malcev_pushout_direct, require_malcev
 from .relations import Relation, tabulate
 
 BASEPOINT = "*"
@@ -106,7 +102,7 @@ class PointedSpan:
             legs = (self.apex.carrier, self.left.function, self.right.function)
             if (given.apex, given.left, given.right) != legs:
                 raise ValueError("given span is not the span of the pointed legs")
-            object.__setattr__(self, "_underlying", given)
+            _kept(self, "_underlying", lambda: given)
 
     @property
     def underlying(self) -> Span:
@@ -121,52 +117,53 @@ class PointedSpan:
 
 @dataclass(frozen=True)
 class PointedPushoutResult:
-    """Underlying pushout data plus the re-pointed corner and legs."""
+    """The underlying pushout square plus the re-pointed corner and legs."""
 
-    underlying: MalcevPushoutResult
+    square: CommutativeSquare
     corner: PointedSet
     h: PointedMap
     k: PointedMap
 
 
 def pointed_malcev_pushout(
-    ps: PointedSpan, plain: MalcevPushoutResult | None = None
+    ps: PointedSpan, square: CommutativeSquare | None = None
 ) -> PointedPushoutResult:
     """Pushout of a pointed Mal'cev span: the underlying pushout with the
     corner pointed at the (shared) image of the basepoints.
 
-    ``plain``, when given, is the direct route's result on the underlying
+    ``square``, when given, is the direct route's square on the underlying
     span, and the route re-points it instead of building it again; the
-    suites build it once and also compare it with the pointed corner.
-    Both legs send basepoints to basepoints and the square commutes, so the
-    image is well defined.  The drop-basepoint-link mutant ignores
-    ``plain`` and removes the basepoint pair from the relation before
-    quotienting, which breaks exactly that guarantee; so, like the route
-    squares of ``pushouts``, the right leg is checked to preserve the
-    basepoint unless a mutant is on.
+    suites build it once and also compare it with the pointed corner.  A
+    square of any other span is refused.  Both legs send basepoints to
+    basepoints and the square commutes, so the image is well defined.  The
+    drop-basepoint-link mutant ignores ``square`` and removes the basepoint
+    pair from the relation before quotienting, which breaks exactly that
+    guarantee; so, like the route squares of ``pushouts``, the right leg is
+    checked to preserve the basepoint unless a mutant is on.
     """
+    if square is not None and square.span != ps.underlying:
+        raise PreconditionError("given square is not on the pointed span's underlying span")
     if mutants.active(mutants.DROP_BASEPOINT):
-        result = _pushout_without_basepoint_link(ps)
-    elif plain is None:
-        result = malcev_pushout_direct(ps.underlying)
-    else:
-        result = plain
+        square = _pushout_without_basepoint_link(ps)
+    elif square is None:
+        square = malcev_pushout_direct(ps.underlying).square
+    h_set, k_set = square.cospan.left, square.cospan.right
     a_pointed, b_pointed = ps.left.codomain, ps.right.codomain
-    corner = PointedSet(result.corner, result.h(a_pointed.basepoint))
-    h = PointedMap(a_pointed, corner, result.h)
+    corner = PointedSet(square.corner, h_set(a_pointed.basepoint))
+    h = PointedMap(a_pointed, corner, h_set)
     k_map = PointedMap._unchecked if mutants.active() else PointedMap
-    k = k_map(b_pointed, corner, result.k)
-    return PointedPushoutResult(underlying=result, corner=corner, h=h, k=k)
+    k = k_map(b_pointed, corner, k_set)
+    return PointedPushoutResult(square=square, corner=corner, h=h, k=k)
 
 
-def _pushout_without_basepoint_link(ps: PointedSpan) -> MalcevPushoutResult:
+def _pushout_without_basepoint_link(ps: PointedSpan) -> CommutativeSquare:
     s = ps.underlying
     r = require_malcev(s)
     base_pair = (ps.left.codomain.basepoint, ps.right.codomain.basepoint)
     mutated = Relation.from_pairs(
         r.source, r.target, (p for p in r.pairs() if p != base_pair)
     )
-    return _block_quotient(s, mutated)
+    return _block_quotient(s, mutated).square
 
 
 def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:

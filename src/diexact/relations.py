@@ -182,28 +182,28 @@ def tabulate(r: Relation) -> Span:
     decoded = {row: list(_bits(row)) for row in set(r.rows)}
     pairs = [(i, j) for i, row in enumerate(r.rows) for j in decoded[row]]
     s = pair_span(r.source, r.target, pairs)
-    object.__setattr__(s, "_relation", r)
+    _kept(s, "_relation", lambda: r)
     return s
 
 
 def is_difunctional(r: Relation) -> bool:
-    """True when R R° R <= R."""
-    return leq(rel_compose(r, rel_compose(converse(r), r)), r)
+    """True when R R° R <= R, decided by the witness search."""
+    return difunctionality_witness(r) is None
 
 
 def difunctionality_witness(r: Relation) -> tuple[str, str, str, str] | None:
     """First quadruple (a, b, a2, b2), in canonical element order, with
     (a,b), (a,b2), (a2,b) all related but (a2,b2) not; None if difunctional.
 
-    This is the elementwise oracle; ``is_difunctional`` is the composite
-    route ``R R° R <= R``.  For a row value v, the rows that meet v are the
-    OR of the columns v holds, and the rows that contain v are their AND;
-    the candidates are the rows that meet v without containing it.  The
-    first row with a candidate is row i, j is the first column of row i
-    holding a candidate, i2 the least candidate in column j, and j2 the
-    least column of row i missing from row i2.  Equal rows have equal
-    candidates, so each distinct row value is looked at once, and the whole
-    search is O(|R|) row operations.
+    This is the one difunctionality procedure; ``is_difunctional`` asks
+    it.  For a row value v, the rows that meet v are the OR of the columns
+    v holds, and the rows that contain v are their AND; the candidates are
+    the rows that meet v without containing it.  The first row with a
+    candidate is row i, j is the first column of row i holding a
+    candidate, i2 the least candidate in column j, and j2 the least column
+    of row i missing from row i2.  Equal rows have equal candidates, so
+    each distinct row value is looked at once, and the whole search is
+    O(|R|) row operations.
     """
     rows = r.rows
     columns = converse(r).rows

@@ -80,7 +80,7 @@ from .relations import (
 _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
 
 MAX_FAILURES_SHOWN = 6  # failures listed per suite in a rendered report
-SMALL_BOUND = 2  # largest carrier walked exhaustively by P1, and by T2/D unless exhaustive
+SMALL_BOUND = 2  # largest carrier walked exhaustively unless exhaustive
 
 
 @dataclass(frozen=True)
@@ -407,28 +407,27 @@ def suite_zero_object(config: SuiteConfig) -> SuiteReport:
 def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, PointedSpan]]:
     """The labelled pointed spans of P1: the pointed ``malcev_corpus`` over
     canonical pointed sets of sizes 1 to ``max(1, max_size)``, walked up
-    to ``SMALL_BOUND`` whatever ``exhaustive`` says, with 25 draws when
-    ``samples`` is 0."""
+    to ``max(1, exhaustive_bound)``, with 25 draws when ``samples`` is 0."""
     sets = {n: canonical_pointed_set(n) for n in range(1, max(1, config.max_size) + 1)}
     carriers = [p.carrier for p in sets.values()]
 
     def build(r: Relation) -> PointedSpan:
         return pointed_span_from_relation(sets[len(r.source)], sets[len(r.target)], r)
 
-    small = max(1, min(config.max_size, SMALL_BOUND))
+    bound = max(1, config.exhaustive_bound)
     rng = random.Random(config.seed)
     count = config.samples or 25
-    return list(malcev_corpus(carriers, carriers, small, rng, count, build, pointed=True))
+    return list(malcev_corpus(carriers, carriers, bound, rng, count, build, pointed=True))
 
 
 def _pointed_pushout_failures(ps: PointedSpan) -> Checks:
     """P1's checks of one pointed span.  The span's one direct pushout
-    ``plain`` is both what the pointed route re-points and what the
+    square ``plain`` is both what the pointed route re-points and what the
     ``transfer`` check compares the pointed corner's carrier with; a
     mutant in ``pointed`` that builds its own quotient makes them differ."""
-    plain = malcev_pushout_direct(ps.underlying)
+    plain = malcev_pushout_direct(ps.underlying).square
     result = pointed_malcev_pushout(ps, plain)
-    yield from _certificate_failures(certify(result.underlying.square))
+    yield from _certificate_failures(certify(result.square))
     base_a = ps.left.codomain.basepoint
     base_b = ps.right.codomain.basepoint
     corner_base = result.corner.basepoint
@@ -439,10 +438,10 @@ def _pointed_pushout_failures(ps: PointedSpan) -> Checks:
                 f"basepoint:{side}",
                 f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
             )
-    if result.underlying.square.corner != plain.corner:
+    if result.square.corner != plain.corner:
         yield (
             "transfer",
-            f"pointed corner carrier {result.underlying.square.corner} "
+            f"pointed corner carrier {result.square.corner} "
             f"differs from the plain pushout corner {plain.corner}",
         )
     pulled_base = pointed_pullback(result.h, result.k).apex.basepoint

@@ -285,13 +285,13 @@ def test_criterion_7_pointed_sets():
     certified = 0
     for label, ps in sample_pointed_spans(random.Random(2718), 200, 4):
         result = pointed_malcev_pushout(ps)
-        cert = certify(result.underlying.square)
+        cert = certify(result.square)
         assert cert.is_pushout.ok and cert.is_pullback.ok and cert.is_stable.ok, label
         assert result.h.function(ps.left.codomain.basepoint) == result.corner.basepoint
         assert result.k.function(ps.right.codomain.basepoint) == result.corner.basepoint
         plain = malcev_pushout_direct(ps.underlying)
-        assert result.underlying.square.corner == plain.corner
-        assert result.underlying.h == plain.h and result.underlying.k == plain.k
+        assert result.square.corner == plain.corner
+        assert result.h.function == plain.h and result.k.function == plain.k
         certified += 1
     verdict(
         7,

@@ -317,10 +317,10 @@ def _block_document(n: int, unrelated: int = 0) -> str:
 
 class TestFactsDecidedOnce:
     """``--method both`` on an accepted tabulated document builds one
-    reference colimit, settles each commutativity that a checked square
-    already decided by its cospan's mark, and decides the Mal'cev
-    precondition of the input span once; under a mutant the unchecked
-    direct square is still decided.  Its per-pair passes decode each
+    reference colimit, decides no commutativity in its comparisons, and
+    decides the Mal'cev precondition of the input span once; under a
+    mutant a comparison decides the unchecked direct square only at a
+    conflict.  Its per-pair passes decode each
     distinct row once, spell pair names in one ``pair_names`` comprehension
     per carrier, and run stage 1 of the decomposed route on the input span
     when its right leg is onto."""
@@ -362,13 +362,23 @@ class TestFactsDecidedOnce:
         assert set(callers("first_disagreement")) == {"__post_init__", "commutes_verdict"}
         monic = [args["s"] for called, _, args in calls if called == "joint_monicity_witness"]
         assert [s is value for s in monic].count(True) == 1
-        witnessed = [args["r"] for called, _, args in calls if called == "difunctionality_witness"]
-        assert [r is relations.span_to_relation(value) for r in witnessed] == [True]
+        witnessed = [
+            (caller, args["r"] is relations.span_to_relation(value))
+            for called, caller, args in calls
+            if called == "difunctionality_witness"
+        ]
+        # The input span's relation once, and stage 2's through is_difunctional.
+        assert witnessed == [("decide", True), ("is_difunctional", False)]
 
     @pytest.mark.parametrize("mutant", (None,) + mutants.KNOWN)
-    def test_the_direct_square_is_decided_unless_it_was_checked(
+    def test_a_comparison_decides_the_direct_square_only_at_a_conflict(
         self, mutant, tmp_path, monkeypatch
     ):
+        """The checked direct square is decided as it is built; under a
+        mutant it is unchecked, and the comparison with the reference
+        colimit decides it only when two elements of one reference class
+        land on different corner elements.  On this document only the
+        nonsymmetric closure gives such a conflict."""
         flags = ("--mutant", mutant) if mutant else ()
         _, _, square, calls = self.run_both(tmp_path, monkeypatch, *flags)
         deciding = [
@@ -378,8 +388,13 @@ class TestFactsDecidedOnce:
             and args["span_"] is square.span
             and args["cospan_"] is square.cospan
         ]
-        checked = "__post_init__" if mutant is None else "_require_commutes_with_span"
-        assert deciding == [checked, "commutes_verdict"]
+        canon = fsets.canonical_pushout(square.span).cospan
+        images = canon.left.table + canon.right.table
+        targets = square.cospan.left.table + square.cospan.right.table
+        conflict = len(set(zip(images, targets))) != len(set(images))
+        assert conflict == (mutant == mutants.NONSYMMETRIC)
+        checked = ["__post_init__"] if mutant is None else ["mediating_map"] * conflict
+        assert deciding == checked + ["commutes_verdict"]
 
     WORK = (
         relations._bits,
@@ -405,7 +420,7 @@ class TestFactsDecidedOnce:
         stage 2's kernel pair and the PULLBACK oracle's pairing."""
         calls, counts = self.work(tmp_path, _block_document(32))
         assert counts == {
-            "_bits": 436,
+            "_bits": 403,
             "pair_names": 3,
             "_of_index_pairs": 1,
             "joint_monicity_witness": 2,

@@ -49,11 +49,11 @@ SUITE_DIGESTS = {  # per configuration: no mutant, then each of mutants.KNOWN
         "8a35e0b02f9daee7c447a395d398615bc854eb96374d7c3eedd1de1c20b2ed37",
     ),
     "max-size=3 exhaustive samples=20 seed=3": (
-        "7b46270909a42c010126f6a9176123ee718c3f2a5030fa817fcb7efad2f50630",
-        "70ab142535727458cc45a6722f70a6329e82003a782dafad81ea696b3cc1f443",
-        "b31cd065bccdfa961a35373c0fd20b789311f113fdfd37abaf8ed6eb20f42503",
-        "16469c904ba51850576a9d5ab4379e74b870e82bd21398d89fae8ff695b001bc",
-        "98c71a8c693d7aaa40418966eaa853528bfd7e97c8ef0ee0a7e462206c42ad68",
+        "18afaf9aa53ebebbab924b9bc6f113eac49c54fa7a3f4b9a88d1b8a0b4981dfb",
+        "133494a8d7f97fdabe82f165f78fa7c7776200b08ae536b695eff62c995aa8af",
+        "4de2eacf29863fe21787edf2b97cbc8ac2ac7db50d9d26dd8c2dd4fc1284778a",
+        "eb521a8da56bc60cb72af081782899313f88f52a6edfa8fe2d97dc2826c5734d",
+        "ea0060da0dfd8dda8eb7371fac575440869c6e065bfb06c8da315166987620e2",
     ),
 }
 

@@ -60,11 +60,12 @@ from diexact.fsets import (
     FiniteSet,
     SetFunction,
     Span,
-    _require_commutes_with_span,
     all_functions,
     canonical_pushout,
     compose,
     coproduct,
+    disagreement_text,
+    first_disagreement,
     image_factorization,
     is_epi,
     mediating_map,
@@ -1046,8 +1047,16 @@ class TestInducedLegAgainstLandings:
 
 def name_built_mediating_map(square: CommutativeSquare, candidate: Cospan) -> SetFunction:
     """``mediating_map`` with its map built from value names, one dict step
-    per element of A + B."""
-    _require_commutes_with_span(square.span, candidate)
+    per element of A + B, after deciding up front that the candidate fits
+    the span's feet and commutes with the span."""
+    s = square.span
+    if candidate.left.domain != s.left.codomain or candidate.right.domain != s.right.codomain:
+        raise PreconditionError("candidate cospan does not fit the span's feet")
+    culprit = first_disagreement(s, candidate)
+    if culprit is not None:
+        raise PreconditionError(
+            "candidate cospan does not commute with the span: " + disagreement_text(culprit)
+        )
     corner = square.corner
     assigned: dict[str, str] = {}
     images = square.cospan.left.values + square.cospan.right.values
@@ -1070,23 +1079,43 @@ def name_built_mediating_map(square: CommutativeSquare, candidate: Cospan) -> Se
 
 
 class TestMediatingMapAgainstNames:
+    REFUSALS = ("does not fit", "does not commute", "forced to both", "not reached")
+
     def test_sampled_squares_and_their_reference_colimits(self):
         """Each sampled square against its span's reference colimit, both
-        ways round, and against its own cospan: the squares that are not
-        pushouts give both refusals."""
-        seen = {"map": 0, "forced to both": 0, "not reached": 0}
+        ways round, against its own cospan, and, with its reference
+        colimit, against a random cospan out of its feet, which mostly does
+        not commute with the span: the kernel finds that only at a
+        conflict.  With one candidate whose left foot is not the span's,
+        the map and all four refusals occur."""
+        rng = random.Random(32)
+
+        def random_leg(domain: FiniteSet, corner: FiniteSet) -> SetFunction:
+            table = tuple(rng.randrange(len(corner)) for _ in domain)
+            return SetFunction._of_table(domain, corner, table)
+
+        cases = []
         for square in SAMPLED_SQUARES:
             canon = canonical_pushout(square.span)
-            for mediated, candidate in (
+            a, b = square.span.feet
+            corner = letters("d", rng.randint(1, 3))
+            candidate = Cospan(random_leg(a, corner), random_leg(b, corner))
+            cases += [
                 (square, canon.cospan),
                 (canon, square.cospan),
                 (square, square.cospan),
-            ):
-                kernel = refusal_outcome(mediating_map, mediated, candidate)
-                assert kernel == refusal_outcome(name_built_mediating_map, mediated, candidate)
-                if isinstance(kernel, SetFunction):
-                    seen["map"] += 1
-                else:
-                    assert kernel[0] is InternalInvariantError
-                    seen["forced to both" if "forced" in kernel[1] else "not reached"] += 1
-        assert all(seen.values()), seen
+                (square, candidate),
+                (canon, candidate),
+            ]
+        square = SAMPLED_SQUARES[0]
+        wider = letters("w", len(square.span.left.codomain) + 1)
+        cases.append((square, Cospan(random_leg(wider, square.corner), square.cospan.right)))
+        seen = Counter()
+        for mediated, candidate in cases:
+            kernel = refusal_outcome(mediating_map, mediated, candidate)
+            assert kernel == refusal_outcome(name_built_mediating_map, mediated, candidate)
+            if isinstance(kernel, SetFunction):
+                seen["map"] += 1
+            else:
+                seen[next(kind for kind in self.REFUSALS if kind in kernel[1])] += 1
+        assert set(seen) == {"map", *self.REFUSALS}, seen

@@ -538,6 +538,46 @@ def test_route_squares_pass_one_gate():
     assert pointed == ["pointed_malcev_pushout"]
 
 
+KEPT_FACTS = ("_relation", "_pushout", "_malcev", "_underlying", "_hash")
+
+
+def test_kept_facts_are_written_only_by_kept():
+    """Each kept fact is named in the package only as the name a ``_kept``
+    call passes, never as an attribute, and the one ``setattr`` or
+    ``__setattr__`` call that names its attribute by anything but a string
+    constant is the write inside ``fsets._kept``."""
+    passed, elsewhere, computed = set(), [], []
+    for path in SOURCES:
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(statement, "name", type(statement).__name__))
+            calls = [node for node in ast.walk(statement) if isinstance(node, ast.Call)]
+            kept = {
+                id(call.args[1])
+                for call in calls
+                if isinstance(call.func, ast.Name) and call.func.id == "_kept"
+            }
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Constant) and node.value in KEPT_FACTS:
+                    if id(node) in kept:
+                        passed.add(node.value)
+                    else:
+                        elsewhere.append((*where, node.lineno))
+                elif isinstance(node, ast.Attribute) and node.attr in KEPT_FACTS:
+                    elsewhere.append((*where, node.lineno))
+            computed += [
+                where
+                for call in calls
+                if (
+                    isinstance(call.func, ast.Attribute) and call.func.attr == "__setattr__"
+                    or isinstance(call.func, ast.Name) and call.func.id == "setattr"
+                )
+                and not isinstance(call.args[1], ast.Constant)
+            ]
+    assert passed == set(KEPT_FACTS)
+    assert elsewhere == []
+    assert computed == [("fsets.py", "_kept")]
+
+
 def test_block_quotient_leaves_the_quotients_to_their_kernels():
     """``_block_quotient`` quotients through ``quotient_by_equivalence`` or
     ``quotient_by_generated`` and builds no function or set itself."""

@@ -103,13 +103,29 @@ class TestPointedPushout:
         ps = pointed_span_from_relation(a, b, base_relation(a, b, ("x1", "x2")))
         result = pointed_malcev_pushout(ps)
         plain = malcev_pushout_direct(ps.underlying)
-        assert result.underlying.square.corner == plain.corner
-        assert result.underlying.h == plain.h
+        assert result.square.corner == plain.corner
+        assert result.h.function == plain.h
+
+    def test_a_given_square_is_re_pointed(self):
+        a, b = pointed(2), pointed(3)
+        ps = pointed_span_from_relation(a, b, base_relation(a, b, ("x1", "x2")))
+        square = malcev_pushout_direct(ps.underlying).square
+        result = pointed_malcev_pushout(ps, square)
+        assert result.square is square
+        assert result == pointed_malcev_pushout(ps)
+
+    def test_a_square_of_another_span_is_refused(self):
+        a, b = pointed(2), pointed(2)
+        ps = pointed_span_from_relation(a, b, base_relation(a, b))
+        other = pointed_span_from_relation(a, b, base_relation(a, b, ("x1", "x1")))
+        square = malcev_pushout_direct(other.underlying).square
+        with pytest.raises(PreconditionError, match="given square"):
+            pointed_malcev_pushout(ps, square)
 
     def test_underlying_square_certifies(self):
         for _, ps in sample_pointed_spans(random.Random(3), 25, 3):
             result = pointed_malcev_pushout(ps)
-            assert certify(result.underlying.square).ok
+            assert certify(result.square).ok
 
     def test_rejects_non_malcev(self):
         a, b = pointed(2), pointed(2)
@@ -157,9 +173,11 @@ class TestPointedMutant:
     def test_dropping_basepoint_link_breaks_the_square(self):
         a, b = pointed(2), pointed(2)
         ps = pointed_span_from_relation(a, b, base_relation(a, b))
+        plain = malcev_pushout_direct(ps.underlying).square
         with mutants.enabled(mutants.DROP_BASEPOINT):
             result = pointed_malcev_pushout(ps)
-        cert = certify(result.underlying.square)
+            assert pointed_malcev_pushout(ps, plain).square == result.square != plain
+        cert = certify(result.square)
         assert not cert.commutes.ok
         assert not cert.is_pushout.ok
         assert cert.is_pushout.evidence is not None

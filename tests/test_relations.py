@@ -108,6 +108,12 @@ def reference_witness(r):
     return None
 
 
+def composite_is_difunctional(r):
+    """The composite route R R° R <= R, the reference that the witness
+    search is decided against."""
+    return leq(rel_compose(r, rel_compose(converse(r), r)), r)
+
+
 def pairwise_witness(r):
     """The |A|^2 row loop that the column-mask search replaced: for each
     row, the candidates are the rows it meets without containing, found by
@@ -454,7 +460,7 @@ class TestDifunctionality:
     @given(relations(max_size=3))
     def test_witness_agrees_with_matrix_route(self, r):
         witness = difunctionality_witness(r)
-        assert is_difunctional(r) == (witness is None)
+        assert composite_is_difunctional(r) == (witness is None) == is_difunctional(r)
         if witness is not None:
             a, b, a2, b2 = witness
             assert r.holds(a, b) and r.holds(a, b2) and r.holds(a2, b)
@@ -512,7 +518,7 @@ class TestClosure:
 
 class TestRowKernelsAgainstTheLoopsTheyReplaced:
     """The one-pass closure against the fixpoint, and the column-mask
-    witness against the pairwise row loop."""
+    witness against the pairwise row loop and the composite route."""
 
     def test_every_relation_up_to_4x3_and_3x4(self):
         checked = 0
@@ -521,7 +527,9 @@ class TestRowKernelsAgainstTheLoopsTheyReplaced:
                 continue
             for r in all_relations(letters("a", m), letters("b", n)):
                 assert difunctional_closure(r) == fixpoint_closure(r), r
-                assert difunctionality_witness(r) == pairwise_witness(r), r
+                witness = difunctionality_witness(r)
+                assert witness == pairwise_witness(r), r
+                assert (witness is None) == composite_is_difunctional(r), r
                 checked += 1
         assert checked == 9427
 

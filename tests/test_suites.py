@@ -84,8 +84,8 @@ def per_draw_pointed_corpus(config):
     """Reference for ``suites._pointed_corpus``, drawn the same way, with the
     basepoint pair added by name."""
     corpus = []
-    small = max(1, min(config.max_size, 2))
-    for m, n in itertools.product(range(1, small + 1), repeat=2):
+    bound = max(1, config.max_size if config.exhaustive else min(config.max_size, 2))
+    for m, n in itertools.product(range(1, bound + 1), repeat=2):
         a, b = canonical_pointed_set(m), canonical_pointed_set(n)
         for index, r in enumerate(difunctional_relations(a.carrier, b.carrier)):
             if r.holds("*", "*"):
@@ -126,6 +126,13 @@ class TestCorpusAgainstPerDrawBuilder:
         sampled = [(label, ps) for label, ps in pointed_spans if label.startswith("sample#")]
         assert len(sampled) == (samples or 25)
         assert_equal_samples_are_one_object(sampled)
+
+    @pytest.mark.parametrize("max_size", (2, 3))
+    def test_exhaustive_corpora_in_order(self, max_size):
+        """``--exhaustive`` widens the walks of T2/D and of P1 alike."""
+        config = SuiteConfig(max_size=max_size, samples=5, seed=7, exhaustive=True)
+        assert list(suites._span_corpus(config)) == per_draw_span_corpus(config)
+        assert suites._pointed_corpus(config) == per_draw_pointed_corpus(config)
 
     def test_repeated_draws_are_shared(self):
         """At size 1 a seed-42 run of 300 draws has few distinct relations,
@@ -280,7 +287,7 @@ def fresh_pointed_pushout_failures(ps):
     builds its own direct pushout, and the transfer check builds a second
     one to compare with."""
     result = pointed.pointed_malcev_pushout(ps)
-    yield from suites._certificate_failures(certificates.certify(result.underlying.square))
+    yield from suites._certificate_failures(certificates.certify(result.square))
     base_a = ps.left.codomain.basepoint
     base_b = ps.right.codomain.basepoint
     corner_base = result.corner.basepoint
@@ -292,10 +299,10 @@ def fresh_pointed_pushout_failures(ps):
                 f"{side} leg sends {base!r} to {image!r}, not {corner_base!r}",
             )
     plain = pushouts.malcev_pushout_direct(ps.underlying)
-    if result.underlying.square.corner != plain.corner:
+    if result.square.corner != plain.corner:
         yield (
             "transfer",
-            f"pointed corner carrier {result.underlying.square.corner} "
+            f"pointed corner carrier {result.square.corner} "
             f"differs from the plain pushout corner {plain.corner}",
         )
     pulled_base = pointed.pointed_pullback(result.h, result.k).apex.basepoint
@@ -464,10 +471,10 @@ class TestSharedObjects:
         assert kept and all(ref() is None for ref in kept)
 
     def test_the_decomposed_route_decides_the_malcev_precondition_once(self):
-        """One witness search for the span and one composite test per new
-        stage span; the epi-leg stages do not decide it again, and a span
-        whose right leg is onto is its own stage-1 span, so only stage 2
-        is tested."""
+        """One witness search for the span and one ``is_difunctional`` test,
+        itself a witness search, per new stage span; the epi-leg stages do
+        not decide it again, and a span whose right leg is onto is its own
+        stage-1 span, so only stage 2 is tested."""
         spans, onto = list(exhaustive_malcev_spans(2)), 0
         for label, s in spans:
             _, counts = _calls(
@@ -475,7 +482,8 @@ class TestSharedObjects:
                 lambda: pushouts.malcev_pushout_decomposed(s),
             )
             stages = 1 if fsets.is_epi(s.right) else 2
-            assert counts == {"difunctionality_witness": 1, "is_difunctional": stages}, label
+            expected = {"difunctionality_witness": 1 + stages, "is_difunctional": stages}
+            assert counts == expected, label
             onto += stages == 1
         assert 0 < onto < len(spans)
 
