@@ -37,7 +37,7 @@ from .pushouts import (
     require_malcev,
 )
 from .relations import Relation, is_jointly_monic, span_to_relation, tabulate
-from .suites import SuiteConfig, run_all_suites
+from .suites import DEFAULT_MAX_SIZE, POINTED_DRAWS, SMALL_BOUND, SuiteConfig, run_all_suites
 
 
 @functools.cache  # parsing leaves the parser as it was, so one serves every call
@@ -75,26 +75,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mutant",
         choices=mutants.KNOWN,
         default=None,
-        help="inject one deliberate defect; drop-RoR-block changes only the "
-        "block relation, which the report does not print, so it leaves this "
-        "output unchanged (only suites T1b and D catch it)",
+        help="inject one deliberate defect into the constructions",
     )
 
     suite = sub.add_parser("suite", help="run the verification suites")
     suite.add_argument(
         "--max-size",
         type=int,
-        default=3,
-        help="largest carrier size in the corpora (default 3); T2/D (unless "
-        "--exhaustive) and P1 walk every relation only up to size 2, and "
-        "draw up to this size",
+        default=DEFAULT_MAX_SIZE,
+        help=f"largest carrier size in the corpora (default {DEFAULT_MAX_SIZE}); "
+        "T2/D (unless --exhaustive) and P1 walk every relation only up to "
+        f"size {SMALL_BOUND}, and draw up to this size",
     )
     suite.add_argument(
         "--samples",
         type=int,
         default=0,
         help="seeded draws added to the T2/D span corpus (default 0); P1 "
-        "draws as many, or 25 when this is 0",
+        f"draws as many, or {POINTED_DRAWS} when this is 0",
     )
     suite.add_argument(
         "--seed", type=int, default=0, help="seed of the T2/D and the P1 draws"
@@ -103,14 +101,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--exhaustive",
         action="store_true",
         help="walk every T2/D and P1 relation up to --max-size, not only "
-        "up to size 2",
+        f"up to size {SMALL_BOUND}",
     )
     suite.add_argument(
         "--mutant",
         choices=mutants.KNOWN,
         default=None,
         help="inject one deliberate defect, which some suite must catch with "
-        "an element witness; drop-RoR-block is caught only by T1b and D",
+        "an element witness",
     )
     return parser
 

@@ -34,6 +34,7 @@ from .pushouts import _block_quotient, malcev_pushout_direct, require_malcev
 from .relations import Relation, tabulate
 
 BASEPOINT = "*"
+ZERO_OBJECT_BOUND = 5  # largest pointed set whose zero-object facts P0 checks
 
 
 @dataclass(frozen=True)
@@ -159,11 +160,10 @@ def pointed_malcev_pushout(
 def _pushout_without_basepoint_link(ps: PointedSpan) -> CommutativeSquare:
     s = ps.underlying
     r = require_malcev(s)
-    base_pair = (ps.left.codomain.basepoint, ps.right.codomain.basepoint)
-    mutated = Relation.from_pairs(
-        r.source, r.target, (p for p in r.pairs() if p != base_pair)
-    )
-    return _block_quotient(s, mutated).square
+    a, b = ps.left.codomain.basepoint, ps.right.codomain.basepoint
+    rows = list(r.rows)
+    rows[r.source.index(a)] &= ~(1 << r.target.index(b))
+    return _block_quotient(s, Relation._of_rows(r.source, r.target, tuple(rows))).square
 
 
 def pointed_pullback(f: PointedMap, g: PointedMap) -> PointedSpan:
@@ -215,7 +215,7 @@ class ZeroObjectReport:
         return bool(self.strictness_witness) and not self.failures
 
 
-def zero_object_checks(max_size: int = 5) -> ZeroObjectReport:
+def zero_object_checks(max_size: int = ZERO_OBJECT_BOUND) -> ZeroObjectReport:
     zero = zero_object()
     failures = []
     for size in range(1, max_size + 1):

@@ -61,13 +61,13 @@ from .fsets import (
 from .relations import (
     Relation,
     _bits,
+    _least_member_quotient,
     assemble_block,
     converse,
     difunctionality_witness,
     is_equivalence,
     is_malcev_span,
     joint_monicity_witness,
-    quotient_by_equivalence,
     rel_compose,
     span_to_relation,
     tabulate,
@@ -143,14 +143,18 @@ def pushout_equivalence(r: Relation) -> Relation:
     """The block relation ``(1 u R°R, R°; R, 1 u RR°)`` on the tagged
     coproduct of the relation's source and target.
 
-    For difunctional r this is an equivalence relation.  The drop-RoR mutant
-    omits the R°R term from the top-left block.
+    For difunctional r this is an equivalence relation.  Both block-relation
+    mutants plant their defect here: drop-RoR omits the R°R term from the
+    top-left block, and nonsymmetric-closure empties the R° block, the
+    links from B back to A.
     """
     r_conv = converse(r)
     top_left = Relation.diagonal(r.source)
     if not mutants.active(mutants.DROP_ROR):
         top_left = union(top_left, rel_compose(r_conv, r))
     bottom_right = union(Relation.diagonal(r.target), rel_compose(r, r_conv))
+    if mutants.active(mutants.NONSYMMETRIC):
+        r_conv = Relation.from_pairs(r.target, r.source, ())
     return assemble_block(top_left, r_conv, r, bottom_right)
 
 
@@ -169,30 +173,17 @@ def _block_quotient(s: Span, r: Relation) -> MalcevPushoutResult:
     relation of r, a relation between the span's feet, and read both legs
     off the quotient.
 
-    Under a mutant the quotient is by the equivalence that the set bits of
-    the block relation generate; under nonsymmetric-closure, by the one its
-    two diagonal blocks generate.  That is the forward closure without the
-    R° block (the links from B back to A), each element sent to the least
-    element it reaches: r is difunctional there, so both blocks are
-    equivalences (Riguet), and every ``l:`` name sorts before every ``r:``
-    name.  So no element of B reaches the ``l:`` name of its class, and the
-    legs disagree on the apex.
+    Each element goes to the least member of its row, a class once the
+    block relation is checked to be an equivalence; under a mutant it is
+    not checked, so a mutated block relation's defect reaches the square.
     """
     e = pushout_equivalence(r)
     total, inl, inr = coproduct(*s.feet)
-    if not mutants.active():
-        try:
-            quotient = quotient_by_equivalence(total, e)
-        except NotEquivalenceError:
-            raise InternalInvariantError(
-                "direct-pushout",
-                "block relation of a difunctional relation is not an equivalence",
-            ) from None
-    else:
-        m, diagonal = len(s.left.codomain), mutants.active(mutants.NONSYMMETRIC)
-        bits = [(i, j) for i, row in enumerate(e.rows) for j in _bits(row)]
-        links = [(i, j) for i, j in bits if not diagonal or (i < m) == (j < m)]
-        quotient = quotient_by_generated(total, links)
+    if not mutants.active() and not is_equivalence(e):
+        raise InternalInvariantError(
+            "direct-pushout", "block relation of a difunctional relation is not an equivalence"
+        )
+    quotient = _least_member_quotient(total, e)
     square = _square(s, Cospan(compose(quotient, inl), compose(quotient, inr)))
     return MalcevPushoutResult(e=e, square=square)
 
@@ -280,13 +271,11 @@ def _epi_leg_square(s: Span) -> CommutativeSquare:
     r = span_to_relation(s)
     r_conv = converse(r)
     closure = union(Relation.diagonal(a_set), rel_compose(r_conv, r))
-    try:
-        h = quotient_by_equivalence(a_set, closure)
-    except NotEquivalenceError:
+    if not is_equivalence(closure):
         raise InternalInvariantError(
-            "epi-leg-pushout",
-            "1 u R°R of a difunctional relation is not an equivalence",
-        ) from None
+            "epi-leg-pushout", "1 u R°R of a difunctional relation is not an equivalence"
+        )
+    h = _least_member_quotient(a_set, closure)
     h_t, classes = h.table, closure.rows
     firsts = [(column & -column).bit_length() - 1 for column in r_conv.rows]
     for b, column, first in zip(b_set, r_conv.rows, firsts):

@@ -314,6 +314,12 @@ def quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:
         raise PreconditionError(f"relation is not an endo-relation on {a}")
     if not is_equivalence(e):
         raise NotEquivalenceError(f"relation is not an equivalence: {e!r}")
+    return _least_member_quotient(a, e)
+
+
+def _least_member_quotient(a: FiniteSet, e: Relation) -> SetFunction:
+    """Each element sent to the least member of its row of e, a reflexive
+    endo-relation on a: for an equivalence, the quotient by its classes."""
     least = tuple([(row & -row).bit_length() - 1 for row in e.rows])
     return image_factorization(SetFunction._of_table(a, a, least))[0]
 

@@ -51,6 +51,7 @@ from .fsets import (
 )
 from .names import pair_name
 from .pointed import (
+    ZERO_OBJECT_BOUND,
     PointedSpan,
     canonical_pointed_set,
     pointed_malcev_pushout,
@@ -81,13 +82,15 @@ _CAUGHT = (PreconditionError, InternalInvariantError, ValueError)
 
 MAX_FAILURES_SHOWN = 6  # failures listed per suite in a rendered report
 SMALL_BOUND = 2  # largest carrier walked exhaustively unless exhaustive
+DEFAULT_MAX_SIZE = 3  # largest carrier of the corpora unless set
+POINTED_DRAWS = 25  # P1's seeded draws when samples is 0
 
 
 @dataclass(frozen=True)
 class SuiteConfig:
     """Corpus bounds and determinism knobs shared by all suites."""
 
-    max_size: int = 3
+    max_size: int = DEFAULT_MAX_SIZE
     samples: int = 0
     seed: int = 0
     exhaustive: bool = False
@@ -396,7 +399,7 @@ def suite_zero_object(config: SuiteConfig) -> SuiteReport:
     """The zero object's facts for pointed sets of each size up to a bound,
     one instance per size; no construction runs here, so no mutant is
     enabled."""
-    bound = max(1, min(config.max_size, 5))
+    bound = max(1, min(config.max_size, ZERO_OBJECT_BOUND))
     instance = f"pointed sets of size <= {bound}"
     failures = tuple(
         SuiteFailure(instance, "zero-object", f) for f in zero_object_checks(bound).failures
@@ -407,7 +410,7 @@ def suite_zero_object(config: SuiteConfig) -> SuiteReport:
 def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, PointedSpan]]:
     """The labelled pointed spans of P1: the pointed ``malcev_corpus`` over
     canonical pointed sets of sizes 1 to ``max(1, max_size)``, walked up
-    to ``max(1, exhaustive_bound)``, with 25 draws when ``samples`` is 0."""
+    to ``max(1, exhaustive_bound)``, with POINTED_DRAWS draws at samples 0."""
     sets = {n: canonical_pointed_set(n) for n in range(1, max(1, config.max_size) + 1)}
     carriers = [p.carrier for p in sets.values()]
 
@@ -416,7 +419,7 @@ def _pointed_corpus(config: SuiteConfig) -> list[tuple[str, PointedSpan]]:
 
     bound = max(1, config.exhaustive_bound)
     rng = random.Random(config.seed)
-    count = config.samples or 25
+    count = config.samples or POINTED_DRAWS
     return list(malcev_corpus(carriers, carriers, bound, rng, count, build, pointed=True))
 
 

@@ -1,11 +1,14 @@
 """Shared hypothesis strategies for sets, functions, relations and spans,
-and the references that several test modules build on."""
+the references that several test modules build on, and the one recorder
+of the calls a run makes."""
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Sequence
+import sys
+from collections import Counter
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import hypothesis.strategies as st
 from hypothesis import settings
@@ -14,6 +17,34 @@ from diexact.enumeration import malcev_corpus
 from diexact.fsets import FiniteSet, SetFunction, Span, span
 from diexact.pointed import PointedSpan, canonical_pointed_set, pointed_span_from_relation
 from diexact.relations import Relation, converse, difunctional_closure, rel_compose, tabulate, union
+
+T = TypeVar("T")
+
+
+def recorded_calls(functions, run: Callable[[], T]) -> tuple[T, list[tuple[str, str, dict]]]:
+    """Run ``run()`` and record every call of the functions, however the
+    caller looks each one up, as (function's name, caller's name,
+    arguments), in call order."""
+    names = {function.__code__: function.__name__ for function in functions}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append((names[frame.f_code], frame.f_back.f_code.co_name, dict(frame.f_locals)))
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def call_counts(functions, run: Callable[[], T]) -> tuple[T, Counter]:
+    """``recorded_calls`` with the calls counted by function name."""
+    result, calls = recorded_calls(functions, run)
+    return result, Counter(name for name, _, _ in calls)
+
 
 def graph_of(f: SetFunction) -> Relation:
     """The relation holding at each (x, f(x))."""

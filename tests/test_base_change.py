@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import functions, sized_sets
+from conftest import call_counts, functions, sized_sets
 from diexact import certificates
 from diexact.certificates import (
     _base_change_is_pushout,
@@ -37,7 +37,6 @@ from diexact.fsets import (
 )
 from diexact.names import pair_name
 from test_certificates import commuting_squares_up_to_two, matched_pairs_square
-from test_suites import _calls
 
 
 def fiber_pairs(h: SetFunction, x: SetFunction) -> tuple[FiniteSet, list[tuple[str, str]]]:
@@ -137,7 +136,7 @@ class TestIndexVerdict:
             if not is_pushout_square(square).ok:
                 continue
             for bound in range(4):
-                stable, counts = _calls(
+                stable, counts = call_counts(
                     (certificates._base_change_is_pushout,),
                     lambda: stable_by_all_pullbacks(square, bound),
                 )

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from diexact import cli, fsets, mutants, names, relations
+from conftest import recorded_calls
+from diexact import cli, fsets, mutants, names, relations, suites
 from diexact.cli import _build_parser, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -230,6 +231,17 @@ class TestPushoutCommand:
             "'l:a1' and 'r:b1'",
         ]
 
+    def test_drop_ror_block_shows_in_the_report(self, tmp_path, capsys):
+        """Without its R°R term the block relation keeps a2 apart from a1,
+        though both relate to b1, so the direct square does not commute."""
+        path = write(tmp_path, "r.txt", BLOCKS)
+        assert main(["pushout", "--mutant", "drop-RoR-block", path]) == 1
+        out = capsys.readouterr().out
+        assert (
+            "COMMUTES: false\n"
+            "    counterexample: apex element '(a2,b1)' has images 'l:a2' and 'l:a1'\n"
+        ) in out
+
     def test_mutant_ends_with_its_command(self, tmp_path, capsys):
         refused = write(tmp_path, "bad.txt", NON_DIFUNCTIONAL)
         assert main(["pushout", "--mutant", "skip-mono-check", refused]) == 3
@@ -287,24 +299,6 @@ rel R : A -|> B = {(a1,b1), (a2,b1), (a3,b2), (a3,b3)}
 """
 
 
-def _recorded(functions, run):
-    """Run ``run()`` and record every call of the functions, however the
-    caller looks it up, as (name, caller's name, arguments)."""
-    names = {function.__code__: function.__name__ for function in functions}
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            calls.append((names[frame.f_code], frame.f_back.f_code.co_name, dict(frame.f_locals)))
-
-    sys.setprofile(profile)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, calls
-
-
 def _block_document(n: int, unrelated: int = 0) -> str:
     """One n x n block, and ``unrelated`` elements of B that no element of
     A relates to, so that the right leg is onto exactly when it is 0."""
@@ -342,7 +336,7 @@ class TestFactsDecidedOnce:
             relations.difunctionality_witness,
         )
         path = write(tmp_path, "r.txt", BLOCKS)
-        (code, out, _), calls = _recorded(functions, lambda: run_here(["pushout", *flags, path]))
+        (code, out, _), calls = recorded_calls(functions, lambda: run_here(["pushout", *flags, path]))
         (result,) = results
         return code, out, result.square, calls
 
@@ -377,8 +371,8 @@ class TestFactsDecidedOnce:
         """The checked direct square is decided as it is built; under a
         mutant it is unchecked, and the comparison with the reference
         colimit decides it only when two elements of one reference class
-        land on different corner elements.  On this document only the
-        nonsymmetric closure gives such a conflict."""
+        land on different corner elements.  On this document only the two
+        block-relation mutants give such a conflict."""
         flags = ("--mutant", mutant) if mutant else ()
         _, _, square, calls = self.run_both(tmp_path, monkeypatch, *flags)
         deciding = [
@@ -392,7 +386,7 @@ class TestFactsDecidedOnce:
         images = canon.left.table + canon.right.table
         targets = square.cospan.left.table + square.cospan.right.table
         conflict = len(set(zip(images, targets))) != len(set(images))
-        assert conflict == (mutant == mutants.NONSYMMETRIC)
+        assert conflict == (mutant in (mutants.DROP_ROR, mutants.NONSYMMETRIC))
         checked = ["__post_init__"] if mutant is None else ["mediating_map"] * conflict
         assert deciding == checked + ["commutes_verdict"]
 
@@ -409,7 +403,7 @@ class TestFactsDecidedOnce:
     def work(self, tmp_path, document):
         path = write(tmp_path, "r.txt", document)
         args = ["pushout", "--method", "both", path]
-        (code, out, _), calls = _recorded(self.WORK, lambda: run_here(args))
+        (code, out, _), calls = recorded_calls(self.WORK, lambda: run_here(args))
         assert code == 0 and "AGREEMENT: true" in out
         return calls, Counter(called for called, _, _ in calls)
 
@@ -580,13 +574,31 @@ def test_unwritable_standard_output_exits_2_in_a_new_process(command, redirect, 
     assert done.stderr.decode() == f"error: cannot write standard output: {reason}\n"
 
 
-@pytest.mark.parametrize("command", ["pushout", "suite"])
-def test_mutant_help_says_what_catches_drop_ror(command, capsys):
+def _help(command, capsys) -> str:
+    """The ``--help`` text of a command with its line breaks undone."""
     with pytest.raises(SystemExit) as done:
         main([command, "--help"])
     assert done.value.code == 0
-    text = " ".join(capsys.readouterr().out.split())
-    assert "drop-RoR-block" in text and "T1b and D" in text
+    return " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["pushout", "suite"])
+def test_mutant_help_carries_no_drop_ror_caveat(command, capsys):
+    """drop-RoR-block shows in ``pushout`` like every other mutant, so
+    neither help text carries a caveat for it."""
+    text = _help(command, capsys)
+    assert "drop-RoR-block" in text and "inject one deliberate defect" in text
+    assert "T1b and D" not in text and "unchanged" not in text
+
+
+def test_suite_help_spells_the_suite_constants(capsys):
+    text = _help("suite", capsys)
+    assert suites.DEFAULT_MAX_SIZE == _build_parser().parse_args(["suite"]).max_size == 3
+    assert (suites.SMALL_BOUND, suites.POINTED_DRAWS) == (2, 25)
+    assert "largest carrier size in the corpora (default 3);" in text
+    assert "walk every relation only up to size 2, and draw up to this size" in text
+    assert "P1 draws as many, or 25 when this is 0" in text
+    assert "not only up to size 2" in text
 
 
 FUZZ_SEEDS = (

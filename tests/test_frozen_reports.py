@@ -36,24 +36,24 @@ SUITE_CONFIGS = {
 SUITE_DIGESTS = {  # per configuration: no mutant, then each of mutants.KNOWN
     "max-size=2 exhaustive samples=10 seed=7": (
         "0a94fc88c3ae793634357d41bd9816a799ce84bfa4cf05d39bd989ef9c46c850",
-        "d6bc9aa07bd76a229b8b2f82dfc4debed24f8f9b3172d77b7979723641e4506f",
+        "c31dd6ea5f13a9e682eac06f2c092e9f663c03243d97a03b82d00f403a1d97cd",
         "8c8f78fb9c49b2eecb99ab53d4ac11cabf6074b9c93ea99616cda311290ebd74",
-        "aa5d544cba40e4e3a570784988366046b8f07756589c1199f933b93a999384a6",
-        "fd001861c7b30f7f7ec64547e974dfa1578f6309d7afdd14dccacd432204b641",
+        "0180410a2729bcd578987d873aa9bfed2d483fbb773551109f73a0b286d2cc59",
+        "12eaa69d4b0e2a1757a0123dcd40b684f7841b1bdd231e15cadc0be571bf2df7",
     ),
     "max-size=3 samples=60 seed=42": (
         "c2c8bddd5b19be747db35f6aad382b9c0857c256fb832bfefddea603f021a101",
-        "e9339f53c1f4341d7eb4f9273fcd5c488075137618972238c5207e20081a7199",
+        "fa6debb3f505549b9c5843452169eea3351e7a3c150f9cf309a7243022869f66",
         "2b3fe5c17b99de29288bc3f80c95b187c72218d36f59f6eaa3a43a60c5996c1d",
-        "c1d1a79bd8746dca7a0e1e58365658b4ae924bb8451e7d3ecac6a32627104c74",
-        "8a35e0b02f9daee7c447a395d398615bc854eb96374d7c3eedd1de1c20b2ed37",
+        "73a8a7309033fbe89185dd7614b3e7c429de5601562fad5b08b7e3a2466a2f6a",
+        "f84852e0bc03f27f57ca54d4016de472482995ae92dde6228855d96c18851f3a",
     ),
     "max-size=3 exhaustive samples=20 seed=3": (
         "18afaf9aa53ebebbab924b9bc6f113eac49c54fa7a3f4b9a88d1b8a0b4981dfb",
-        "133494a8d7f97fdabe82f165f78fa7c7776200b08ae536b695eff62c995aa8af",
+        "f02f0b3e0fbb4fe205c5e37ca211b501821c8b7ea3e28c9920a1c147a3e38570",
         "4de2eacf29863fe21787edf2b97cbc8ac2ac7db50d9d26dd8c2dd4fc1284778a",
-        "eb521a8da56bc60cb72af081782899313f88f52a6edfa8fe2d97dc2826c5734d",
-        "ea0060da0dfd8dda8eb7371fac575440869c6e065bfb06c8da315166987620e2",
+        "46203009898ffec13d4844ca2ef522a3a1eaad6e46493bca3911e0530f07dae7",
+        "34c1de1ae97e7877c8cc7c47a4db3ced75c05f20ed1b84af397a3121b2894d01",
     ),
 }
 
@@ -91,13 +91,13 @@ PUSHOUT_DIGESTS = (
     "a085f74156670a49cefcd7b80be655a043b22d3ccfdb04f6f1f22095bf3d5444",
     "c62bca25089433ac003cf4acb0c09a170d983699693daa4d061cc68c52240f70",
     "440a53d5a96044630df5c9875700c7e93539266bd53cdad8110938d5a571182f",
-    "619e054e2267de1d7a22cc351035027a19ffadbf81afb45ecd48e96fd5f2e3ba",
-    "9c42cfb1c58d21421eb644dbd4d8959dec14d82167a6c032d16c381cd69dd848",
+    "7d15ee565af0db36d96860c5aef6a8f31ee2b8a9c1ccc02f3eeb33d85d662bfa",
+    "381a5534634f2e3e58cc6424faf0b5f28cd247ddb30d0a2f5123643d67d442f0",
     "37976127ac1f993d3e513b32ba5a59610caf04db3618747f0995a4c306c5fc38",
     "e235719f73810b3ba8eedbbd6ba9c9b9f8ab3e7eff194727834d4f86a1231e10",
     "dfdc7c47e60d0b98997a5702f04ef2c2561be51c2fa59bec9f15b3d4f9bde265",
-    "06c8a1189d037524669b417d17a330b3b1e595a1d995ac3703e1dbdb9e8633b1",
-    "62c96bbe9a5e77ef7b87a5d21659ce1815b5c12c572a22331a614c3d37695cf6",
+    "9b44577c43ce24567b87cff833bdfcc8c0daf39c28d4beda8497413b7ee11b85",
+    "dbe2b0511b6eab56a8dbe9199cc2919a1b288643d83843b6f3d90abb4a1e6603",
     "38c723592f603a34e895af4c6f9451bb2b21fca0783acaab5d98d5ef9ab6b5f0",
     "7a22000cf746e6c59e4a6f7b49a7c60ebcdf790a57291e351ad29f576fa8d367",
     "fe58dcfc9f127dc7808800b9ca98538f07cd0ec9897c243ccfe2a570a0e1dfe7",

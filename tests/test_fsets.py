@@ -2,13 +2,19 @@
 
 import dataclasses
 import itertools
-import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import arbitrary_spans, functions, graph_of, quotient_by_partition, sized_sets
+from conftest import (
+    arbitrary_spans,
+    functions,
+    graph_of,
+    quotient_by_partition,
+    recorded_calls,
+    sized_sets,
+)
 from diexact.errors import CompositionError, PreconditionError
 from diexact.fsets import (
     CommutativeSquare,
@@ -163,18 +169,11 @@ class TestKeptHash:
         sets or functions."""
         s = self.fresh()[2]
         memo = {s: "kept"}
-        codes = {cls.__hash__.__code__: cls.__name__ for cls in (FiniteSet, SetFunction)}
-        entered = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in codes:
-                entered.append(codes[frame.f_code])
-
-        sys.setprofile(profile)
-        try:
-            found = memo[s], memo[dataclasses.replace(s)]
-        finally:
-            sys.setprofile(None)
+        found, calls = recorded_calls(
+            (FiniteSet.__hash__, SetFunction.__hash__),
+            lambda: (memo[s], memo[dataclasses.replace(s)]),
+        )
+        entered = [type(args["self"]).__name__ for _, _, args in calls]
         assert found == ("kept", "kept")
         # The fresh twin hashes its fields, whose hashes are kept already.
         assert sorted(entered) == ["FiniteSet", "SetFunction", "SetFunction"]

@@ -9,8 +9,7 @@ pairs before it looks at the apex, one that builds the canonical pullback
 span to word a refusal, a ``finditer`` pair-list scan that
 checks each gap as it meets it, a ``from_pairs`` that calls
 ``FiniteSet.index`` per name, a ``tabulate`` over the nested ``pairs()``
-generator, a mutant branch that tests every cell of the block relation for
-its links, a quotient by equivalence, an image factorization and a
+generator, a quotient by equivalence, an image factorization and a
 mediating map that build their functions from value names, and an epi-leg
 route that checks its induced leg by gathering the landing classes of
 every apex element.  Beside them: ``pair_name`` once per pair against the
@@ -75,7 +74,7 @@ from diexact.fsets import (
     require_epi,
 )
 from diexact.names import LEFT, RIGHT, pair_name, pair_names, tagged
-from diexact import mutants, pushouts
+from diexact import pushouts
 from diexact.pushouts import _epi_leg_square, malcev_pushout_direct, pushout_equivalence
 from diexact.relations import (
     Relation,
@@ -747,16 +746,6 @@ class TestPairNamesAgainstPairName:
         assert checked == 689 + 2000
 
 
-
-def cell_scan_links(e: Relation, m: int, diagonal: bool) -> list[tuple[int, int]]:
-    """The mutant branch's links found by testing every cell of every row:
-    each set bit (i, j) of e, or under nonsymmetric-closure those with i and
-    j in the same summand (the first m positions are the left foot's)."""
-    n = len(e.target)
-    bits = [(i, j) for i, row in enumerate(e.rows) for j in range(n) if row >> j & 1]
-    return [(i, j) for i, j in bits if not diagonal or (i < m) == (j < m)]
-
-
 def seeded_block_spans(seed: int, count: int):
     """Mal'cev spans from seeded block relations: each side dealt into
     random blocks, every block a rectangle, feet of up to 40 elements."""
@@ -767,25 +756,6 @@ def seeded_block_spans(seed: int, count: int):
         block_b = [rng.randrange(k) for _ in range(n)]
         cells = [(i, j) for i in range(m) for j in range(n) if block_a[i] == block_b[j]]
         yield tabulate(Relation._of_index_pairs(letters("a", m), letters("b", n), cells))
-
-
-class TestMutantLinksAgainstTheCellScan:
-    @pytest.mark.parametrize("mutant", sorted(mutants.KNOWN))
-    def test_seeded_block_relations(self, monkeypatch, mutant):
-        linked = []
-
-        def recording(total, links):
-            linked.append(links)
-            return quotient_by_generated(total, links)
-
-        monkeypatch.setattr(pushouts, "quotient_by_generated", recording)
-        for s in seeded_block_spans(27, 60):
-            with mutants.enabled(mutant):
-                result = malcev_pushout_direct(s)
-            diagonal = mutant == mutants.NONSYMMETRIC
-            m = len(s.left.codomain)
-            assert linked.pop() == cell_scan_links(result.e, m, diagonal)
-        assert linked == []
 
 
 def name_built_quotient_by_equivalence(a: FiniteSet, e: Relation) -> SetFunction:

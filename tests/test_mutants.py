@@ -88,11 +88,12 @@ def _forward_closure(s):
 
 
 def test_nonsymmetric_closure_is_the_forward_closure():
-    """Under nonsymmetric-closure the direct route quotients by the
-    equivalence that the two diagonal blocks generate; since a difunctional
-    relation makes both blocks equivalences, that is the forward closure
-    without the R° block, on every span up to size 3, the tabulation of
-    every equivalence up to size 4 and 3000 seeded spans up to size 7."""
+    """Under nonsymmetric-closure the direct route sends each element to the
+    least member of its row of the block relation without the R° block;
+    since a difunctional relation makes both diagonal blocks equivalences,
+    that is the forward closure without the R° block, on every span up to
+    size 3, the tabulation of every equivalence up to size 4 and 3000
+    seeded spans up to size 7."""
     corpus = [s for _, s in exhaustive_malcev_spans(3)]
     corpus += [
         tabulate(e) for size in range(5) for _, e in all_equivalences(letters("a", size))
@@ -103,6 +104,29 @@ def test_nonsymmetric_closure_is_the_forward_closure():
     with mutants.enabled(mutants.NONSYMMETRIC):
         differ = [s for s in corpus if malcev_pushout_direct(s).quotient != _forward_closure(s)]
     assert differ == []
+
+
+@pytest.mark.parametrize("mutant", (mutants.DROP_ROR, mutants.NONSYMMETRIC))
+def test_block_relation_mutants_drop_one_term(mutant):
+    """Under drop-RoR-block the block relation lacks the R°R term of its
+    top-left block, and under nonsymmetric-closure its R° block, the links
+    from B back to A, on every difunctional relation up to size 3; some
+    relation loses links to each."""
+    changed = 0
+    for _, s in exhaustive_malcev_spans(3):
+        r = span_to_relation(s)
+        e = pushout_equivalence(r)
+        with mutants.enabled(mutant):
+            mutated = pushout_equivalence(r)
+        _, inl, inr = coproduct(*s.feet)
+        left, right = set(inl.values), set(inr.values)
+        if mutant == mutants.DROP_ROR:
+            dropped = {(x, y) for x, y in e.pairs() if x in left and y in left and x != y}
+        else:
+            dropped = {(x, y) for x, y in e.pairs() if x in right and y in left}
+        assert set(mutated.pairs()) == set(e.pairs()) - dropped
+        changed += bool(dropped)
+    assert changed
 
 
 @pytest.mark.parametrize("mutant", mutants.KNOWN)
@@ -579,15 +603,32 @@ def test_kept_facts_are_written_only_by_kept():
 
 
 def test_block_quotient_leaves_the_quotients_to_their_kernels():
-    """``_block_quotient`` quotients through ``quotient_by_equivalence`` or
-    ``quotient_by_generated`` and builds no function or set itself."""
+    """``_block_quotient`` has one path: it quotients through
+    ``_least_member_quotient``, the body of ``quotient_by_equivalence``,
+    builds no link list and no function or set itself."""
     named = {
         node.id
         for node in ast.walk(_function("pushouts.py", "_block_quotient"))
         if isinstance(node, ast.Name)
     }
-    assert {"quotient_by_equivalence", "quotient_by_generated"} <= named
-    assert named.isdisjoint({"SetFunction", "FiniteSet"})
+    assert "_least_member_quotient" in named
+    assert named.isdisjoint({"quotient_by_generated", "_bits", "SetFunction", "FiniteSet"})
+
+
+def test_block_relation_mutants_are_planted_in_the_block_relation():
+    """Outside ``mutants``, drop-RoR-block and nonsymmetric-closure are each
+    named once, in ``pushout_equivalence``: the direct route quotients a
+    mutated block relation as it quotients the correct one."""
+    sites = [
+        (path.name, site)
+        for path in SOURCES
+        if path.name != "mutants.py"
+        for name in ("DROP_ROR", "NONSYMMETRIC")
+        for site in _top_level_names_where(
+            path.name, lambda node: isinstance(node, ast.Attribute) and node.attr == name
+        )
+    ]
+    assert sites == [("pushouts.py", "pushout_equivalence")] * 2
 
 
 # The builders of generated carriers, and the one builder each must end in.
@@ -597,7 +638,8 @@ CARRIER_BUILDERS = {
     ("relations.py", "tabulate"): "pair_span",
     ("fsets.py", "image_factorization"): None,
     ("fsets.py", "quotient_by_generated"): "image_factorization",
-    ("relations.py", "quotient_by_equivalence"): "image_factorization",
+    ("relations.py", "quotient_by_equivalence"): "_least_member_quotient",
+    ("relations.py", "_least_member_quotient"): "image_factorization",
 }
 
 
@@ -620,7 +662,8 @@ def _bare_call_sites(module: str, name: str) -> list[str]:
 
 def test_generated_carriers_are_built_from_positions():
     """Pairs become a carrier only in ``pair_span``, and both least-member
-    quotients end in ``image_factorization``; none of these builders looks
+    quotients end in ``image_factorization``, ``quotient_by_equivalence``
+    through ``_least_member_quotient``; none of these builders looks
     a value up by name through the name-valued ``SetFunction`` constructor,
     and in ``fsets`` and ``relations`` only ``pair_span``, by ``pair_names``,
     and the relation's ``repr``, by ``pair_name``, spell a pair name."""

@@ -533,8 +533,8 @@ class TestResultInvariants:
 
 
 class TestEquivalenceStages:
-    """Each route checks its relation is an equivalence once, inside
-    ``quotient_by_equivalence``, and reports a failure as its own stage."""
+    """Each route checks its relation is an equivalence once, before it
+    quotients by it, and reports a failure as its own stage."""
 
     @pytest.fixture
     def s(self):

@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import itertools
 import random
-import sys
 import weakref
 
 import pytest
@@ -19,6 +18,7 @@ from conftest import (
     graph_of,
     malcev_spans,
     quotient_by_partition,
+    recorded_calls,
     relations,
     sized_sets,
 )
@@ -424,17 +424,10 @@ class TestSpanRelationMemo:
             return built[-1]
 
         monkeypatch.setattr(Relation, "_of_index_pairs", staticmethod(counted))
-        asked = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code is span_to_relation.__code__:
-                asked.append(frame.f_locals["s"])
-
-        sys.setprofile(profile)
-        try:
-            code = main(["pushout", "--method", "both", str(path)])
-        finally:
-            sys.setprofile(None)
+        code, calls = recorded_calls(
+            (span_to_relation,), lambda: main(["pushout", "--method", "both", str(path)])
+        )
+        asked = [args["s"] for _, _, args in calls]
         monkeypatch.undo()
         assert code == 0 and "AGREEMENT: true" in capsys.readouterr().out
         spans = list({id(s): s for s in asked}.values())

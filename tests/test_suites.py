@@ -5,7 +5,6 @@ import dataclasses
 import gc
 import itertools
 import random
-import sys
 import weakref
 
 import pytest
@@ -32,7 +31,7 @@ from diexact.suites import (
     suite_equivalences,
     theorem_suites,
 )
-from conftest import fixpoint_closure, sample_pointed_spans
+from conftest import call_counts, fixpoint_closure, sample_pointed_spans
 from diexact.pointed import BASEPOINT, canonical_pointed_set, pointed_span_from_relation
 from diexact.relations import Relation, tabulate
 from test_pushouts import widened
@@ -256,7 +255,7 @@ class TestRunLoop:
             ),
         )
         for suite, built, distinct in per_suite:
-            runs = [_calls((built,), lambda: suite(config)) for _ in range(2)]
+            runs = [call_counts((built,), lambda: suite(config)) for _ in range(2)]
             assert runs[0][0] == runs[1][0]
             assert runs[0][1] == runs[1][1] == {built.__name__: distinct}
 
@@ -368,7 +367,9 @@ class TestMutants:
             SuiteConfig(max_size=2, exhaustive=True, mutant="drop-RoR-block")
         )
         failing = {s.name for s in report.suites if s.failures}
-        assert {"T1b", "D"} <= failing
+        assert {"T1b", "T2", "D", "P1"} <= failing
+        (d,) = [s for s in report.suites if s.name == "D"]
+        assert {"certificate:commutes", "certificate:pushout"} <= {f.check for f in d.failures}
 
 
 class TestCornerChecks:
@@ -396,24 +397,6 @@ class TestCornerChecks:
         assert checks == ["direct-corner", "epi-leg-corner"]
 
 
-def _calls(functions, run):
-    """Run ``run()`` and count the calls made to each function, however the
-    caller looks it up."""
-    names = {function.__code__: function.__name__ for function in functions}
-    counts = dict.fromkeys(names.values(), 0)
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
-
-    sys.setprofile(profile)
-    try:
-        result = run()
-    finally:
-        sys.setprofile(None)
-    return result, counts
-
-
 def _distinct(corpus) -> int:
     """The number of distinct instances in a labelled corpus."""
     return len({key for _, key in corpus})
@@ -433,7 +416,7 @@ def _direct_pushouts_per_run(config, report) -> int:
 class TestSharedObjects:
     def test_one_reference_colimit_per_span_and_one_corpus_per_run(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
-        _, counts = _calls(
+        _, counts = call_counts(
             (fsets.canonical_pushout, enumeration._random_difunctional),
             lambda: run_all_suites(config),
         )
@@ -443,7 +426,7 @@ class TestSharedObjects:
 
     def test_t2_and_d_share_one_direct_pushout_per_span(self):
         config = SuiteConfig(max_size=2, samples=20, seed=2024)
-        report, counts = _calls(
+        report, counts = call_counts(
             (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
         )
         assert counts["malcev_pushout_direct"] == _direct_pushouts_per_run(config, report)
@@ -462,7 +445,7 @@ class TestSharedObjects:
 
         monkeypatch.setattr(suites, "malcev_pushout_direct", remembered)
         for _ in range(2):
-            report, counts = _calls(
+            report, counts = call_counts(
                 (pushouts.malcev_pushout_direct,), lambda: run_all_suites(config)
             )
             assert counts["malcev_pushout_direct"] == _direct_pushouts_per_run(config, report)
@@ -477,7 +460,7 @@ class TestSharedObjects:
         stage-1 span, so only stage 2 is tested."""
         spans, onto = list(exhaustive_malcev_spans(2)), 0
         for label, s in spans:
-            _, counts = _calls(
+            _, counts = call_counts(
                 (relations.difunctionality_witness, relations.is_difunctional),
                 lambda: pushouts.malcev_pushout_decomposed(s),
             )
@@ -491,7 +474,7 @@ class TestSharedObjects:
         """``require_malcev`` returns the relation it decided on, and the
         direct route quotients by that relation."""
         for label, s in exhaustive_malcev_spans(2):
-            _, counts = _calls(
+            _, counts = call_counts(
                 (relations.span_to_relation,), lambda: pushouts.malcev_pushout_direct(s)
             )
             assert counts == {"span_to_relation": 1}, label
@@ -506,7 +489,7 @@ class TestSharedObjects:
             pushouts.pushout_epi_leg,
             pushouts._epi_leg_square,
         )
-        _, counts = _calls(
+        _, counts = call_counts(
             (pushouts.require_malcev,) + routes, lambda: run_all_suites(config)
         )
         spans = {s for _, s in suites._span_corpus(config)}
@@ -573,10 +556,10 @@ class TestSharedDirectErrors:
         expected = (
             SuiteFailure(label, "construction", "[direct-pushout] refused on purpose"),
         )
-        t2, decomposed = _calls(
+        t2, decomposed = call_counts(
             (pushouts.malcev_pushout_decomposed,), lambda: suite_agreement(config)
         )
-        d, certified = _calls((certificates.certify,), lambda: suite_certificates(config))
+        d, certified = call_counts((certificates.certify,), lambda: suite_certificates(config))
         assert t2.failures == expected and d.failures == expected
         assert t2.total == d.total == len(corpus) == 27
         assert decomposed == {"malcev_pushout_decomposed": len(corpus) - 1}
